@@ -54,7 +54,6 @@ from .removal import (
     RemovalSolution,
     greedy_removal,
     min_removal_exact,
-    small_m_removal,
 )
 from .system import (
     DEFAULT_BUDGET,
@@ -123,7 +122,6 @@ __all__ = [
     "scalar_inverse",
     "scaling_image",
     "scaling_preimage",
-    "small_m_removal",
     "smith_normal_form",
     "standardize",
     "verify_copy_classes",

@@ -48,14 +48,13 @@ from .pipeline import (
     is_circular,
     standardize,
 )
-from .removal import greedy_removal, min_removal_exact, small_m_removal
+from .removal import greedy_removal, min_removal_exact
 from .system import (
     DEFAULT_BUDGET,
     RestrictedSystem,
     _identity_prefix,
     count_solutions,
     enumerate_solutions,
-    pull_back_removal,
     remove_elements,
     verify_extension,
 )
@@ -313,64 +312,18 @@ def _parse_protect(raw, variables) -> frozenset[int]:
 def cmd_remove(args, budget) -> dict:
     system = decode_system(load_file(args.input))
     protected = _parse_protect(args.protect, system.variables)
-    solver = greedy_removal if args.greedy else min_removal_exact
-    res = full_extension(system, budget)
-
-    if res.outcome == "thin":
-        wit = res.thin
-        if wit.vacuous:
-            removed = tuple(() for _ in range(system.variables))
-            certificate = {"optimal": True, "lower_bound": 0}
-            route = "thin"
-        elif wit.coordinate not in protected:
-            removed = tuple(
-                (wit.value,) if j == wit.coordinate else ()
-                for j in range(system.variables)
-            )
-            certificate = {"optimal": True, "lower_bound": 1}
-            route = "thin"
-        else:
-            sol = solver(system, protected, budget)
-            removed = sol.removed
-            certificate = {"optimal": sol.optimal, "lower_bound": sol.lower_bound}
-            route = "protected-fallback"
-    elif res.outcome == "small-system":
-        if protected:
-            sol = solver(system, protected, budget)
-            removed = sol.removed
-            certificate = {"optimal": sol.optimal, "lower_bound": sol.lower_bound}
-            route = "protected-fallback"
-        else:
-            sol = small_m_removal(system, budget)
-            removed = sol.removed
-            certificate = {"optimal": sol.optimal, "lower_bound": sol.lower_bound}
-            route = "small"
-    else:
-        composed = res.composed
-        inverse = {src: tgt for tgt, src in composed.coord_map.items()}
-        shielded = set(range(composed.target.variables)) - set(
-            composed.mapped_coords
+    if not system.coprime:
+        raise PreconditionError(
+            "determinantal divisor shares a factor with the group order"
         )
-        shielded.update(inverse[j] for j in protected)
-        target_sol = solver(composed.target, shielded, budget)
-        removed = pull_back_removal(composed, target_sol.removed, budget)
-        certificate = {
-            "optimal": False,
-            "lower_bound": None,
-            "target_total_size": target_sol.total_size,
-            "target_optimal": target_sol.optimal,
-            "target_lower_bound": target_sol.lower_bound,
-        }
-        route = "pipeline"
-
-    total = sum(len(s) for s in removed)
-    post = count_solutions(remove_elements(system, removed), budget)
+    solver = greedy_removal if args.greedy else min_removal_exact
+    sol = solver(system, protected, budget)
+    post = count_solutions(remove_elements(system, sol.removed), budget)
     assert post == 0, "reported removal leaves solutions alive"
     return {
-        "route": route,
-        "removed": _encode_sets(removed),
-        "total_size": total,
-        "certificate": certificate,
+        "removed": _encode_sets(sol.removed),
+        "total_size": sol.total_size,
+        "certificate": {"optimal": sol.optimal, "lower_bound": sol.lower_bound},
         "post_count": post,
     }
 

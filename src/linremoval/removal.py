@@ -3,15 +3,19 @@
 A removal deletes values from restriction sets.  Each solution dies when
 any one of its coordinate values is deleted, so minimum removal is exact
 hitting set over the solution list, with atoms (coordinate, value).
-Protected coordinates contribute no atoms.  Alongside the exact
-branch-and-bound solver there is a greedy companion and the direct
-shortcut for systems with at most one free column.
+Protected coordinates contribute no atoms.  The exact solver and its
+greedy companion both work on the system as given; the
+`remove` command calls them on the input system.  Pulling a removal back
+from a pipeline target (``system.pull_back_removal``) is sound but can
+cost more than the source minimum, so it stays a library demonstration
+of the transfer argument, not a solving route.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .abelian import Element
 from .errors import InfeasibleRemovalError, PreconditionError
@@ -86,17 +90,72 @@ def _greedy_atoms(per_solution) -> list[Atom]:
     return chosen
 
 
-def _disjoint_bound(per_solution, indices) -> int:
-    """Greedy pairwise-atom-disjoint solution packing; its size is a
-    lower bound on any hitting set."""
-    used: set[Atom] = set()
+def _masks(per_solution):
+    """Bitmask form of the instance (bit s stands for solution s): the
+    sorted atoms, then hits[i] (killed by atom i), own[s] (the atom
+    indices of s), clash[s] (sharing an atom with s) and stranded[i]
+    (every atom of the solution comes before atom i)."""
+    atoms_sorted = sorted({a for atoms in per_solution for a in atoms})
+    index = {a: i for i, a in enumerate(atoms_sorted)}
+    hits = [0] * len(atoms_sorted)
+    own = []
+    for s, atoms in enumerate(per_solution):
+        ids = [index[a] for a in atoms]
+        for i in ids:
+            hits[i] |= 1 << s
+        own.append(ids)
+    clash = [reduce(or_, (hits[i] for i in ids)) for ids in own]
+    stranded = [0] * (len(hits) + 1)
+    for s, ids in enumerate(own):
+        stranded[max(ids) + 1] |= 1 << s
+    for i in range(1, len(stranded)):
+        stranded[i] |= stranded[i - 1]
+    return atoms_sorted, (hits, own, clash, stranded)
+
+
+def _disjoint_bound(clash, uncovered: int, cap: int) -> int:
+    """Greedy pairwise-atom-disjoint packing of the uncovered solutions,
+    taken in index order and stopped once it reaches the cap; its size is
+    a lower bound on any hitting set.
+    """
     bound = 0
-    for idx in indices:
-        atoms = per_solution[idx]
-        if all(a not in used for a in atoms):
-            used.update(atoms)
-            bound += 1
+    while uncovered and bound < cap:
+        low = uncovered & -uncovered
+        uncovered &= ~clash[low.bit_length() - 1]
+        bound += 1
     return bound
+
+
+def _cover_exists(masks, uncovered: int, lo: int, room: int, failed) -> bool:
+    """Whether at most ``room`` atoms of index ``lo`` or more cover the
+    solutions in ``uncovered``.
+
+    Depth-first on an explicit stack, branching on the atoms of the first
+    uncovered solution; cut by stranded solutions, the packing bound and
+    sets already searched with as much room.  A search that fails records
+    its states in ``failed`` for later calls to skip.
+    """
+    hits, own, clash, stranded = masks
+    seen: dict[int, int] = {}
+    stack = [(uncovered, room)]
+    while stack:
+        u, r = stack.pop()
+        if not u:
+            return True
+        if r == 0 or u & stranded[lo]:
+            continue
+        if seen.get(u, -1) >= r or failed.get((u, lo), -1) >= r:
+            continue
+        seen[u] = r
+        if _disjoint_bound(clash, u, r + 1) > r:
+            continue
+        pivot = (u & -u).bit_length() - 1
+        for i in own[pivot]:
+            if i >= lo:
+                stack.append((u & ~hits[i], r - 1))
+    for u, r in seen.items():
+        failed[(u, lo)] = max(failed.get((u, lo), -1), r)
+    return False
 
 
 def min_removal_exact(
@@ -104,13 +163,13 @@ def min_removal_exact(
     protected=(),
     budget: int = DEFAULT_BUDGET,
 ) -> RemovalSolution:
-    """Provably minimum removal, branch and bound over the solution list.
+    """Provably minimum removal, by search over the solution list.
 
-    The greedy value seeds the incumbent; branching picks an uncovered
-    solution with the fewest atoms and tries each of its atoms; subtrees
-    are cut with the disjoint-packing bound.  The witness reported for
-    the optimal value is the lexicographically first atom set of that
-    size, so reruns are reproducible.
+    The size is the first one, counting up from the disjoint-packing
+    bound, at which a cover exists.  The witness reported is the
+    lexicographically first atom set of that size: atom by atom, the
+    least one that still leaves a cover of the size among the later
+    atoms.  So reruns are reproducible.
     """
     guard = _check_protected(protected, system.variables)
     solutions = enumerate_solutions(system, budget)
@@ -119,60 +178,34 @@ def min_removal_exact(
             _pack([], system.variables), 0, True, 0
         )
     per_solution = _atom_sets(solutions, guard, system.variables)
+    atoms_sorted, masks = _masks(per_solution)
+    hits, _, clash, _ = masks
+    everything = (1 << len(per_solution)) - 1
 
-    incumbent = len(_greedy_atoms(per_solution))
-    root_bound = _disjoint_bound(per_solution, range(len(per_solution)))
-    best = incumbent
+    root_bound = _disjoint_bound(clash, everything, len(per_solution))
+    failed: dict[tuple[int, int], int] = {}
+    best = root_bound
+    while not _cover_exists(masks, everything, 0, best, failed):
+        best += 1
 
-    def search(chosen_count: int, uncovered: list[int]) -> None:
-        nonlocal best
-        if not uncovered:
-            best = min(best, chosen_count)
-            return
-        if chosen_count + _disjoint_bound(per_solution, uncovered) >= best:
-            return
-        pivot = min(uncovered, key=lambda idx: len(per_solution[idx]))
-        for atom in per_solution[pivot]:
-            rest = [
-                idx for idx in uncovered if atom not in per_solution[idx]
-            ]
-            search(chosen_count + 1, rest)
+    witness: list[int] = []
+    uncovered, start = everything, 0
+    while uncovered:
+        room = best - len(witness) - 1
+        atom = next(
+            i for i in range(start, len(hits))
+            if uncovered & hits[i]
+            and _cover_exists(masks, uncovered & ~hits[i], i + 1, room, failed)
+        )
+        witness.append(atom)
+        uncovered &= ~hits[atom]
+        start = atom + 1
 
-    search(0, list(range(len(per_solution))))
-
-    atoms_sorted = sorted({a for atoms in per_solution for a in atoms})
-    witness = _lex_first_cover(atoms_sorted, per_solution, best)
-    assert witness is not None, "optimal value has no witness"
-
-    removed = _pack(witness, system.variables)
+    removed = _pack([atoms_sorted[i] for i in witness], system.variables)
     assert (
         count_solutions(remove_elements(system, removed), budget) == 0
     ), "removal left solutions alive"
     return RemovalSolution(removed, best, True, root_bound)
-
-
-def _lex_first_cover(atoms_sorted, per_solution, size):
-    """First cover of exactly the given size in include-first DFS order,
-    which is the lexicographically least one."""
-
-    def dfs(idx: int, chosen: list[Atom], uncovered: list[int]):
-        if not uncovered:
-            return list(chosen)
-        if len(chosen) >= size or idx >= len(atoms_sorted):
-            return None
-        if len(chosen) + _disjoint_bound(per_solution, uncovered) > size:
-            return None
-        atom = atoms_sorted[idx]
-        rest = [i for i in uncovered if atom not in per_solution[i]]
-        if len(rest) < len(uncovered):
-            chosen.append(atom)
-            hit = dfs(idx + 1, chosen, rest)
-            if hit is not None:
-                return hit
-            chosen.pop()
-        return dfs(idx + 1, chosen, uncovered)
-
-    return dfs(0, [], list(range(len(per_solution))))
 
 
 def greedy_removal(
@@ -192,37 +225,3 @@ def greedy_removal(
         count_solutions(remove_elements(system, removed), budget) == 0
     ), "greedy removal left solutions alive"
     return RemovalSolution(removed, len(chosen), False, None)
-
-
-def small_m_removal(
-    system: RestrictedSystem, budget: int = DEFAULT_BUDGET
-) -> RemovalSolution:
-    """Direct removal for systems with at most one free column.
-
-    With no free columns the solution is unique if it exists, and its
-    first coordinate value is removed.  With one free column, distinct
-    solutions are told apart by their last coordinate, so removing the
-    set of last coordinates empties the system.
-    """
-    k, m = system.equations, system.variables
-    if m - k >= 2:
-        raise PreconditionError("direct route needs at most one free column")
-    solutions = enumerate_solutions(system, budget)
-    if not solutions:
-        return RemovalSolution(_pack([], m), 0, True, 0)
-    if m == k:
-        atoms = sorted({(0, x[0]) for x in solutions})
-        optimal = len(solutions) == 1
-    else:
-        atoms = sorted({(m - 1, x[m - 1]) for x in solutions})
-        optimal = False
-    removed = _pack(atoms, m)
-    assert (
-        count_solutions(remove_elements(system, removed), budget) == 0
-    ), "direct removal left solutions alive"
-    return RemovalSolution(
-        removed,
-        len(atoms),
-        optimal,
-        len(atoms) if optimal else None,
-    )

@@ -50,7 +50,11 @@ class RestrictedSystem:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "rhs", clean_rhs)
         object.__setattr__(self, "restrictions", clean_sets)
-        dk = determinantal_divisor(matrix, matrix.rows)
+        # an identity left block is a k x k minor equal to 1, so d_k = 1
+        if _identity_prefix(matrix):
+            dk = 1
+        else:
+            dk = determinantal_divisor(matrix, matrix.rows)
         object.__setattr__(self, "determinantal", dk)
         object.__setattr__(self, "coprime", math.gcd(dk, group.order) == 1)
 
@@ -138,12 +142,50 @@ def _identity_prefix(matrix: IntMatrix) -> bool:
     )
 
 
+def _unit_pivots(system: RestrictedSystem):
+    """Row-reduce (A | b) modulo the group exponent e with unit pivots.
+
+    Returns (pivots, rows, rhs) where rows[:, pivots] is the identity and
+    rows x = rhs has the same solutions over the group as A x = b (every
+    step is invertible mod e), or None when a row has no unit entry left.
+    Each row pivots on its unit column with the largest restriction set,
+    so that set is solved for, not walked.  An identity left block is
+    taken as it is.
+    """
+    k, m = system.equations, system.variables
+    rhs = [list(v) for v in system.rhs]
+    if _identity_prefix(system.matrix):
+        return list(range(k)), system.matrix.data, rhs
+    e = system.group.exponent
+    sizes = [len(xs) for xs in system.restrictions]
+    rows = [[v % e for v in row] for row in system.matrix.data]
+    pivots: list[int] = []
+    for i in range(k):
+        units = [
+            j for j in range(m) if j not in pivots and math.gcd(rows[i][j], e) == 1
+        ]
+        if not units:
+            return None
+        j = max(units, key=lambda c: (sizes[c], -c))
+        inv = pow(rows[i][j], -1, e)
+        rows[i] = [v * inv % e for v in rows[i]]
+        rhs[i] = [v * inv % e for v in rhs[i]]
+        for r in range(k):
+            f = rows[r][j]
+            if r != i and f:
+                rows[r] = [(a - f * b) % e for a, b in zip(rows[r], rows[i])]
+                rhs[r] = [(a - f * b) % e for a, b in zip(rhs[r], rhs[i])]
+        pivots.append(j)
+    return pivots, rows, rhs
+
+
 def enumerate_solutions(
     system: RestrictedSystem, budget: int = DEFAULT_BUDGET
 ) -> list[Solution]:
     """All solutions in lexicographic order of the full coordinate vector.
 
-    With an identity block on the left, only the free coordinates are
+    When A reduces modulo the group exponent to an identity on k pivot
+    columns (see ``_unit_pivots``), only the other coordinates are
     enumerated and the pivots are solved directly; otherwise every candidate
     in the restriction product is checked.  The candidate count is compared
     against the budget before any work happens.
@@ -154,20 +196,23 @@ def enumerate_solutions(
     group = system.group
     k, m = system.equations, system.variables
 
-    if _identity_prefix(system.matrix):
-        free_total = math.prod(len(xs) for xs in sets[k:]) if m > k else 1
+    reduced = _unit_pivots(system)
+    if reduced is not None:
+        pivots, rows, rhs = reduced
+        free = [j for j in range(m) if j not in pivots]
+        free_total = math.prod(len(sets[j]) for j in free)
         if free_total > budget:
             raise BudgetExceededError(
                 f"{free_total} candidates exceed the budget of {budget}"
             )
-        members = [frozenset(xs) for xs in sets[:k]]
-        bdata = [row[k:] for row in system.matrix.data]
+        members = [frozenset(sets[j]) for j in pivots]
+        bdata = [[row[j] for j in free] for row in rows]
         sols: list[Solution] = []
-        for tail in product(*sets[k:]) if m > k else [()]:
-            head: list[Element] = []
+        x: list[Element] = [()] * m
+        for tail in product(*(sets[j] for j in free)):
             ok = True
             for i in range(k):
-                acc = list(system.rhs[i])
+                acc = list(rhs[i])
                 for coeff, elem in zip(bdata[i], tail):
                     if coeff:
                         for c, r in enumerate(elem):
@@ -176,9 +221,11 @@ def enumerate_solutions(
                 if pivot not in members[i]:
                     ok = False
                     break
-                head.append(pivot)
+                x[pivots[i]] = pivot
             if ok:
-                sols.append(tuple(head) + tail)
+                for j, v in zip(free, tail):
+                    x[j] = v
+                sols.append(tuple(x))
         sols.sort()
         return sols
 

@@ -1,12 +1,21 @@
 """Command line surface: reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from linremoval import cli, enumerate_solutions, greedy_removal
+from linremoval.jsonio import decode_system, load_file
+from test_removal import brute_min_size
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -184,37 +193,122 @@ def test_verify_restricted():
 # ------------------------------------------------------------ remove command
 
 
-def test_remove_pipeline_route():
+def source_system(name):
+    return decode_system(load_file(fixture(name)))
+
+
+def test_remove_exact_on_source():
     out = run_json("remove", fixture("sys_z5_full.json"))
-    assert out["route"] == "pipeline"
+    assert "route" not in out
+    assert out["total_size"] == brute_min_size(source_system("sys_z5_full.json"))
     assert out["total_size"] == 5
     assert out["post_count"] == 0
-    cert = out["certificate"]
-    assert cert["optimal"] is False
-    assert cert["lower_bound"] is None
-    assert cert["target_total_size"] == 5
-    assert cert["target_optimal"] is True
+    assert out["certificate"] == {"optimal": True, "lower_bound": 5}
 
 
 def test_remove_greedy_flag():
     out = run_json("remove", "--greedy", fixture("sys_z5_full.json"))
-    assert out["route"] == "pipeline"
-    assert out["post_count"] == 0
-    assert out["certificate"]["target_optimal"] is False
-
-
-def test_remove_small_route():
-    out = run_json("remove", fixture("sys_small.json"))
-    assert out["route"] == "small"
+    assert "route" not in out
     assert out["total_size"] == 5
     assert out["post_count"] == 0
+    assert out["certificate"] == {"optimal": False, "lower_bound": None}
 
 
-def test_remove_thin_route():
+def test_remove_small_system():
+    out = run_json("remove", fixture("sys_small.json"))
+    assert "route" not in out
+    assert out["total_size"] == brute_min_size(source_system("sys_small.json"))
+    assert out["total_size"] == 5
+    assert out["post_count"] == 0
+    assert out["certificate"]["optimal"] is True
+
+
+def test_remove_thin_system():
     out = run_json("remove", fixture("sys_thin.json"))
-    assert out["route"] == "thin"
+    assert "route" not in out
     assert out["total_size"] == 1
     assert out["certificate"] == {"optimal": True, "lower_bound": 1}
+    greedy = run_json("remove", "--greedy", fixture("sys_thin.json"))
+    assert greedy["total_size"] == 1
+    assert greedy["certificate"] == {"optimal": False, "lower_bound": None}
+
+
+def test_remove_beats_pulled_back_target_removal():
+    # a row divisor of the identity form shares the factor 2 with |G| = 6;
+    # pulling a target removal back costs 6, the source minimum is 3
+    out = run_json("remove", fixture("sys_z6_full.json"))
+    assert out["total_size"] == 3
+    assert out["total_size"] == brute_min_size(source_system("sys_z6_full.json"))
+    assert out["certificate"]["optimal"] is True
+    assert out["post_count"] == 0
+
+
+def main_json(args):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(args)
+    assert code == 0
+    return json.loads(buf.getvalue())
+
+
+def test_remove_deep_search_in_process(tmp_path):
+    # 2,018 solutions over Z1009; the removal search must not recurse per atom
+    path = tmp_path / "z1009.json"
+    full = [[v] for v in range(1009)]
+    path.write_text(
+        json.dumps(
+            {
+                "group": {"moduli": [1009]},
+                "A": {"rows": 1, "cols": 3, "data": [[1, 1, 1]]},
+                "b": [[0]],
+                "X": [full, [[0], [1]], full],
+            }
+        )
+    )
+    out = main_json(["remove", str(path)])
+    assert out["total_size"] == 2
+    assert out["certificate"]["optimal"] is True
+    assert out["removed"] == [[], [[0], [1]], []]
+
+
+@given(st.sampled_from([4, 6, 8, 9, 10]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_remove_matches_brute_force_random(n, data):
+    k = data.draw(st.integers(1, 2))
+    m = data.draw(st.integers(k, 5))
+    rows = data.draw(
+        st.lists(
+            st.lists(st.integers(-3, n - 1), min_size=m, max_size=m),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    rhs = [[data.draw(st.integers(0, n - 1))] for _ in range(k)]
+    sets = [
+        [[v] for v in sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))]
+        for _ in range(m)
+    ]
+    obj = {
+        "group": {"moduli": [n]},
+        "A": {"rows": k, "cols": m, "data": rows},
+        "b": rhs,
+        "X": sets,
+    }
+    system = decode_system(obj)
+    assume(system.coprime)
+    sols = enumerate_solutions(system)
+    atoms = len({(j, x[j]) for x in sols for j in range(m)})
+    # keep the subset oracle cheap: the minimum never exceeds the greedy size
+    greedy = greedy_removal(system).total_size
+    assume(sum(math.comb(atoms, s) for s in range(greedy + 1)) * len(sols) <= 200_000)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "system.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        out = main_json(["remove", path])
+    assert out["total_size"] == brute_min_size(system)
+    assert out["certificate"]["optimal"] is True
+    assert out["post_count"] == 0
 
 
 def test_remove_protect():
@@ -254,10 +348,11 @@ def test_missing_file_exit():
 
 
 def test_precondition_exit():
-    proc = run_cli("pipeline", fixture("sys_badgcd.json"))
-    assert proc.returncode == 3
-    err = json.loads(proc.stderr)
-    assert err["error"]["kind"] == "precondition"
+    for command in ("pipeline", "remove"):
+        proc = run_cli(command, fixture("sys_badgcd.json"))
+        assert proc.returncode == 3
+        err = json.loads(proc.stderr)
+        assert err["error"]["kind"] == "precondition"
 
 
 def test_budget_exit():

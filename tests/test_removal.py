@@ -17,7 +17,6 @@ from linremoval import (
     greedy_removal,
     min_removal_exact,
     remove_elements,
-    small_m_removal,
 )
 
 
@@ -29,8 +28,8 @@ def full_sets(group, m):
     return tuple(group.elements() for _ in range(m))
 
 
-def brute_min_size(system, protected=()):
-    # oracle: try every atom subset in nondecreasing size order
+def brute_first_cover(system, protected=()):
+    # oracle: the first covering atom set in (size, lexicographic) order
     shielded = set(protected)
     sols = enumerate_solutions(system)
     atoms = sorted(
@@ -47,8 +46,24 @@ def brute_min_size(system, protected=()):
                 )
                 for x in sols
             ):
-                return size
+                return combo
     return None
+
+
+def brute_min_size(system, protected=()):
+    first = brute_first_cover(system, protected)
+    return None if first is None else len(first)
+
+
+def packing_bound(system, protected=()):
+    # oracle: greedy atom-disjoint packing of the solutions in their order
+    used, bound = set(), 0
+    for x in enumerate_solutions(system):
+        atoms = {(i, x[i]) for i in range(len(x)) if i not in protected}
+        if not atoms & used:
+            used |= atoms
+            bound += 1
+    return bound
 
 
 def removal_kills(system, removed):
@@ -126,6 +141,19 @@ def test_exact_protection_out_of_range():
         min_removal_exact(sys_, protected=(-1,))
 
 
+def test_exact_deep_search_is_iterative():
+    # 2,018 solutions; the witness search walks one level per atom, more
+    # than a thousand levels deep, past the interpreter's recursion limit
+    g = z(1009)
+    sets = (g.elements(), ((0,), (1,)), g.elements())
+    sys_ = RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), sets)
+    assert count_solutions(sys_) == 2018
+    res = min_removal_exact(sys_)
+    assert res.total_size == 2
+    assert res.optimal
+    assert res.removed == ((), ((0,), (1,)), ())
+
+
 def test_exact_budget():
     g = z(5)
     sys_ = RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), full_sets(g, 3))
@@ -170,56 +198,15 @@ def test_greedy_respects_protection():
     assert removal_kills(sys_, res.removed)
 
 
-# ------------------------------------------------------- direct small route
-
-
-def test_small_square_single_solution():
-    g = z(5)
-    sys_ = RestrictedSystem(g, IntMatrix([[1]]), ((2,),), full_sets(g, 1))
-    res = small_m_removal(sys_)
-    assert res.removed == (((2,),),)
-    assert res.total_size == 1
-    assert res.optimal
-    assert removal_kills(sys_, res.removed)
-
-
-def test_small_square_multiple_solutions():
-    g = z(6)
-    sys_ = RestrictedSystem(g, IntMatrix([[2]]), ((2,),), full_sets(g, 1))
-    assert count_solutions(sys_) == 2
-    res = small_m_removal(sys_)
-    assert res.removed == (((1,), (4,)),)
-    assert not res.optimal
-    assert removal_kills(sys_, res.removed)
-
-
-def test_small_one_free_column_frozen():
-    g = z(3)
-    sys_ = RestrictedSystem(g, IntMatrix([[1, 1]]), ((0,),), full_sets(g, 2))
-    res = small_m_removal(sys_)
-    assert res.removed == ((), ((0,), (1,), (2,)))
-    assert res.total_size == 3
-    assert not res.optimal
-    assert res.lower_bound is None
-    assert removal_kills(sys_, res.removed)
-
-
-def test_small_rejects_wide_systems():
-    g = z(5)
-    sys_ = RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), full_sets(g, 3))
-    with pytest.raises(PreconditionError):
-        small_m_removal(sys_)
-
-
 # ------------------------------------------------------- randomized oracle
 
 
-@given(st.integers(2, 4), st.data())
-@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 7), st.data())
+@settings(max_examples=40, deadline=None)
 def test_exact_matches_oracle_random(n, data):
     g = z(n)
-    m = data.draw(st.integers(1, 3))
-    row = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    m = data.draw(st.integers(1, 4))
+    row = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
     rhs = ((data.draw(st.integers(0, n - 1)),),)
     sets = tuple(
         tuple(
@@ -228,13 +215,21 @@ def test_exact_matches_oracle_random(n, data):
         )
         for _ in range(m)
     )
+    protected = tuple(data.draw(st.sets(st.integers(0, m - 1), max_size=m // 2)))
     sys_ = RestrictedSystem(g, IntMatrix([row]), rhs, sets)
     sols = enumerate_solutions(sys_)
-    atoms = {(i, x[i]) for x in sols for i in range(m)}
+    atoms = {(i, x[i]) for x in sols for i in range(m) if i not in protected}
     if len(sols) > 12 or len(atoms) > 12:
         return
-    res = min_removal_exact(sys_)
+    res = min_removal_exact(sys_, protected=protected)
     assert res.optimal
-    assert res.total_size == brute_min_size(sys_)
+    assert res.total_size == brute_min_size(sys_, protected)
     assert removal_kills(sys_, res.removed)
-    assert greedy_removal(sys_).total_size >= res.total_size
+    assert greedy_removal(sys_, protected=protected).total_size >= res.total_size
+    # the witness is the lexicographically first minimum atom set, and
+    # lower_bound is the packing bound the search counted up from
+    expected = [[] for _ in range(m)]
+    for i, v in brute_first_cover(sys_, protected):
+        expected[i].append(v)
+    assert res.removed == tuple(tuple(vs) for vs in expected)
+    assert res.lower_bound == packing_bound(sys_, protected)

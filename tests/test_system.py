@@ -15,7 +15,9 @@ from linremoval import (
     RestrictedSystem,
     compose_extensions,
     count_solutions,
+    determinantal_divisor,
     enumerate_solutions,
+    full_extension,
     homogenize,
     identity_extension,
     is_thin,
@@ -23,6 +25,7 @@ from linremoval import (
     remove_elements,
     verify_extension,
 )
+from linremoval.system import _unit_pivots
 
 
 def brute_solutions(system):
@@ -81,6 +84,26 @@ def test_system_divisor_fields():
     assert sys2.coprime
 
 
+def test_identity_prefix_divisor_matches_minors():
+    # an identity left block sets d_k = 1 without enumerating minors
+    g = z(5)
+    circular = full_extension(
+        RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), full_sets(g, 3))
+    ).circular.matrix
+    assert (circular.rows, circular.cols) == (26, 28)
+    matrices = [
+        IntMatrix([[1, 3, 4]]),
+        IntMatrix([[1, 0, 2, 1], [0, 1, 1, 1]]),
+        IntMatrix([[1, 0, 0, 6, 10], [0, 1, 0, 4, 2], [0, 0, 1, 8, 3]]),
+        circular,
+    ]
+    for a in matrices:
+        rhs = tuple(g.zero for _ in range(a.rows))
+        sys_ = RestrictedSystem(g, a, rhs, full_sets(g, a.cols))
+        assert sys_.determinantal == determinantal_divisor(a, a.rows) == 1
+        assert sys_.coprime
+
+
 def test_apply_and_homogeneous():
     g = z(4)
     sys_ = RestrictedSystem(g, IntMatrix([[1, 2]]), ((3,),), full_sets(g, 2))
@@ -123,7 +146,8 @@ def test_enumerate_handles_empty_restriction():
 
 
 def test_enumerate_slow_path_matches_oracle():
-    # leading block is not the identity, so every candidate is checked
+    # leading block is not the identity; column 1 of the first row is a
+    # unit mod 6, so the system is row-reduced and solved for two pivots
     g = z(6)
     sys_ = RestrictedSystem(
         g,
@@ -149,6 +173,34 @@ def test_enumerate_fast_path_matches_oracle():
     assert enumerate_solutions(sys_) == brute_solutions(sys_)
 
 
+def test_enumerate_without_unit_pivot_walks_every_candidate():
+    # 2 and 3 are both zero divisors mod 6: no pivot, the full product
+    g = z(6)
+    sys_ = RestrictedSystem(
+        g, IntMatrix([[2, 3]]), ((5,),), (g.elements(), g.elements())
+    )
+    assert _unit_pivots(sys_) is None
+    assert enumerate_solutions(sys_) == brute_solutions(sys_)
+    with pytest.raises(BudgetExceededError):
+        enumerate_solutions(sys_, budget=35)
+    assert count_solutions(sys_, budget=36) == 6
+
+
+def test_enumerate_unit_pivot_budget_counts_walked_coordinates():
+    # -1 is a unit mod 7: the largest set with a unit coefficient (the
+    # third) is solved for, and only the 2 x 3 other candidates are walked
+    g = z(7)
+    sets = (((0,), (1,)), ((2,), (3,), (4,)), g.elements())
+    sys_ = RestrictedSystem(g, IntMatrix([[2, 3, -1]]), ((1,),), sets)
+    pivots, rows, rhs = _unit_pivots(sys_)
+    assert pivots == [2]
+    assert rows == [[5, 4, 1]]
+    assert rhs == [[6]]
+    assert enumerate_solutions(sys_, budget=6) == brute_solutions(sys_)
+    with pytest.raises(BudgetExceededError):
+        enumerate_solutions(sys_, budget=5)
+
+
 def test_enumerate_budget_precheck():
     g = z(5)
     sys_ = RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), full_sets(g, 3))
@@ -158,29 +210,28 @@ def test_enumerate_budget_precheck():
 
 
 @given(
-    st.integers(2, 5),
+    st.sampled_from([(2,), (3,), (4,), (5,), (6,), (9,), (2, 4), (3, 5), (2, 2)]),
     st.data(),
 )
-@settings(max_examples=50, deadline=None)
-def test_enumeration_matches_oracle_random(n, data):
-    g = z(n)
-    m = data.draw(st.integers(1, 3))
-    k = data.draw(st.integers(1, m))
+@settings(max_examples=80, deadline=None)
+def test_enumeration_matches_oracle_random(moduli, data):
+    # coefficients of any sign over cyclic, composite and multi-factor
+    # groups: some systems are solved for unit pivots, the rest walk the
+    # whole product
+    g = AbelianGroup(moduli)
+    elements = g.elements()
+    m = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, min(m, 3)))
     entries = data.draw(
         st.lists(
-            st.lists(st.integers(0, n - 1), min_size=m, max_size=m),
+            st.lists(st.integers(-4, 4), min_size=m, max_size=m),
             min_size=k,
             max_size=k,
         )
     )
-    rhs = tuple((data.draw(st.integers(0, n - 1)),) for _ in range(k))
+    rhs = tuple(data.draw(st.sampled_from(elements)) for _ in range(k))
     sets = tuple(
-        tuple(
-            (v,)
-            for v in data.draw(
-                st.sets(st.integers(0, n - 1), min_size=1, max_size=n)
-            )
-        )
+        tuple(data.draw(st.sets(st.sampled_from(elements), min_size=1, max_size=5)))
         for _ in range(m)
     )
     sys_ = RestrictedSystem(g, IntMatrix(entries), rhs, sets)

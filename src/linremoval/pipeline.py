@@ -7,7 +7,9 @@ per coordinate, supported on a short circular interval; the hypergraph
 encoding is built from exactly that matrix.
 
 Circularity here always means: every window of k consecutive columns, taken
-cyclically, has determinant coprime to the modulus.
+cyclically, has determinant coprime to the modulus.  CircularSystem is the
+one place that checks circularity and annihilation of a target; the steps
+that build it check their own inputs only.
 """
 
 from __future__ import annotations
@@ -156,9 +158,7 @@ def standardize(matrix: IntMatrix, modulus: int) -> IntMatrix:
     for j in range(m):
         rhs = [matrix.data[i][j] for i in range(k)]
         cols.append(_solve_window_mod(left, rhs, modulus))
-    out = IntMatrix([[cols[j][i] for j in range(m)] for i in range(k)])
-    assert is_circular(out, modulus), "standard form lost circularity"
-    return out
+    return IntMatrix([[cols[j][i] for j in range(m)] for i in range(k)])
 
 
 def build_kernel_matrix(matrix: IntMatrix, modulus: int) -> IntMatrix:
@@ -168,49 +168,39 @@ def build_kernel_matrix(matrix: IntMatrix, modulus: int) -> IntMatrix:
     predecessor columns (the window right before j, cyclically); entry
     (j, j) is set to -1 mod n, so the matrix annihilates the system matrix
     column by column.  Entries outside the interval [j-k, j] stay zero.
+    Those m window solves cover every cyclic window, and each raises
+    PreconditionError when its determinant is not a unit, so a
+    non-circular matrix is rejected without a separate circularity scan.
     """
     k, m = matrix.rows, matrix.cols
     if modulus < 2:
         raise PreconditionError("modulus must be at least 2")
     if m < k + 2:
         raise PreconditionError("need at least two more columns than rows")
-    if not _identity_prefix_mod(matrix, modulus):
-        raise PreconditionError("matrix is not in standard form")
-    if not is_circular(matrix, modulus):
-        raise PreconditionError("matrix is not circular for this modulus")
     n = modulus
+    reduced = matrix.mod(n)
+    if not _identity_prefix(reduced):
+        raise PreconditionError("matrix is not in standard form")
     data = [[0] * m for _ in range(m)]
     for j in range(m):
         wcols = [(j - k + t) % m for t in range(k)]
-        wrows = [[matrix.data[i][c] for c in wcols] for i in range(k)]
-        rhs = [matrix.data[i][j] for i in range(k)]
+        wrows = [[reduced.data[i][c] for c in wcols] for i in range(k)]
+        rhs = [reduced.data[i][j] for i in range(k)]
         coeffs = _solve_window_mod(wrows, rhs, n)
         for t, c in enumerate(wcols):
             data[c][j] = coeffs[t]
         data[j][j] = n - 1
-    kernel = IntMatrix(data)
-    prod = matrix @ kernel
-    assert all(
-        v % n == 0 for row in prod.data for v in row
-    ), "kernel matrix does not annihilate the system matrix"
-    return kernel
-
-
-def _identity_prefix_mod(matrix: IntMatrix, n: int) -> bool:
-    k = matrix.rows
-    return all(
-        matrix.data[i][j] % n == (1 if i == j else 0)
-        for i in range(k)
-        for j in range(k)
-    )
+    return IntMatrix(data)
 
 
 @dataclass(frozen=True)
 class CircularSystem:
     """Standard circular matrix together with its kernel matrix, mod n.
 
-    Construction re-checks everything: identity prefix, window coprimality,
-    kernel support and diagonal, and the annihilation product.
+    Construction is the single validation point for a circular target:
+    identity prefix, window coprimality, kernel support and diagonal, and
+    the annihilation product.  Kernels from outside the program pass the
+    same checks as those from build_kernel_matrix.
     """
 
     matrix: IntMatrix
@@ -389,7 +379,6 @@ def circularize(system: RestrictedSystem, modulus: int) -> Extension:
             for i in range(tall)
         ]
     )
-    assert is_circular(tmat, modulus), "padding failed to make the system circular"
 
     full = group.elements()
     new_sets = [full] * (tall + r)
@@ -441,7 +430,8 @@ def full_extension(
     """Run translate -> identity form -> circular form on a system.
 
     Solution counts are recorded at every stage and must agree; the final
-    system is rebuilt as a CircularSystem, which re-validates everything.
+    system is built into a CircularSystem, which checks that the target is
+    circular and that its kernel matrix annihilates it.
     """
     if not system.coprime:
         raise PreconditionError(

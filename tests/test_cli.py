@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from linremoval import cli, enumerate_solutions, greedy_removal
+from linremoval import IntMatrix, cli, enumerate_solutions, greedy_removal, pipeline
 from linremoval.jsonio import decode_system, load_file
 from test_removal import brute_min_size
 
@@ -116,6 +116,29 @@ def test_pipeline_command():
     assert out["verification"]["ok"] is True
     assert len(out["mapped_coords"]) == 3
     assert "matrices" not in out
+
+
+def test_pipeline_validates_target_once(monkeypatch):
+    # CircularSystem is the one circularity and annihilation check of a
+    # pipeline op; cli imports is_circular by name, so both bindings count
+    original, matmul = pipeline.is_circular, IntMatrix.__matmul__
+    calls, products = [], []
+
+    def counted(matrix, modulus):
+        calls.append((matrix.rows, matrix.cols))
+        return original(matrix, modulus)
+
+    def counted_matmul(left, right):
+        products.append((left.rows, left.cols, right.cols))
+        return matmul(left, right)
+
+    monkeypatch.setattr(pipeline, "is_circular", counted)
+    monkeypatch.setattr(cli, "is_circular", counted)
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted_matmul)
+    out = main_json(["pipeline", fixture("sys_z5_full.json")])
+    assert out["target_circular"] is True
+    assert calls == [(26, 28)]
+    assert products.count((26, 28, 28)) == 1  # target @ kernel
 
 
 def test_pipeline_trace():
@@ -391,6 +414,23 @@ def test_usage_error_exit():
     assert run_cli().returncode == 2
     assert run_cli("snf").returncode == 2
     assert run_cli("nonsense", fixture("matrix_2x2.json")).returncode == 2
+
+
+def test_parser_reused_after_usage_error():
+    # build_parser is cached: an argparse failure must not leave state behind
+    args = ["remove", fixture("sys_z5_full.json")]
+    cli.build_parser.cache_clear()
+    first = io.StringIO()
+    with contextlib.redirect_stdout(first):
+        assert cli.main(args) == 0
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["remove", "--bogus", fixture("sys_z5_full.json")]) == 2
+    again = io.StringIO()
+    with contextlib.redirect_stdout(again):
+        assert cli.main(args) == 0
+    assert again.getvalue() == first.getvalue()
+    assert first.getvalue() == run_cli(*args).stdout
+    assert cli.build_parser() is cli.build_parser()
 
 
 # ---------------------------------------------------------------- reporting

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -177,6 +178,39 @@ def test_kernel_matrix_preconditions():
         build_kernel_matrix(IntMatrix([[1, 1, 1]]), 1)
 
 
+def test_kernel_window_solves_reject_exactly_non_circular():
+    # build_kernel_matrix has no circularity scan of its own: its m window
+    # solves must raise on precisely the matrices is_circular rejects
+    rng = random.Random(20111)
+    moduli = [2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 27]
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        n = rng.choice(moduli)
+        k = rng.randint(1, 3)
+        m = rng.randint(k + 2, k + 4)
+        a = IntMatrix(
+            [
+                [int(i == j) for j in range(k)]
+                + [rng.randrange(n) for _ in range(m - k)]
+                for i in range(k)
+            ]
+        )
+        circular = is_circular(a, n)
+        seen[circular] += 1
+        if not circular:
+            with pytest.raises(PreconditionError):
+                build_kernel_matrix(a, n)
+            continue
+        kernel = build_kernel_matrix(a, n)
+        CircularSystem(a, kernel, n)  # accepts every kernel it is handed
+        # unreduced entries are reduced once, up front
+        shifted = IntMatrix(
+            [[v + n * rng.randint(-2, 2) for v in row] for row in a.data]
+        )
+        assert build_kernel_matrix(shifted, n) == kernel
+    assert min(seen.values()) > 200  # both outcomes well represented
+
+
 # ---------------------------------------------------------- circular system
 
 
@@ -306,6 +340,7 @@ def test_circularize_r2_dimensions():
     ext = circularize(mid.target, 5)
     assert ext.target.equations == 26  # 2 * 3 * 4 + 2
     assert ext.target.variables == 28
+    assert is_circular(ext.target.matrix, 5)
     report = verify_extension(ext)
     assert report.ok, report.problems
 

@@ -2,7 +2,8 @@
 
 Elements are plain tuples of residues, one per factor.  The group object
 carries the arithmetic; everything reduces componentwise, so integer matrices
-act on element vectors through ordinary modular sums.
+act on element vectors through ordinary modular sums: ``combine`` is the one
+routine for a row times a vector, behind A x, copy labels and label checks.
 """
 
 from __future__ import annotations
@@ -68,6 +69,20 @@ class AbelianGroup:
 
     def scale(self, c: int, x: Element) -> Element:
         return tuple((c * a) % m for a, m in zip(x, self.moduli))
+
+    def combine(self, coeffs, elems) -> Element:
+        """The integer combination sum(c_i * x_i) of a vector of elements.
+
+        Sums plain integers per cyclic factor, skipping zero coefficients,
+        and reduces each factor once at the end; coefficients may be any
+        integers.  Empty input gives the zero element.
+        """
+        acc = [0] * len(self.moduli)
+        for c, x in zip(coeffs, elems):
+            if c:
+                for f, r in enumerate(x):
+                    acc[f] += c * r
+        return tuple(a % m for a, m in zip(acc, self.moduli))
 
     def elements(self) -> tuple[Element, ...]:
         """All elements in lexicographic residue order."""

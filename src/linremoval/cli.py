@@ -53,7 +53,6 @@ from .removal import greedy_removal, min_removal_exact
 from .system import (
     DEFAULT_BUDGET,
     RestrictedSystem,
-    _identity_prefix,
     count_solutions,
     enumerate_solutions,
     remove_elements,
@@ -204,14 +203,18 @@ def cmd_pipeline(args, budget) -> dict:
 
 def _route_host(system, budget):
     """Direct host when the input is already standard circular homogeneous;
-    otherwise run the full reduction and host its target."""
+    otherwise run the full reduction and host its target.  build_kernel_matrix
+    decides: it raises exactly on input that is not standard circular."""
     group = system.group
     n = group.order
     k, m = system.equations, system.variables
     if system.is_homogeneous() and m >= k + 2:
         reduced = system.matrix.mod(n)
-        if _identity_prefix(reduced) and is_circular(reduced, n):
+        try:
             kernel = build_kernel_matrix(reduced, n)
+        except PreconditionError:
+            pass  # not standard circular: the full reduction handles it
+        else:
             circ = CircularSystem(reduced, kernel, n)
             host = build_host(group, circ, system.restrictions)
             return "direct", host, None

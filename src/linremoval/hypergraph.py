@@ -103,20 +103,17 @@ def host_edge_label(
     """Label of the color-i window, and whether it forms an edge.
 
     The window carries the k+1 values at positions i, ..., i+k; the label
-    is the kernel-row-i combination of them.
+    is ``group.combine`` of kernel row i, read on those positions only, with
+    them.  Kernel entries outside the window never enter a label.
     """
     k, m = host.arity_base, host.positions
     if not 0 <= color < m:
         raise PreconditionError("color out of range")
     if len(window) != k + 1:
         raise PreconditionError("window must hold k + 1 values")
-    group = host.group
-    acc = group.zero
-    for t, g in enumerate(window):
-        c = host.kernel_matrix.data[color][(color + t) % m]
-        if c:
-            acc = group.add(acc, group.scale(c, g))
-    return acc, acc in host.restrictions[color]
+    row = host.kernel_matrix.data[color]
+    label = host.group.combine([row[(color + t) % m] for t in range(k + 1)], window)
+    return label, label in host.restrictions[color]
 
 
 @dataclass(frozen=True)
@@ -125,31 +122,17 @@ class HCopy:
     labels: tuple[Element, ...]
 
 
-def _label_vector(host: HostHypergraph, assignment) -> tuple[Element, ...]:
-    k, m = host.arity_base, host.positions
-    group = host.group
-    out = []
-    for i in range(m):
-        acc = group.zero
-        for t in range(k + 1):
-            j = (i + t) % m
-            c = host.kernel_matrix.data[i][j]
-            if c:
-                acc = group.add(acc, group.scale(c, assignment[j]))
-        out.append(acc)
-    return tuple(out)
-
-
 def enumerate_copies(
     host: HostHypergraph, budget: int = DEFAULT_BUDGET
 ) -> list[HCopy]:
     """All template copies, in lexicographic order of their assignments.
 
     A copy is an assignment whose every color label lands in that color's
-    restriction set.  The full |G|^m space is walked, so the candidate
-    count is checked against the budget first.
+    restriction set; label i is ``group.combine`` of kernel row i, cut to
+    its window {i, ..., i+k}, with the assignment.  The full |G|^m space is
+    walked, so the candidate count is checked against the budget first.
     """
-    m = host.positions
+    k, m = host.arity_base, host.positions
     group = host.group
     total = group.order**m
     if total > budget:
@@ -159,9 +142,13 @@ def enumerate_copies(
     members = [frozenset(xs) for xs in host.restrictions]
     if any(not s for s in members):
         return []
+    rows = [
+        [c if (j - i) % m <= k else 0 for j, c in enumerate(row)]
+        for i, row in enumerate(host.kernel_matrix.data)
+    ]
     copies = []
     for assignment in product(group.elements(), repeat=m):
-        labels = _label_vector(host, assignment)
+        labels = tuple(group.combine(row, assignment) for row in rows)
         if all(a in s for a, s in zip(labels, members)):
             copies.append(HCopy(assignment=assignment, labels=labels))
     return copies
@@ -268,17 +255,10 @@ def verify_copy_labels(host: HostHypergraph, copies: list[HCopy]) -> LabelReport
     zero = group.zero
     problems: list[str] = []
     for copy in copies:
-        for row in host.matrix.data:
-            acc = zero
-            for coeff, elem in zip(row, copy.labels):
-                if coeff:
-                    acc = group.add(acc, group.scale(coeff, elem))
-            if acc != zero:
-                problems.append(
-                    f"labels {copy.labels} fail the system at assignment "
-                    f"{copy.assignment}"
-                )
-                break
-        if problems:
+        if any(group.combine(row, copy.labels) != zero for row in host.matrix.data):
+            problems.append(
+                f"labels {copy.labels} fail the system at assignment "
+                f"{copy.assignment}"
+            )
             break
     return LabelReport(ok=not problems, copy_count=len(copies), problems=problems)

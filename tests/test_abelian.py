@@ -38,6 +38,8 @@ def test_group_arithmetic():
     assert g.scale(5, (1, 3)) == (1, 3)
     assert g.scale(-1, (1, 3)) == (1, 1)
     assert g.reduce((3, -1)) == (1, 3)
+    assert g.combine([5, -1, 0], [(1, 3), (0, 1), (1, 1)]) == (1, 2)
+    assert g.combine([], []) == g.zero
     assert g.contains((1, 3))
     assert not g.contains((2, 0))
     assert not g.contains((0, 0, 0))
@@ -65,6 +67,32 @@ def test_group_axioms(moduli, data):
     assert g.add(x, g.zero) == x
     assert g.add(x, g.negate(x)) == g.zero
     assert g.scale(g.exponent, x) == g.zero
+
+
+def fold_combine(group, coeffs, elems):
+    # the scale-and-add loop that combine replaced, kept as the reference
+    acc = group.zero
+    for c, x in zip(coeffs, elems):
+        if c:
+            acc = group.add(acc, group.scale(c, x))
+    return acc
+
+
+@given(moduli_strategy, st.data())
+@settings(max_examples=150, deadline=None)
+def test_combine_matches_scale_add_fold(moduli, data):
+    g = AbelianGroup(moduli)
+    pick = st.tuples(*(st.integers(0, m - 1) for m in moduli))
+    top = 3 * max(moduli)
+    coeff = st.one_of(st.just(0), st.integers(-top, top))
+    length = data.draw(st.integers(0, 5))
+    coeffs = data.draw(st.lists(coeff, min_size=length, max_size=length))
+    elems = data.draw(st.lists(pick, min_size=length, max_size=length))
+    out = g.combine(coeffs, elems)
+    assert out == fold_combine(g, coeffs, elems)
+    assert g.contains(out)
+    if length == 0:
+        assert out == g.zero
 
 
 # ------------------------------------------------------------------ scalars

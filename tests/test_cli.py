@@ -213,6 +213,43 @@ def test_verify_restricted():
     assert out["classes"] == 10
 
 
+def test_direct_route_scans_windows_once(monkeypatch, tmp_path):
+    # build_kernel_matrix decides the direct route, so the CircularSystem
+    # built on it makes the one window scan; both bindings count
+    original = pipeline.is_circular
+    calls = []
+
+    def counted(matrix, modulus):
+        calls.append((matrix.rows, matrix.cols))
+        return original(matrix, modulus)
+
+    monkeypatch.setattr(pipeline, "is_circular", counted)
+    monkeypatch.setattr(cli, "is_circular", counted)
+    for args in (
+        ["copies", fixture("sys_z5_full.json")],
+        ["verify", fixture("sys_z5_restricted.json")],
+    ):
+        calls.clear()
+        assert main_json(args)["route"] == "direct"
+        assert calls == [(1, 3)]
+    # homogeneous and in standard form, but column 2 is 0 mod 5: not circular
+    path = tmp_path / "not_circular.json"
+    full = [[v] for v in range(5)]
+    path.write_text(
+        json.dumps(
+            {
+                "group": {"moduli": [5]},
+                "A": {"rows": 1, "cols": 3, "data": [[1, 0, 1]]},
+                "b": [[0]],
+                "X": [[[0]], full, full],
+            }
+        )
+    )
+    out = main_json(["copies", str(path)])
+    assert out["route"] == "pipeline"
+    assert out["outcome"] == "thin"
+
+
 # ------------------------------------------------------------ remove command
 
 

@@ -130,6 +130,28 @@ def test_host_edge_label_frozen():
         host_edge_label(host, 0, ((0,),))
 
 
+def test_labels_read_only_the_window():
+    # a raw host takes any kernel; label i reads kernel row i on its window
+    # {i, ..., i+k} only, so an entry outside it changes no label
+    g = z(5)
+    sets = (g.elements(), ((0,), (1,)), g.elements(), g.elements())
+    _, _, host = circulant_host(5, 4, sets)
+    rows = [list(r) for r in host.kernel_matrix.data]
+    assert rows[1][3] == 0  # color 1 has window {1, 2}
+    rows[1][3] = 2
+    raw = HostHypergraph(
+        group=host.group,
+        matrix=host.matrix,
+        kernel_matrix=IntMatrix(rows),
+        modulus=host.modulus,
+        restrictions=host.restrictions,
+    )
+    for color in range(4):
+        for w in itertools.product(g.elements(), repeat=2):
+            assert host_edge_label(raw, color, w) == host_edge_label(host, color, w)
+    assert enumerate_copies(raw) == enumerate_copies(host)
+
+
 def test_per_color_edge_counts():
     # edges of color i number |X_i| * n^k
     n, m = 3, 3

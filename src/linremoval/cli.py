@@ -203,19 +203,17 @@ def cmd_pipeline(args, budget) -> dict:
 
 def _route_host(system, budget):
     """Direct host when the input is already standard circular homogeneous;
-    otherwise run the full reduction and host its target.  build_kernel_matrix
+    otherwise run the full reduction and host its target.  CircularSystem
     decides: it raises exactly on input that is not standard circular."""
     group = system.group
     n = group.order
     k, m = system.equations, system.variables
     if system.is_homogeneous() and m >= k + 2:
-        reduced = system.matrix.mod(n)
         try:
-            kernel = build_kernel_matrix(reduced, n)
+            circ = CircularSystem.from_matrix(system.matrix.mod(n), n)
         except PreconditionError:
             pass  # not standard circular: the full reduction handles it
         else:
-            circ = CircularSystem(reduced, kernel, n)
             host = build_host(group, circ, system.restrictions)
             return "direct", host, None
     res = full_extension(system, budget)

@@ -7,9 +7,13 @@ per coordinate, supported on a short circular interval; the hypergraph
 encoding is built from exactly that matrix.
 
 Circularity here always means: every window of k consecutive columns, taken
-cyclically, has determinant coprime to the modulus.  CircularSystem is the
-one place that checks circularity and annihilation of a target; the steps
-that build it check their own inputs only.
+cyclically, has determinant coprime to the modulus.  For a standard matrix
+(I_k | B) the kernel construction is the circularity check: each window's
+determinant is that of an at most (m-k) x (m-k) core of B, and the core
+solve raises exactly when it is not a unit.  CircularSystem is the one place
+that checks a target, by rebuilding its kernel; the steps that build it
+check their own inputs only.  is_circular is the dense scan for general
+matrices.
 """
 
 from __future__ import annotations
@@ -43,7 +47,11 @@ from .system import (
 
 def is_circular(matrix: IntMatrix, modulus: int) -> bool:
     """True when every cyclic window of k consecutive columns has
-    determinant coprime to the modulus."""
+    determinant coprime to the modulus.
+
+    A dense k x k determinant per window, for any matrix; standard matrices
+    are checked by building their kernel instead (see _standard_kernel).
+    """
     k, m = matrix.rows, matrix.cols
     if k > m:
         raise PreconditionError("more equations than variables")
@@ -58,107 +66,105 @@ def is_circular(matrix: IntMatrix, modulus: int) -> bool:
     return True
 
 
-def _solve_window_mod(rows, rhs, n: int) -> list[int]:
-    """Solve M c = rhs mod n for a square M whose determinant is a unit.
+def _eliminate_mod(rows, s: int, n: int) -> list[list[int]]:
+    """Row-reduce rows mod n until their first s columns are the identity.
 
-    Rows holding a single unknown with a unit coefficient are peeled off
-    and substituted first; the windows this sees in practice are
-    near-identity, so peeling resolves almost everything.  The residual
-    core is eliminated densely, combining rows by extended gcd so pivots
-    come out as units whenever the determinant is one.
+    Rows are combined by extended gcd, so each pivot is the gcd of its
+    column and is a unit exactly when the leading s x s block has unit
+    determinant; PreconditionError otherwise.  Entries land in [0, n).
     """
-    s = len(rows)
-    work = [
-        {j: rows[i][j] % n for j in range(s) if rows[i][j] % n} for i in range(s)
-    ]
-    vals = [v % n for v in rhs]
-    solution: list[int | None] = [None] * s
-    active = set(range(s))
-
-    changed = True
-    while changed:
-        changed = False
-        for i in sorted(active):
-            ent = work[i]
-            if not ent:
-                if vals[i] % n:
-                    raise PreconditionError("window system is inconsistent")
-                active.discard(i)
-                changed = True
+    dense = [[v % n for v in row] for row in rows]
+    for c in range(s):
+        p = None
+        for q in range(c, s):
+            if dense[q][c] == 0:
                 continue
-            if len(ent) == 1:
-                ((col, coeff),) = ent.items()
-                if math.gcd(coeff, n) != 1:
-                    continue
-                value = vals[i] * pow(coeff, -1, n) % n
-                solution[col] = value
-                active.discard(i)
-                for q in active:
-                    c = work[q].pop(col, None)
-                    if c is not None:
-                        vals[q] = (vals[q] - c * value) % n
-                changed = True
-
-    open_cols = [j for j in range(s) if solution[j] is None]
-    if open_cols:
-        order = sorted(active)
-        if len(order) != len(open_cols):
-            raise PreconditionError("window is singular modulo the modulus")
-        dense = [
-            [work[i].get(j, 0) for j in open_cols] + [vals[i]] for i in order
-        ]
-        t = len(open_cols)
-        for c in range(t):
-            p = None
-            for q in range(c, t):
-                if dense[q][c] % n == 0:
-                    continue
-                if p is None:
-                    p = q
-                    continue
-                # unimodular 2x2 combination leaves gcd in row p, zero in q
-                a, b = dense[p][c] % n, dense[q][c] % n
-                g, u, w = _xgcd(a, b)
-                rp = [(u * x + w * y) % n for x, y in zip(dense[p], dense[q])]
-                rq = [
-                    ((b // g) * x - (a // g) * y) % n
-                    for x, y in zip(dense[p], dense[q])
-                ]
-                dense[p], dense[q] = rp, rq
             if p is None:
-                raise PreconditionError("window is singular modulo the modulus")
-            dense[c], dense[p] = dense[p], dense[c]
-            pivot = dense[c][c] % n
-            if math.gcd(pivot, n) != 1:
-                raise PreconditionError("window pivot is not a unit")
-            inv = pow(pivot, -1, n)
-            dense[c] = [x * inv % n for x in dense[c]]
-            for q in range(t):
-                if q != c and dense[q][c]:
-                    f = dense[q][c]
-                    dense[q] = [
-                        (x - f * y) % n for x, y in zip(dense[q], dense[c])
-                    ]
-        for idx, j in enumerate(open_cols):
-            solution[j] = dense[idx][t]
-    return [v % n for v in solution]  # type: ignore[union-attr]
+                p = q
+                continue
+            # unimodular 2x2 combination leaves gcd in row p, zero in q
+            a, b = dense[p][c], dense[q][c]
+            g, u, w = _xgcd(a, b)
+            rp = [(u * x + w * y) % n for x, y in zip(dense[p], dense[q])]
+            rq = [
+                ((b // g) * x - (a // g) * y) % n
+                for x, y in zip(dense[p], dense[q])
+            ]
+            dense[p], dense[q] = rp, rq
+        if p is None:
+            raise PreconditionError("window is singular modulo the modulus")
+        dense[c], dense[p] = dense[p], dense[c]
+        pivot = dense[c][c]
+        if math.gcd(pivot, n) != 1:
+            raise PreconditionError("window pivot is not a unit")
+        inv = pow(pivot, -1, n)
+        dense[c] = [x * inv % n for x in dense[c]]
+        for q in range(s):
+            if q != c and dense[q][c]:
+                f = dense[q][c]
+                dense[q] = [(x - f * y) % n for x, y in zip(dense[q], dense[c])]
+    return dense
+
+
+def _solve_window_mod(rows, rhs, n: int) -> list[int]:
+    """Solve M c = rhs mod n for a square M whose determinant is a unit."""
+    aug = [list(row) + [v] for row, v in zip(rows, rhs)]
+    return [row[-1] for row in _eliminate_mod(aug, len(aug), n)]
 
 
 def standardize(matrix: IntMatrix, modulus: int) -> IntMatrix:
     """Row-reduce a circular matrix mod n until the left block is exactly
-    the identity.  Window determinants only pick up unit factors, so the
-    result is circular again; entries land in [0, n)."""
+    the identity; entries land in [0, n).
+
+    The result L^-1 A has the windows of A times the unit det L^-1, so it is
+    circular exactly when A is: a non-unit left block L fails its own
+    elimination, and the result is checked by building its kernel.
+    """
     if modulus < 2:
         raise PreconditionError("modulus must be at least 2")
-    if not is_circular(matrix, modulus):
-        raise PreconditionError("matrix is not circular for this modulus")
     k, m = matrix.rows, matrix.cols
-    left = [[matrix.data[i][j] for j in range(k)] for i in range(k)]
-    cols = []
+    if k > m:
+        raise PreconditionError("more equations than variables")
+    try:
+        standard = IntMatrix(_eliminate_mod(matrix.data, k, modulus))
+        _standard_kernel(standard, modulus)
+    except PreconditionError:
+        raise PreconditionError("matrix is not circular for this modulus") from None
+    return standard
+
+
+def _standard_kernel(reduced: IntMatrix, n: int) -> IntMatrix:
+    """Kernel matrix of a reduced (I_k | B), built window by window.
+
+    The window before column j holds identity columns S and columns T of B,
+    |S| + |T| = k, and its determinant is +-det B[rows not in S, T].  Only
+    that |T| x |T| core is solved; the identity rows follow by
+    back-substitution, c_s = a_j[s] - sum over T of a_t[s] c_t.  The core
+    solve raises PreconditionError exactly when the window is not a unit,
+    and the m windows are every cyclic window.
+    """
+    k, m = reduced.rows, reduced.cols
+    a = reduced.data
+    data = [[0] * m for _ in range(m)]
     for j in range(m):
-        rhs = [matrix.data[i][j] for i in range(k)]
-        cols.append(_solve_window_mod(left, rhs, modulus))
-    return IntMatrix([[cols[j][i] for j in range(m)] for i in range(k)])
+        window = [(j - k + t) % m for t in range(k)]
+        ident = [c for c in window if c < k]
+        core_cols = [c for c in window if c >= k]
+        skip = set(ident)
+        core_rows = [i for i in range(k) if i not in skip]
+        core = _solve_window_mod(
+            [[a[i][c] for c in core_cols] for i in core_rows],
+            [a[i][j] for i in core_rows],
+            n,
+        )
+        for c, v in zip(core_cols, core):
+            data[c][j] = v
+        for s in ident:
+            row = a[s]
+            back = sum(row[c] * v for c, v in zip(core_cols, core))
+            data[s][j] = (row[j] - back) % n
+        data[j][j] = n - 1
+    return IntMatrix(data)
 
 
 def build_kernel_matrix(matrix: IntMatrix, modulus: int) -> IntMatrix:
@@ -168,43 +174,35 @@ def build_kernel_matrix(matrix: IntMatrix, modulus: int) -> IntMatrix:
     predecessor columns (the window right before j, cyclically); entry
     (j, j) is set to -1 mod n, so the matrix annihilates the system matrix
     column by column.  Entries outside the interval [j-k, j] stay zero.
-    Those m window solves cover every cyclic window, and each raises
-    PreconditionError when its determinant is not a unit, so a
-    non-circular matrix is rejected without a separate circularity scan.
+    The input is reduced mod n and must start with the identity; building
+    the kernel is its circularity check, so a non-circular matrix raises
+    PreconditionError from the window that is not a unit.
     """
     k, m = matrix.rows, matrix.cols
     if modulus < 2:
         raise PreconditionError("modulus must be at least 2")
     if m < k + 2:
         raise PreconditionError("need at least two more columns than rows")
-    n = modulus
-    reduced = matrix.mod(n)
+    reduced = matrix.mod(modulus)
     if not _identity_prefix(reduced):
         raise PreconditionError("matrix is not in standard form")
-    data = [[0] * m for _ in range(m)]
-    for j in range(m):
-        wcols = [(j - k + t) % m for t in range(k)]
-        wrows = [[reduced.data[i][c] for c in wcols] for i in range(k)]
-        rhs = [reduced.data[i][j] for i in range(k)]
-        coeffs = _solve_window_mod(wrows, rhs, n)
-        for t, c in enumerate(wcols):
-            data[c][j] = coeffs[t]
-        data[j][j] = n - 1
-    return IntMatrix(data)
+    return _standard_kernel(reduced, modulus)
 
 
 @dataclass(frozen=True)
 class CircularSystem:
     """Standard circular matrix together with its kernel matrix, mod n.
 
-    Construction is the single validation point for a circular target:
-    identity prefix, window coprimality, kernel support and diagonal, and
-    the annihilation product.  Kernels from outside the program pass the
-    same checks as those from build_kernel_matrix.
+    Construction is the single validation point for a circular target: it
+    checks the identity prefix and reduced entries, then rebuilds the
+    kernel, which raises unless every window is a unit.  A circular matrix
+    has exactly one kernel with support [j-k, j], diagonal -1 and A K = 0,
+    so a kernel handed in must equal the rebuilt one.  Pass None (or use
+    from_matrix) to keep the rebuilt kernel.
     """
 
     matrix: IntMatrix
-    kernel_matrix: IntMatrix
+    kernel_matrix: IntMatrix | None
     modulus: int
 
     def __post_init__(self):
@@ -218,25 +216,21 @@ class CircularSystem:
             raise PreconditionError("matrix entries must be reduced mod n")
         if not _identity_prefix(self.matrix):
             raise PreconditionError("left block is not the identity")
-        if not is_circular(self.matrix, n):
-            raise PreconditionError("matrix is not circular for this modulus")
-        if self.kernel_matrix.rows != m or self.kernel_matrix.cols != m:
+        given = self.kernel_matrix
+        if given is not None and (given.rows != m or given.cols != m):
             raise PreconditionError("kernel matrix must be square of size m")
-        for j in range(m):
-            support = {(j - k + t) % m for t in range(k + 1)}
-            for i in range(m):
-                v = self.kernel_matrix.data[i][j]
-                if not 0 <= v < n:
-                    raise PreconditionError("kernel entries must be reduced mod n")
-                if i not in support and v != 0:
-                    raise PreconditionError(
-                        f"kernel entry ({i},{j}) lies outside its support interval"
-                    )
-            if self.kernel_matrix.data[j][j] != n - 1:
-                raise PreconditionError("kernel diagonal must be -1 mod n")
-        prod = self.matrix @ self.kernel_matrix
-        if any(v % n for row in prod.data for v in row):
-            raise PreconditionError("kernel matrix does not annihilate the matrix")
+        kernel = _standard_kernel(self.matrix, n)
+        if given is None:
+            object.__setattr__(self, "kernel_matrix", kernel)
+        elif given != kernel:
+            raise PreconditionError(
+                "kernel matrix is not the circular kernel of the matrix"
+            )
+
+    @classmethod
+    def from_matrix(cls, matrix: IntMatrix, modulus: int) -> "CircularSystem":
+        """Validate a reduced standard matrix and build its kernel, once."""
+        return cls(matrix, None, modulus)
 
     @property
     def equations(self) -> int:
@@ -430,8 +424,8 @@ def full_extension(
     """Run translate -> identity form -> circular form on a system.
 
     Solution counts are recorded at every stage and must agree; the final
-    system is built into a CircularSystem, which checks that the target is
-    circular and that its kernel matrix annihilates it.
+    system is built into a CircularSystem, whose kernel construction checks
+    that the target is circular.
     """
     if not system.coprime:
         raise PreconditionError(
@@ -504,8 +498,7 @@ def full_extension(
     composed = compose_extensions(
         compose_extensions(translated, step), circ
     )
-    kernel = build_kernel_matrix(circ.target.matrix, n)
-    circular = CircularSystem(circ.target.matrix, kernel, n)
+    circular = CircularSystem.from_matrix(circ.target.matrix, n)
     return PipelineResult(
         "circular",
         stages,

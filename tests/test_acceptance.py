@@ -5,8 +5,13 @@ test so the -v listing carries the verdicts.  Every derived number here is
 recomputed through an independent route (Fraction elimination, brute-force
 subset search, subprocess byte comparison) before the library answer is
 accepted.
+
+The CLI reports are also pinned byte for byte in fixtures/cli_golden.json.
+Regenerate that file only on a deliberate contract change, with
+`PYTHONPATH=src python tests/test_acceptance.py`.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -44,6 +49,8 @@ from linremoval import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = FIXTURES / "cli_golden.json"
+GOLDEN_PLACEHOLDER = "<fixtures>"
 
 
 def report(num, label, ok, detail):
@@ -458,7 +465,9 @@ def cli_runs():
         ("ngood", "--n", "7", fx("matrix_2x2.json")),
         ("circular", "--n", "5", fx("matrix_wide.json")),
         ("circular", "--n", "4", fx("matrix_wide.json")),
+        ("circular", "--n", "1", fx("matrix_wide.json")),
         ("cmatrix", "--n", "5", fx("matrix_row.json")),
+        ("cmatrix", "--n", "5", fx("matrix_wide.json")),
         ("solve", fx("sys_z5_full.json")),
         ("solve", fx("sys_thin.json")),
         ("pipeline", fx("sys_z5_full.json")),
@@ -490,11 +499,35 @@ def run_once(args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+@functools.cache
+def first_run(args):
+    return run_once(args)
+
+
+def golden_key(args):
+    return " ".join(args).replace(str(FIXTURES), GOLDEN_PLACEHOLDER)
+
+
+def golden_record(args):
+    code, out, err = first_run(args)
+    here = str(FIXTURES)
+    return {
+        "exit": code,
+        "stdout": out.replace(here, GOLDEN_PLACEHOLDER),
+        "stderr": err.replace(here, GOLDEN_PLACEHOLDER),
+    }
+
+
+def write_golden():
+    records = {golden_key(args): golden_record(args) for args in cli_runs()}
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+
+
 def test_criterion_7_cli_determinism():
     failures = []
     runs = cli_runs()
     for args in runs:
-        first = run_once(args)
+        first = first_run(args)
         second = run_once(args)
         if first != second:
             failures.append(args[0])
@@ -506,3 +539,21 @@ def test_criterion_7_cli_determinism():
             json.loads(err)
     ok = not failures
     report(7, "cli determinism", ok, f"{len(runs)} command pairs, {len(failures)} failures")
+
+
+def test_cli_matches_golden_bytes():
+    # exit code, stdout and stderr of every command, byte for byte, against
+    # the recorded reports; a deliberate contract change regenerates them
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    runs = cli_runs()
+    assert sorted(golden) == sorted(golden_key(args) for args in runs)
+    mismatched = [
+        golden_key(args)
+        for args in runs
+        if golden_record(args) != golden[golden_key(args)]
+    ]
+    assert not mismatched, mismatched
+
+
+if __name__ == "__main__":
+    write_golden()

@@ -118,27 +118,58 @@ def test_pipeline_command():
     assert "matrices" not in out
 
 
-def test_pipeline_validates_target_once(monkeypatch):
-    # CircularSystem is the one circularity and annihilation check of a
-    # pipeline op; cli imports is_circular by name, so both bindings count
-    original, matmul = pipeline.is_circular, IntMatrix.__matmul__
-    calls, products = [], []
+def count_window_work(monkeypatch):
+    """Record window solves (their core sizes), dense is_circular scans and
+    matrix products; cli imports is_circular by name, so both bindings count."""
+    solve, scan, matmul = (
+        pipeline._solve_window_mod,
+        pipeline.is_circular,
+        IntMatrix.__matmul__,
+    )
+    work = {"cores": [], "scans": [], "products": []}
 
-    def counted(matrix, modulus):
-        calls.append((matrix.rows, matrix.cols))
-        return original(matrix, modulus)
+    def counted_solve(rows, rhs, n):
+        work["cores"].append(len(rows))
+        return solve(rows, rhs, n)
+
+    def counted_scan(matrix, modulus):
+        work["scans"].append((matrix.rows, matrix.cols))
+        return scan(matrix, modulus)
 
     def counted_matmul(left, right):
-        products.append((left.rows, left.cols, right.cols))
+        work["products"].append((left.rows, left.cols, right.cols))
         return matmul(left, right)
 
-    monkeypatch.setattr(pipeline, "is_circular", counted)
-    monkeypatch.setattr(cli, "is_circular", counted)
+    monkeypatch.setattr(pipeline, "_solve_window_mod", counted_solve)
+    monkeypatch.setattr(pipeline, "is_circular", counted_scan)
+    monkeypatch.setattr(cli, "is_circular", counted_scan)
     monkeypatch.setattr(IntMatrix, "__matmul__", counted_matmul)
+    return work
+
+
+def test_pipeline_validates_target_once(monkeypatch):
+    # CircularSystem is the one validation of a pipeline target: it builds
+    # the kernel once, one core solve per window, and that construction is
+    # the circularity check, so no dense scan or target @ kernel product
+    work = count_window_work(monkeypatch)
     out = main_json(["pipeline", fixture("sys_z5_full.json")])
     assert out["target_circular"] is True
-    assert calls == [(26, 28)]
-    assert products.count((26, 28, 28)) == 1  # target @ kernel
+    k, m = 26, 28
+    assert len(work["cores"]) == m
+    assert max(work["cores"]) <= min(k, m - k)
+    assert work["scans"] == []
+    assert (k, m, m) not in work["products"]
+
+
+def test_circular_command_scans_windows_once(monkeypatch):
+    # standardize checks its output by building its kernel, so the command's
+    # own is_circular is the one dense scan
+    work = count_window_work(monkeypatch)
+    for n, circular in (("5", True), ("4", False)):
+        work["scans"].clear()
+        out = main_json(["circular", "--n", n, fixture("matrix_wide.json")])
+        assert out["circular"] is circular
+        assert work["scans"] == [(2, 4)]
 
 
 def test_pipeline_trace():
@@ -214,24 +245,22 @@ def test_verify_restricted():
 
 
 def test_direct_route_scans_windows_once(monkeypatch, tmp_path):
-    # build_kernel_matrix decides the direct route, so the CircularSystem
-    # built on it makes the one window scan; both bindings count
-    original = pipeline.is_circular
-    calls = []
-
-    def counted(matrix, modulus):
-        calls.append((matrix.rows, matrix.cols))
-        return original(matrix, modulus)
-
-    monkeypatch.setattr(pipeline, "is_circular", counted)
-    monkeypatch.setattr(cli, "is_circular", counted)
-    for args in (
-        ["copies", fixture("sys_z5_full.json")],
-        ["verify", fixture("sys_z5_restricted.json")],
+    # CircularSystem.from_matrix decides the direct route: one core solve
+    # per window and no dense scan.  verify's class check re-forms the
+    # host's A K on purpose (a host can carry a corrupted kernel); copies
+    # forms no product at all
+    work = count_window_work(monkeypatch)
+    for args, products in (
+        (["copies", fixture("sys_z5_full.json")], 0),
+        (["verify", fixture("sys_z5_restricted.json")], 1),
     ):
-        calls.clear()
+        for seen in work.values():
+            seen.clear()
         assert main_json(args)["route"] == "direct"
-        assert calls == [(1, 3)]
+        assert len(work["cores"]) == 3  # k = 1, m = 3
+        assert max(work["cores"]) <= 1
+        assert work["scans"] == []
+        assert work["products"].count((1, 3, 3)) == products
     # homogeneous and in standard form, but column 2 is 0 mod 5: not circular
     path = tmp_path / "not_circular.json"
     full = [[v] for v in range(5)]

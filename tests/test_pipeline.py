@@ -132,6 +132,26 @@ def test_standardize_preserves_solution_set():
 def test_standardize_rejects_non_circular():
     with pytest.raises(PreconditionError):
         standardize(IntMatrix([[2, 1]]), 4)
+    # standardize has no dense scan: its elimination and the kernel built on
+    # its output must reject precisely the matrices is_circular rejects
+    rng = random.Random(20112)
+    seen = {True: 0, False: 0}
+    for _ in range(1500):
+        n = rng.choice([2, 3, 4, 5, 6, 7, 9, 10, 12])
+        k = rng.randint(1, 3)
+        m = rng.randint(k, k + 4)
+        a = IntMatrix([[rng.randrange(-n, 2 * n) for _ in range(m)] for _ in range(k)])
+        circular = is_circular(a, n)
+        seen[circular] += 1
+        if not circular:
+            with pytest.raises(PreconditionError, match="not circular"):
+                standardize(a, n)
+            continue
+        s = standardize(a, n)
+        assert is_circular(s, n)
+        assert all(0 <= v < n for row in s.data for v in row)
+        assert all(s.data[i][j] == int(i == j) for i in range(k) for j in range(k))
+    assert min(seen.values()) > 200
 
 
 # ------------------------------------------------------------------ kernels
@@ -178,16 +198,70 @@ def test_kernel_matrix_preconditions():
         build_kernel_matrix(IntMatrix([[1, 1, 1]]), 1)
 
 
+def whole_window_solve(rows, rhs, n):
+    # the kernel route before core solves: the whole k x k window, with unit
+    # singleton rows peeled off and substituted first (each peel divides the
+    # determinant by a unit), the residual eliminated densely
+    s = len(rows)
+    work = [{j: v % n for j, v in enumerate(row) if v % n} for row in rows]
+    vals = [v % n for v in rhs]
+    solution = [None] * s
+    active = set(range(s))
+    changed = True
+    while changed:
+        changed = False
+        for i in sorted(active):
+            if len(work[i]) != 1:
+                continue
+            ((col, coeff),) = work[i].items()
+            if math.gcd(coeff, n) != 1:
+                continue
+            solution[col] = vals[i] * pow(coeff, -1, n) % n
+            active.discard(i)
+            for q in active:
+                c = work[q].pop(col, None)
+                if c is not None:
+                    vals[q] = (vals[q] - c * solution[col]) % n
+            changed = True
+    open_cols = [j for j in range(s) if solution[j] is None]
+    order = sorted(active)
+    rest = _solve_window_mod(
+        [[work[i].get(j, 0) for j in open_cols] for i in order],
+        [vals[i] for i in order],
+        n,
+    )
+    for j, v in zip(open_cols, rest):
+        solution[j] = v
+    return solution
+
+
+def whole_window_kernel(a, n):
+    k, m = a.rows, a.cols
+    data = [[0] * m for _ in range(m)]
+    for j in range(m):
+        wcols = [(j - k + t) % m for t in range(k)]
+        coeffs = whole_window_solve(
+            [[a.data[i][c] for c in wcols] for i in range(k)],
+            [a.data[i][j] for i in range(k)],
+            n,
+        )
+        for t, c in enumerate(wcols):
+            data[c][j] = coeffs[t]
+        data[j][j] = n - 1
+    return IntMatrix(data)
+
+
 def test_kernel_window_solves_reject_exactly_non_circular():
-    # build_kernel_matrix has no circularity scan of its own: its m window
-    # solves must raise on precisely the matrices is_circular rejects
+    # build_kernel_matrix has no circularity scan of its own: its m core
+    # solves must raise on precisely the matrices is_circular rejects, and
+    # on the rest agree with whole-window solves
     rng = random.Random(20111)
-    moduli = [2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 27]
+    moduli = [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 27]
     seen = {True: 0, False: 0}
     for _ in range(3000):
         n = rng.choice(moduli)
-        k = rng.randint(1, 3)
-        m = rng.randint(k + 2, k + 4)
+        k = rng.randint(1, 4)
+        m = rng.randint(k + 2, k + 6)
         a = IntMatrix(
             [
                 [int(i == j) for j in range(k)]
@@ -200,15 +274,30 @@ def test_kernel_window_solves_reject_exactly_non_circular():
         if not circular:
             with pytest.raises(PreconditionError):
                 build_kernel_matrix(a, n)
+            with pytest.raises(PreconditionError):
+                whole_window_kernel(a, n)
+            with pytest.raises(PreconditionError):
+                CircularSystem.from_matrix(a, n)
             continue
         kernel = build_kernel_matrix(a, n)
+        assert kernel == whole_window_kernel(a, n)
+        mod_kernel_check(a, kernel, n)
         CircularSystem(a, kernel, n)  # accepts every kernel it is handed
+        assert CircularSystem.from_matrix(a, n).kernel_matrix == kernel
         # unreduced entries are reduced once, up front
         shifted = IntMatrix(
             [[v + n * rng.randint(-2, 2) for v in row] for row in a.data]
         )
         assert build_kernel_matrix(shifted, n) == kernel
     assert min(seen.values()) > 200  # both outcomes well represented
+    # one large input: the 164 x 168 target of x1 + ... + x5 = 1 over Z5
+    g = z(5)
+    sys_ = RestrictedSystem(g, IntMatrix([[1] * 5]), ((1,),), full_sets(g, 5))
+    circ = full_extension(sys_).circular
+    a, kernel = circ.matrix, circ.kernel_matrix
+    assert (a.rows, a.cols) == (164, 168)
+    assert kernel == build_kernel_matrix(a, 5) == whole_window_kernel(a, 5)
+    mod_kernel_check(a, kernel, 5)
 
 
 # ---------------------------------------------------------- circular system
@@ -224,6 +313,21 @@ def test_circular_system_accepts_valid():
     assert cs.equations == 1
     assert cs.variables == 3
     assert cs.modulus == 5
+
+
+def composite_kernel_predicate(a, kernel, n):
+    # the checks CircularSystem made one by one before it compared against
+    # a rebuilt kernel: reduced entries, support, diagonal, annihilation
+    k, m = a.rows, a.cols
+    for j in range(m):
+        support = {(j - k + t) % m for t in range(k + 1)}
+        for i in range(m):
+            v = kernel.data[i][j]
+            if not 0 <= v < n or (i not in support and v != 0):
+                return False
+        if kernel.data[j][j] != n - 1:
+            return False
+    return all(v % n == 0 for row in (a @ kernel).data for v in row)
 
 
 def test_circular_system_rejects_corruption():
@@ -247,6 +351,35 @@ def test_circular_system_rejects_corruption():
         CircularSystem(IntMatrix([[2, 1, 1]]), good, 5)
     with pytest.raises(PreconditionError):
         CircularSystem(a, good, 4)
+    # every one-entry mutation of a valid kernel is rejected, as the
+    # composite predicate says it must be
+    rng = random.Random(20113)
+    cases = 0
+    while cases < 25:
+        n = rng.choice([2, 3, 4, 5, 6, 7, 9])
+        k = rng.randint(1, 3)
+        m = rng.randint(k + 2, k + 3)
+        a = IntMatrix(
+            [
+                [int(i == j) for j in range(k)]
+                + [rng.randrange(n) for _ in range(m - k)]
+                for i in range(k)
+            ]
+        )
+        if not is_circular(a, n):
+            continue
+        cases += 1
+        good = build_kernel_matrix(a, n)
+        assert composite_kernel_predicate(a, good, n)
+        for i, j in itertools.product(range(m), repeat=2):
+            old = good.data[i][j]
+            for v in [*range(n), old + n, old - n]:
+                if v == old:
+                    continue
+                bad = mutate(i, j, v)
+                assert not composite_kernel_predicate(a, bad, n)
+                with pytest.raises(PreconditionError):
+                    CircularSystem(a, bad, n)
 
 
 # ------------------------------------------------------------ identity form

@@ -35,13 +35,15 @@ from .intmat import (
 from .system import (
     DEFAULT_BUDGET,
     Extension,
+    ExtensionReport,
     RestrictedSystem,
     ThinWitness,
+    _homogenize,
     _identity_prefix,
+    _thin_witness,
+    _verify_extension,
     compose_extensions,
     enumerate_solutions,
-    homogenize,
-    is_thin,
 )
 
 
@@ -407,7 +409,10 @@ class PipelineResult:
 
     outcome is "circular" (chain completed), "thin" (a pinned coordinate
     short-circuits everything), or "small-system" (at most one free column;
-    the removal module handles these directly).
+    the removal module handles these directly).  verification is the
+    exhaustive check of the composed extension, run once inside
+    full_extension on the solution lists it already holds; None unless the
+    outcome is "circular".
     """
 
     outcome: str
@@ -416,6 +421,7 @@ class PipelineResult:
     chain: list[Extension]
     composed: Extension | None
     circular: CircularSystem | None
+    verification: ExtensionReport | None = None
 
 
 def full_extension(
@@ -423,9 +429,15 @@ def full_extension(
 ) -> PipelineResult:
     """Run translate -> identity form -> circular form on a system.
 
-    Solution counts are recorded at every stage and must agree; the final
-    system is built into a CircularSystem, whose kernel construction checks
-    that the target is circular.
+    Every distinct system of the chain is enumerated once: the input's
+    solutions serve its stage count, the thinness test, the translation
+    witness, the translate stage when the input is already homogeneous, and
+    the source side of the verification; the circular target's serve its
+    stage count and the target side.  The translate and identity-form
+    counts are enumerations of their own, and all stage counts must agree.
+    The final system is built into a CircularSystem, whose kernel
+    construction checks that the target is circular, and the composed
+    extension is verified exhaustively (``verification``).
     """
     if not system.coprime:
         raise PreconditionError(
@@ -433,26 +445,32 @@ def full_extension(
         )
     group = system.group
     n = group.order
+    source_sols = enumerate_solutions(system, budget)
     stages = [
         {
             "stage": "input",
             "equations": system.equations,
             "variables": system.variables,
-            "solutions": len(enumerate_solutions(system, budget)),
+            "solutions": len(source_sols),
         }
     ]
 
-    witness = is_thin(system, budget)
+    witness = _thin_witness(system, source_sols)
     if witness is not None:
         return PipelineResult("thin", stages, witness, [], None, None)
 
-    translated = homogenize(system, budget)
+    translated = _homogenize(system, source_sols)
+    # a homogeneous input is its own translate target (identity extension)
+    if translated.target is system:
+        translated_count = len(source_sols)
+    else:
+        translated_count = len(enumerate_solutions(translated.target, budget))
     stages.append(
         {
             "stage": "translate",
             "equations": translated.target.equations,
             "variables": translated.target.variables,
-            "solutions": len(enumerate_solutions(translated.target, budget)),
+            "solutions": translated_count,
         }
     )
 
@@ -482,12 +500,13 @@ def full_extension(
     )
 
     circ = circularize(step.target, n)
+    target_sols = enumerate_solutions(circ.target, budget)
     stages.append(
         {
             "stage": "circular",
             "equations": circ.target.equations,
             "variables": circ.target.variables,
-            "solutions": len(enumerate_solutions(circ.target, budget)),
+            "solutions": len(target_sols),
             "modulus": n,
         }
     )
@@ -499,6 +518,7 @@ def full_extension(
         compose_extensions(translated, step), circ
     )
     circular = CircularSystem.from_matrix(circ.target.matrix, n)
+    verification = _verify_extension(composed, lambda: (source_sols, target_sols))
     return PipelineResult(
         "circular",
         stages,
@@ -506,4 +526,5 @@ def full_extension(
         [translated, step, circ],
         composed,
         circular,
+        verification,
     )

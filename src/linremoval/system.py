@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 
 from .abelian import AbelianGroup, Element
 from .errors import (
@@ -127,9 +128,12 @@ def identity_extension(system: RestrictedSystem) -> Extension:
 
 
 def _identity_prefix(matrix: IntMatrix) -> bool:
+    """Whether the left k x k block is exactly the identity, one row at a
+    time: a 1 on the diagonal and zeros on either side of it."""
     k = matrix.rows
     return all(
-        matrix.data[i][j] == (1 if i == j else 0) for i in range(k) for j in range(k)
+        row[i] == 1 and not any(row[:i]) and not any(row[i + 1 : k])
+        for i, row in enumerate(matrix.data)
     )
 
 
@@ -176,58 +180,111 @@ def enumerate_solutions(
     """All solutions in lexicographic order of the full coordinate vector.
 
     When A reduces modulo the group exponent to an identity on k pivot
-    columns (see ``_unit_pivots``), only the other coordinates are
-    enumerated and the pivots are solved directly; otherwise every candidate
-    in the restriction product is checked.  The candidate count is compared
-    against the budget before any work happens.
+    columns (see ``_unit_pivots``), only the other, free coordinates are
+    walked and the pivots are solved for (see ``_pivot_walk``); otherwise
+    every candidate in the restriction product is checked.  The candidate
+    count, the product of the walked sets, is compared against the budget
+    before any work happens.
     """
     sets = system.restrictions
     if any(len(xs) == 0 for xs in sets):
         return []
-    group = system.group
-    k, m = system.equations, system.variables
-
     reduced = _unit_pivots(system)
-    if reduced is not None:
+    if reduced is None:
+        total = math.prod(len(xs) for xs in sets)
+        if total > budget:
+            raise BudgetExceededError(
+                f"{total} candidates exceed the budget of {budget}"
+            )
+        sols = [x for x in product(*sets) if system.apply(x) == system.rhs]
+    else:
         pivots, rows, rhs = reduced
-        free = [j for j in range(m) if j not in pivots]
+        taken = set(pivots)
+        free = [j for j in range(system.variables) if j not in taken]
         free_total = math.prod(len(sets[j]) for j in free)
         if free_total > budget:
             raise BudgetExceededError(
                 f"{free_total} candidates exceed the budget of {budget}"
             )
-        members = [frozenset(sets[j]) for j in pivots]
-        bdata = [[row[j] for j in free] for row in rows]
-        sols: list[Solution] = []
-        x: list[Element] = [()] * m
-        # the pivot sums stay inline: group.combine would need (rhs_i, *tail)
-        # built for every candidate, which cost the reduce and remove
-        # benchmarks 2-3 % of their ops per second
-        for tail in product(*(sets[j] for j in free)):
-            ok = True
-            for i in range(k):
-                acc = list(rhs[i])
-                for coeff, elem in zip(bdata[i], tail):
-                    if coeff:
-                        for c, r in enumerate(elem):
-                            acc[c] -= coeff * r
-                pivot = group.reduce(acc)
-                if pivot not in members[i]:
-                    ok = False
-                    break
-                x[pivots[i]] = pivot
-            if ok:
-                for j, v in zip(free, tail):
-                    x[j] = v
-                sols.append(tuple(x))
-        sols.sort()
-        return sols
-
-    total = math.prod(len(xs) for xs in sets)
-    if total > budget:
-        raise BudgetExceededError(f"{total} candidates exceed the budget of {budget}")
-    sols = [x for x in product(*sets) if system.apply(x) == system.rhs]
+        sols = _pivot_walk(system.group, sets, pivots, rows, rhs, free)
     sols.sort()
+    return sols
+
+
+def _pivot_walk(group, sets, pivots, rows, rhs, free) -> list[Solution]:
+    """Solutions of rows x = rhs, whose pivot columns are the identity, in
+    no particular order.
+
+    One depth-first walk over the free coordinates carries, per pivot row
+    and cyclic factor, the partial sum rhs_i - sum a_ij x_j of the free
+    coordinates set so far, as plain integers reduced only when a pivot
+    value is read off.  A pivot row whose restriction set is a proper
+    subset is tested as soon as its last free coordinate with a nonzero
+    coefficient is set, so a failing branch is cut before it is walked
+    further; rows over the whole group never fail and are only filled in
+    at the leaves.  An itemgetter puts pivot and free values back in
+    coordinate order.
+    """
+    mods, order = group.moduli, group.order
+    k, depth = len(pivots), len(free)
+    cols = [[row[j] for row in rows] for j in free]
+    acc = [[v[f] for v in rhs] for f in range(len(mods))]
+    # due[d]: the restricted rows whose value is fixed once the first d
+    # free coordinates are set
+    due: list[list] = [[] for _ in range(depth + 1)]
+    for i, p in enumerate(pivots):
+        if len(sets[p]) < order:
+            last = max((d + 1 for d in range(depth) if cols[d][i]), default=0)
+            due[last].append((i, frozenset(sets[p])))
+    for i, members in due[0]:
+        if tuple([a[i] % q for a, q in zip(acc, mods)]) not in members:
+            return []
+    # the walk's values come as k pivots, then the free ones in walk order
+    slot = {p: i for i, p in enumerate(pivots)}
+    slot.update((j, k + d) for d, j in enumerate(free))
+    layout = [slot[j] for j in range(k + depth)]
+    if depth == 0:
+        vals = list(zip(*[[a % q for a in af] for af, q in zip(acc, mods)]))
+        return [tuple(vals[i] for i in layout)]
+    place = itemgetter(*layout)
+    leaf_col, leaf_due, leaf_set = cols[-1], due[depth], sets[free[-1]]
+    sols: list[Solution] = []
+    stack = [(acc, ())]
+    while stack:
+        acc, prefix = stack.pop()
+        d = len(prefix)
+        if d + 1 < depth:
+            col, checks = cols[d], due[d + 1]
+            for v in sets[free[d]]:
+                step = [
+                    [a - c * r for a, c in zip(af, col)] for af, r in zip(acc, v)
+                ]
+                for i, members in checks:
+                    if tuple([a[i] % q for a, q in zip(step, mods)]) not in members:
+                        break
+                else:
+                    stack.append((step, prefix + (v,)))
+            continue
+        for v in leaf_set:
+            for i, members in leaf_due:
+                coeff = leaf_col[i]
+                if (
+                    tuple([(a[i] - coeff * r) % q for a, r, q in zip(acc, v, mods)])
+                    not in members
+                ):
+                    break
+            else:
+                vals = list(
+                    zip(
+                        *[
+                            [(a - c * r) % q for a, c in zip(af, leaf_col)]
+                            for af, r, q in zip(acc, v, mods)
+                        ]
+                    )
+                )
+                vals += prefix
+                vals.append(v)
+                sols.append(place(vals))
     return sols
 
 
@@ -243,7 +300,12 @@ def is_thin(
     Systems with at most one solution are thin by convention: the report
     names the first coordinate, with a None value when no solution exists.
     """
-    sols = enumerate_solutions(system, budget)
+    return _thin_witness(system, enumerate_solutions(system, budget))
+
+
+def _thin_witness(
+    system: RestrictedSystem, sols: list[Solution]
+) -> ThinWitness | None:
     if not sols:
         return ThinWitness(coordinate=0, value=None, vacuous=True)
     if len(sols) == 1:
@@ -262,11 +324,20 @@ def homogenize(
 
     The witness is the smallest solution in enumeration order; each
     restriction set shifts by its coordinate and the value maps undo the
-    shift.  Raises AlreadySolutionFree when there is nothing to translate by.
+    shift.  A homogeneous system gets the identity extension, without
+    enumerating.  Raises AlreadySolutionFree when there is nothing to
+    translate by.
     """
     if system.is_homogeneous():
         return identity_extension(system)
-    sols = enumerate_solutions(system, budget)
+    return _homogenize(system, enumerate_solutions(system, budget))
+
+
+def _homogenize(system: RestrictedSystem, sols: list[Solution]) -> Extension:
+    """homogenize, given the solutions of the system; the identity
+    extension, whose target is the system itself, when it is homogeneous."""
+    if system.is_homogeneous():
+        return identity_extension(system)
     if not sols:
         raise AlreadySolutionFree("system has no solutions")
     witness = sols[0]
@@ -314,6 +385,19 @@ def verify_extension(
     solutions bijectively.  Any violation lands in ``problems`` with a
     counterexample where one exists.
     """
+    return _verify_extension(
+        ext,
+        lambda: (
+            enumerate_solutions(ext.source, budget),
+            enumerate_solutions(ext.target, budget),
+        ),
+    )
+
+
+def _verify_extension(ext: Extension, solutions) -> ExtensionReport:
+    """verify_extension, with ``solutions()`` giving the sorted source and
+    target solution lists; it is called only once the structure is well
+    formed, so a malformed extension is never enumerated."""
     problems: list[str] = []
     src, tgt = ext.source, ext.target
 
@@ -359,8 +443,7 @@ def verify_extension(
     bijection_ok = False
     source_count = target_count = -1
     if structure_ok:
-        ssols = enumerate_solutions(src, budget)
-        tsols = enumerate_solutions(tgt, budget)
+        ssols, tsols = solutions()
         source_count, target_count = len(ssols), len(tsols)
         images = [ext.project(y) for y in tsols]
         sset = set(ssols)

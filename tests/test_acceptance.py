@@ -287,6 +287,9 @@ def test_criterion_4_pipeline_conservation():
         if not rep.ok:
             failures.append((idx, f"verify: {rep.problems[:2]}"))
             continue
+        if res.verification != rep:
+            failures.append((idx, "built-in verification differs"))
+            continue
         if not is_circular(res.circular.matrix, res.circular.modulus):
             failures.append((idx, "target not circular"))
     ok = not failures and circular_count >= 10
@@ -475,6 +478,10 @@ def cli_runs():
         ("pipeline", fx("sys_z5_restricted.json")),
         ("pipeline", fx("sys_small.json")),
         ("pipeline", fx("sys_thin.json")),
+        ("solve", fx("sys_z3z5_restricted.json")),
+        ("pipeline", "--trace", fx("sys_z3z5_restricted.json")),
+        ("solve", fx("sys_z11_2x4.json")),
+        ("pipeline", "--trace", fx("sys_z11_2x4.json")),
         ("copies", fx("sys_z5_full.json")),
         ("copies", "--full", fx("sys_z5_restricted.json")),
         ("verify", fx("sys_z5_full.json")),

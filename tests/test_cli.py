@@ -13,7 +13,14 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from linremoval import IntMatrix, cli, enumerate_solutions, greedy_removal, pipeline
+from linremoval import (
+    IntMatrix,
+    cli,
+    enumerate_solutions,
+    greedy_removal,
+    pipeline,
+    system,
+)
 from linremoval.jsonio import decode_system, load_file
 from test_removal import brute_min_size
 
@@ -118,40 +125,23 @@ def test_pipeline_command():
     assert "matrices" not in out
 
 
-def count_window_work(monkeypatch):
+def count_window_work(count_calls):
     """Record window solves (their core sizes), dense is_circular scans and
-    matrix products; cli imports is_circular by name, so both bindings count."""
-    solve, scan, matmul = (
-        pipeline._solve_window_mod,
-        pipeline.is_circular,
-        IntMatrix.__matmul__,
-    )
-    work = {"cores": [], "scans": [], "products": []}
-
-    def counted_solve(rows, rhs, n):
-        work["cores"].append(len(rows))
-        return solve(rows, rhs, n)
-
-    def counted_scan(matrix, modulus):
-        work["scans"].append((matrix.rows, matrix.cols))
-        return scan(matrix, modulus)
-
-    def counted_matmul(left, right):
-        work["products"].append((left.rows, left.cols, right.cols))
-        return matmul(left, right)
-
-    monkeypatch.setattr(pipeline, "_solve_window_mod", counted_solve)
-    monkeypatch.setattr(pipeline, "is_circular", counted_scan)
-    monkeypatch.setattr(cli, "is_circular", counted_scan)
-    monkeypatch.setattr(IntMatrix, "__matmul__", counted_matmul)
-    return work
+    matrix products."""
+    return {
+        "cores": count_calls(pipeline, "_solve_window_mod", lambda a, b, n: len(a)),
+        "scans": count_calls(pipeline, "is_circular", lambda a, n: (a.rows, a.cols)),
+        "products": count_calls(
+            IntMatrix, "__matmul__", lambda a, b: (a.rows, a.cols, b.cols)
+        ),
+    }
 
 
-def test_pipeline_validates_target_once(monkeypatch):
+def test_pipeline_validates_target_once(count_calls):
     # CircularSystem is the one validation of a pipeline target: it builds
     # the kernel once, one core solve per window, and that construction is
     # the circularity check, so no dense scan or target @ kernel product
-    work = count_window_work(monkeypatch)
+    work = count_window_work(count_calls)
     out = main_json(["pipeline", fixture("sys_z5_full.json")])
     assert out["target_circular"] is True
     k, m = 26, 28
@@ -161,10 +151,38 @@ def test_pipeline_validates_target_once(monkeypatch):
     assert (k, m, m) not in work["products"]
 
 
-def test_circular_command_scans_windows_once(monkeypatch):
+def shape(sys_, budget=None):
+    return sys_.equations, sys_.variables, sys_.is_homogeneous()
+
+
+@pytest.mark.parametrize(
+    "name, stages",
+    [
+        # homogeneous: the input's solutions are the translate stage's too
+        ("sys_z5_restricted.json", [(1, 3, True), (3, 5, True), (26, 28, True)]),
+        (
+            "sys_z3z5_restricted.json",
+            [(1, 3, False), (1, 3, True), (3, 5, True), (26, 28, True)],
+        ),
+        (
+            "sys_z11_2x4.json",
+            [(2, 4, False), (2, 4, True), (4, 6, True), (34, 36, True)],
+        ),
+    ],
+)
+def test_pipeline_enumerates_each_system_once(count_calls, name, stages):
+    # the thinness test, the translation and the verification reuse the
+    # input's and the circular target's solution lists
+    enumerated = count_calls(system, "enumerate_solutions", shape)
+    out = main_json(["pipeline", fixture(name)])
+    assert out["verification"]["ok"]
+    assert enumerated == stages
+
+
+def test_circular_command_scans_windows_once(count_calls):
     # standardize checks its output by building its kernel, so the command's
     # own is_circular is the one dense scan
-    work = count_window_work(monkeypatch)
+    work = count_window_work(count_calls)
     for n, circular in (("5", True), ("4", False)):
         work["scans"].clear()
         out = main_json(["circular", "--n", n, fixture("matrix_wide.json")])
@@ -244,12 +262,12 @@ def test_verify_restricted():
     assert out["classes"] == 10
 
 
-def test_direct_route_scans_windows_once(monkeypatch, tmp_path):
+def test_direct_route_scans_windows_once(count_calls, tmp_path):
     # CircularSystem.from_matrix decides the direct route: one core solve
     # per window and no dense scan.  verify's class check re-forms the
     # host's A K on purpose (a host can carry a corrupted kernel); copies
     # forms no product at all
-    work = count_window_work(monkeypatch)
+    work = count_window_work(count_calls)
     for args, products in (
         (["copies", fixture("sys_z5_full.json")], 0),
         (["verify", fixture("sys_z5_restricted.json")], 1),
@@ -338,6 +356,15 @@ def main_json(args):
         code = cli.main(args)
     assert code == 0
     return json.loads(buf.getvalue())
+
+
+@pytest.mark.parametrize("flags", [[], ["--greedy"]])
+def test_remove_enumerates_twice(count_calls, flags):
+    # once to solve, once for the reported post-removal count
+    enumerated = count_calls(system, "enumerate_solutions", shape)
+    out = main_json(["remove", *flags, fixture("sys_z5_full.json")])
+    assert out["post_count"] == 0
+    assert enumerated == [(1, 3, True)] * 2
 
 
 def test_remove_deep_search_in_process(tmp_path):

@@ -512,6 +512,8 @@ def test_full_extension_circular_route():
     assert len(res.chain) == 3
     report = verify_extension(res.composed)
     assert report.ok, report.problems
+    # the verification full_extension runs on its own solution lists
+    assert res.verification == report
     assert res.circular is not None
     assert res.circular.matrix.rows == 26
     assert res.circular.matrix.cols == 28
@@ -537,6 +539,7 @@ def test_full_extension_inhomogeneous_translates_first():
     assert res.outcome == "circular"
     assert res.composed.source == sys_
     assert verify_extension(res.composed).ok
+    assert res.verification == verify_extension(res.composed)
 
 
 def test_full_extension_small_system_route():
@@ -547,6 +550,7 @@ def test_full_extension_small_system_route():
     assert res.circular is None
     assert res.composed.target.is_homogeneous()
     assert verify_extension(res.composed).ok
+    assert res.verification is None
 
 
 def test_full_extension_thin_route():

@@ -1,6 +1,8 @@
 """Restricted systems: enumeration, thinness, translation, extensions."""
 
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,7 @@ from linremoval import (
     remove_elements,
     verify_extension,
 )
-from linremoval.system import _unit_pivots
+from linremoval.system import _identity_prefix, _unit_pivots
 
 
 def brute_solutions(system):
@@ -236,6 +238,156 @@ def test_enumeration_matches_oracle_random(moduli, data):
     )
     sys_ = RestrictedSystem(g, IntMatrix(entries), rhs, sets)
     assert enumerate_solutions(sys_) == brute_solutions(sys_)
+
+
+def pivot_loop_solutions(system):
+    # oracle: the candidate-by-candidate pivot loop the depth-first walk
+    # replaced; every candidate of the free product solves all k pivot rows
+    # afresh with one group.reduce per row
+    sets = system.restrictions
+    if any(len(xs) == 0 for xs in sets):
+        return []
+    group = system.group
+    pivots, rows, rhs = _unit_pivots(system)
+    free = [j for j in range(system.variables) if j not in pivots]
+    members = [frozenset(sets[j]) for j in pivots]
+    bdata = [[row[j] for j in free] for row in rows]
+    sols = []
+    x = [()] * system.variables
+    for tail in itertools.product(*(sets[j] for j in free)):
+        ok = True
+        for i in range(len(pivots)):
+            acc = list(rhs[i])
+            for coeff, elem in zip(bdata[i], tail):
+                if coeff:
+                    for c, r in enumerate(elem):
+                        acc[c] -= coeff * r
+            pivot = group.reduce(acc)
+            if pivot not in members[i]:
+                ok = False
+                break
+            x[pivots[i]] = pivot
+        if ok:
+            for j, v in zip(free, tail):
+                x[j] = v
+            sols.append(tuple(x))
+    sols.sort()
+    return sols
+
+
+def proper_subset(rng, elements):
+    return tuple(rng.sample(elements, rng.randrange(1, len(elements))))
+
+
+def circular_targets():
+    # the tall identity-prefix targets the pipeline enumerates: 26 x 28 over
+    # Z5 and Z3 x Z5, and 34 x 36 for a 2 x 4 system over Z11
+    out = []
+    for moduli, rows, rhs in (
+        ([5], [[1, 1, 1]], [(1,)]),
+        ([3, 5], [[1, 1, 1]], [(1, 2)]),
+        ([11], [[2, 1, 3, 1], [3, 0, 5, 4]], [(3,), (7,)]),
+    ):
+        g = AbelianGroup(moduli)
+        m = len(rows[0])
+        source = RestrictedSystem(g, IntMatrix(rows), tuple(rhs), full_sets(g, m))
+        out.append(full_extension(source).chain[2].target)
+    assert [(t.equations, t.variables) for t in out] == [(26, 28), (26, 28), (34, 36)]
+    return out
+
+
+def test_pivot_walk_matches_pivot_loop_on_circular_targets():
+    # a few pivot rows get proper subsets, the rest keep the whole group;
+    # the free coordinates get proper subsets, and the right-hand side is
+    # the target's zero or a random vector
+    rng = random.Random(20260)
+    solutions = 0
+    for target in circular_targets():
+        g = target.group
+        elements = g.elements()
+        k, m = target.equations, target.variables
+        for _ in range(8):
+            sets = [elements] * m
+            for i in rng.sample(range(k), 3):
+                sets[i] = proper_subset(rng, elements)
+            for j in range(k, m):
+                sets[j] = proper_subset(rng, elements)
+            rhs = tuple(rng.choice(elements) for _ in range(k))
+            for b in (target.rhs, rhs):
+                sys_ = RestrictedSystem(g, target.matrix, b, tuple(sets))
+                sols = enumerate_solutions(sys_)
+                assert sols == pivot_loop_solutions(sys_)
+                solutions += len(sols)
+    assert solutions > 0
+
+
+def test_pivot_walk_matches_oracles_on_random_systems():
+    # small systems of every shape, coefficients with many zeros so that
+    # restricted rows fall due at every depth of the walk; compared with the
+    # old pivot loop and, where the product is small, the product scan
+    rng = random.Random(7)
+    groups = [(2,), (5,), (6,), (7,), (9,), (1,), (1, 5), (3, 1), (2, 4), (3, 5)]
+    seen = dict.fromkeys(["non-leading", "square", "mixed", "empty", "z1", "scanned"], 0)
+    for _ in range(400):
+        g = AbelianGroup(rng.choice(groups))
+        elements = g.elements()
+        m = rng.randint(1, 5)
+        k = rng.randint(1, min(m, 3))
+        rows = [[rng.choice([0, 0, 0, 1, -1, 2, 3, -4]) for _ in range(m)] for _ in range(k)]
+        if not any(any(row) for row in rows):
+            continue
+        sets = []
+        for _ in range(m):
+            roll = rng.random()
+            if roll < 0.03:
+                sets.append(())
+            elif roll < 0.5 or len(elements) == 1:
+                sets.append(elements)
+            else:
+                sets.append(proper_subset(rng, elements))
+        rhs = tuple(rng.choice(elements) for _ in range(k))
+        sys_ = RestrictedSystem(g, IntMatrix(rows), rhs, tuple(sets))
+        reduced = _unit_pivots(sys_)
+        if reduced is None:
+            continue
+        pivots = reduced[0]
+        full = [len(sys_.restrictions[p]) == g.order for p in pivots]
+        seen["non-leading"] += pivots != list(range(k))
+        seen["square"] += k == m
+        seen["mixed"] += any(full) and not all(full)
+        seen["empty"] += any(not xs for xs in sys_.restrictions)
+        seen["z1"] += 1 in g.moduli
+        sols = enumerate_solutions(sys_)
+        assert sols == pivot_loop_solutions(sys_)
+        if math.prod(map(len, sys_.restrictions)) <= 20_000:
+            assert sols == brute_solutions(sys_)
+            seen["scanned"] += 1
+    assert all(seen.values()), seen
+
+
+def identity_prefix_loop(matrix):
+    # oracle: the entry-by-entry double loop over the k x k left block
+    k = matrix.rows
+    return all(
+        matrix.data[i][j] == (1 if i == j else 0) for i in range(k) for j in range(k)
+    )
+
+
+def test_identity_prefix_matches_double_loop():
+    rng = random.Random(3)
+    matrices = [IntMatrix([[v]]) for v in (1, 0, -1, 2)]
+    matrices += [t.matrix for t in circular_targets()]
+    for _ in range(3000):
+        k = rng.randint(1, 5)
+        m = rng.randint(k, k + 3)  # k = m included
+        data = [[int(i == j) for j in range(m)] for i in range(k)]
+        for _ in range(rng.randint(0, 2)):
+            data[rng.randrange(k)][rng.randrange(m)] = rng.choice([-2, -1, 0, 1, 2])
+        matrices.append(IntMatrix(data))
+    verdicts = [_identity_prefix(a) for a in matrices]
+    assert verdicts == [identity_prefix_loop(a) for a in matrices]
+    assert verdicts[:4] == [True, False, False, False]
+    assert True in verdicts[4:] and False in verdicts[4:]
 
 
 # ----------------------------------------------------------------- thinness

@@ -5,7 +5,8 @@ The template has m vertices and one edge per color i: the cyclic window
 window of group values forms the color-i edge exactly when its label,
 computed from row i of the kernel matrix, lies in that coordinate's
 restriction set.  The host is never materialized: edge membership is a
-predicate, and copies of the template are enumerated as assignments in G^m.
+predicate, and copies of the template are the solutions of a lifted
+linear system, enumerated by the pruned pivot walk of ``system``.
 
 Copies group into classes by label vector.  The two verifiers check the
 counting facts the encoding stands on: label vectors are exactly the
@@ -16,13 +17,13 @@ edge-disjoint copies, and every copy's labels solve the system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from operator import attrgetter
 
 from .abelian import AbelianGroup, Element
 from .errors import BudgetExceededError, PreconditionError
 from .intmat import IntMatrix
 from .pipeline import CircularSystem
-from .system import DEFAULT_BUDGET
+from .system import DEFAULT_BUDGET, RestrictedSystem, enumerate_solutions
 
 
 @dataclass(frozen=True)
@@ -127,10 +128,15 @@ def enumerate_copies(
 ) -> list[HCopy]:
     """All template copies, in lexicographic order of their assignments.
 
-    A copy is an assignment whose every color label lands in that color's
-    restriction set; label i is ``group.combine`` of kernel row i, cut to
-    its window {i, ..., i+k}, with the assignment.  The full |G|^m space is
-    walked, so the candidate count is checked against the budget first.
+    A copy is an assignment x in G^m whose every color label lands in that
+    color's restriction set; label i is ``group.combine`` of kernel row i,
+    cut to its window {i, ..., i+k}, with x.  So the copies are the
+    solutions (y, x) of the lifted system [I_m | -K_w] (y, x) = 0, with y_i
+    in color i's set and x over the whole group.  Its identity left block
+    lets ``enumerate_solutions`` walk x in coordinate order and solve for
+    the labels y, testing each as soon as its window is set, so a branch is
+    cut the moment a window closes on a label outside its set.  The walk's
+    candidate count is |G|^m, checked against the budget first.
     """
     k, m = host.arity_base, host.positions
     group = host.group
@@ -139,18 +145,24 @@ def enumerate_copies(
         raise BudgetExceededError(
             f"{total} assignments exceed the budget of {budget}"
         )
-    members = [frozenset(xs) for xs in host.restrictions]
-    if any(not s for s in members):
-        return []
-    rows = [
-        [c if (j - i) % m <= k else 0 for j, c in enumerate(row)]
-        for i, row in enumerate(host.kernel_matrix.data)
+    lifted = IntMatrix(
+        [
+            [int(i == j) for j in range(m)]
+            + [-c if (j - i) % m <= k else 0 for j, c in enumerate(row)]
+            for i, row in enumerate(host.kernel_matrix.data)
+        ]
+    )
+    system = RestrictedSystem(
+        group,
+        lifted,
+        (group.zero,) * m,
+        list(host.restrictions) + [group.elements()] * m,
+    )
+    copies = [
+        HCopy(assignment=s[m:], labels=s[:m])
+        for s in enumerate_solutions(system, budget)
     ]
-    copies = []
-    for assignment in product(group.elements(), repeat=m):
-        labels = tuple(group.combine(row, assignment) for row in rows)
-        if all(a in s for a, s in zip(labels, members)):
-            copies.append(HCopy(assignment=assignment, labels=labels))
+    copies.sort(key=attrgetter("assignment"))
     return copies
 
 

@@ -486,6 +486,11 @@ def cli_runs():
         ("copies", "--full", fx("sys_z5_restricted.json")),
         ("verify", fx("sys_z5_full.json")),
         ("verify", fx("sys_z5_restricted.json")),
+        ("copies", "--full", fx("sys_z7_2x4.json")),
+        ("verify", fx("sys_z7_2x4.json")),
+        ("copies", "--full", fx("sys_z3z5_1x4.json")),
+        ("verify", fx("sys_z3z5_1x4.json")),
+        ("copies", "--budget", "100", fx("sys_z5_full.json")),
         ("remove", fx("sys_z5_full.json")),
         ("remove", "--greedy", fx("sys_z5_full.json")),
         ("remove", "--protect", "1", fx("sys_z5_full.json")),

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from linremoval import (
+    AbelianGroup,
     IntMatrix,
     cli,
     enumerate_solutions,
@@ -260,6 +261,26 @@ def test_verify_restricted():
     assert out["verdict"] == "PASS"
     assert out["copies"] == 50
     assert out["classes"] == 10
+
+
+def test_copies_walk_the_lifted_system(count_calls):
+    # copies are solutions of [I_m | -K_w] (y, x) = 0: one pivot walk with
+    # m pivots (the labels) and m free coordinates (the assignment), and no
+    # per-assignment combine; verify walks the system's solutions once more
+    walks = count_calls(
+        system,
+        "_pivot_walk",
+        lambda group, sets, pivots, rows, rhs, free: (len(pivots), len(free)),
+    )
+    combines = count_calls(AbelianGroup, "combine", lambda g, c, x: len(c))
+    out = main_json(["copies", fixture("sys_z5_full.json")])
+    assert (out["route"], out["count"]) == ("direct", 125)
+    assert walks == [(3, 3)]
+    assert combines == []
+    walks.clear()
+    out = main_json(["verify", fixture("sys_z5_restricted.json")])
+    assert (out["route"], out["verdict"]) == ("direct", "PASS")
+    assert walks == [(3, 3), (1, 2)]
 
 
 def test_direct_route_scans_windows_once(count_calls, tmp_path):

@@ -1,6 +1,7 @@
 """Colored hypergraph encoding: templates, hosts, copy counting."""
 
 import itertools
+import random
 
 import pytest
 
@@ -21,6 +22,7 @@ from linremoval import (
     verify_copy_classes,
     verify_copy_labels,
 )
+from linremoval.hypergraph import HCopy
 
 
 def z(n):
@@ -113,6 +115,124 @@ def test_copies_budget():
     _, _, host = circulant_host(5, 3)
     with pytest.raises(BudgetExceededError):
         enumerate_copies(host, budget=100)
+    # the pre-check counts all |G|^m assignments, whatever the walk cuts
+    total = 5**3
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_copies(host, budget=total - 1)
+    assert str(err.value) == f"{total} assignments exceed the budget of {total - 1}"
+    assert len(enumerate_copies(host, budget=total)) == total
+
+
+# ------------------------------------------------- product-scan oracle
+
+
+def product_scan_copies(host):
+    """Every assignment in G^m, each label read on its window: the scan
+    ``enumerate_copies`` replaced, kept as its oracle."""
+    k, m = host.arity_base, host.positions
+    group = host.group
+    members = [frozenset(xs) for xs in host.restrictions]
+    if any(not s for s in members):
+        return []
+    rows = [
+        [c if (j - i) % m <= k else 0 for j, c in enumerate(row)]
+        for i, row in enumerate(host.kernel_matrix.data)
+    ]
+    copies = []
+    for assignment in itertools.product(group.elements(), repeat=m):
+        labels = tuple(group.combine(row, assignment) for row in rows)
+        if all(a in s for a, s in zip(labels, members)):
+            copies.append(HCopy(assignment=assignment, labels=labels))
+    return copies
+
+
+def random_circular(rng, n, k, m):
+    """A standard circular (I_k | B) mod n with its validated kernel; Z1
+    borrows a kernel mod 2, since a raw host takes any integer kernel."""
+    modulus = max(n, 2)
+    while True:
+        rows = [
+            [int(i == j) for j in range(k)]
+            + [rng.randrange(modulus) for _ in range(m - k)]
+            for i in range(k)
+        ]
+        try:
+            return CircularSystem.from_matrix(IntMatrix(rows), modulus)
+        except PreconditionError:
+            continue
+
+
+def raw_host(host, rows):
+    return HostHypergraph(
+        group=host.group,
+        matrix=host.matrix,
+        kernel_matrix=IntMatrix(rows),
+        modulus=host.modulus,
+        restrictions=host.restrictions,
+    )
+
+
+# every (k, m) with m = k+2..k+4 whose |G|^m the scan walks in about a
+# tenth of a second: all of Z1 and Z2, Z5 up to m = 5, Z9 up to m = 4 and
+# Z3xZ5 at k = 1, m = 3; the frozen counts above cover larger hosts
+SWEEP_ASSIGNMENTS = 8_000
+SWEEP_GROUPS = ([1], [2], [5], [9], [3, 5])
+
+
+def sweep_hosts():
+    """(group moduli, k, variant, host) over the sweep, seeded."""
+    rng = random.Random(20111)
+    for moduli in SWEEP_GROUPS:
+        g = AbelianGroup(moduli)
+        els = g.elements()
+        for k in (1, 2, 3):
+            for m in range(k + 2, k + 5):
+                if g.order**m > SWEEP_ASSIGNMENTS:
+                    continue
+                circ = random_circular(rng, g.order, k, m)
+                mixed = [
+                    rng.sample(els, rng.randrange(1, g.order))
+                    if g.order > 1 and rng.random() < 0.6
+                    else els
+                    for _ in range(m)
+                ]
+                host = build_host(g, circ, mixed)
+                yield moduli, k, "proper", host
+                empty = list(mixed)
+                empty[rng.randrange(m)] = ()
+                yield moduli, k, "empty", build_host(g, circ, empty)
+                yield moduli, k, "whole", build_host(g, circ, full_sets(g, m))
+                # one kernel entry inside a window moved off its value
+                rows = [list(r) for r in host.kernel_matrix.data]
+                i, t = rng.randrange(m), rng.randrange(k + 1)
+                rows[i][(i + t) % m] += rng.randrange(1, 4 * g.order + 2)
+                yield moduli, k, "corrupted", raw_host(host, rows)
+                # a zero at the end of a window that does not wrap closes
+                # that window one coordinate early
+                rows = [list(r) for r in host.kernel_matrix.data]
+                i = rng.randrange(m - k)
+                rows[i][i + k] = 0
+                yield moduli, k, "early close", raw_host(host, rows)
+
+
+def test_copies_match_product_scan_oracle():
+    found = {}
+    for moduli, k, variant, host in sweep_hosts():
+        expected = product_scan_copies(host)
+        assert enumerate_copies(host) == expected, (moduli, k, variant)
+        n, m = host.group.order, host.positions
+        if variant == "whole":
+            assert len(expected) == n**m
+        if variant == "empty":
+            assert expected == []
+        key = (tuple(moduli), k, variant)
+        found[key] = found.get(key, 0) + len(expected)
+    assert {key[:2] for key in found} >= {
+        ((1,), 3), ((2,), 3), ((5,), 3), ((9,), 1), ((3, 5), 1)
+    }
+    # proper sets and raw kernels still leave copies somewhere to compare
+    for variant in ("proper", "corrupted", "early close"):
+        assert sum(c for key, c in found.items() if key[2] == variant)
 
 
 # ------------------------------------------------------------- edge labels
@@ -174,8 +294,6 @@ def test_verify_copy_labels():
     assert report.ok, report.problems
     assert report.copy_count == 125
     # a forged label must be flagged
-    from linremoval.hypergraph import HCopy
-
     bad = copies[0]
     forged = HCopy(assignment=bad.assignment, labels=((1,),) + bad.labels[1:])
     report2 = verify_copy_labels(host, copies[1:] + [forged])

@@ -36,6 +36,7 @@ from .intmat import (
     SnfResult,
     complete_to_square,
     determinantal_divisor,
+    determinantal_divisors,
     is_n_good,
     n_good_padding,
     smith_normal_form,
@@ -103,6 +104,7 @@ __all__ = [
     "compose_extensions",
     "count_solutions",
     "determinantal_divisor",
+    "determinantal_divisors",
     "enumerate_copies",
     "enumerate_solutions",
     "extend_to_identity_form",

@@ -28,7 +28,7 @@ from .hypergraph import build_host, enumerate_copies, verify_copy_classes, verif
 from .intmat import (
     complete_to_square,
     det,
-    determinantal_divisor,
+    determinantal_divisors,
     is_n_good,
     n_good_padding,
     smith_normal_form,
@@ -78,13 +78,7 @@ def cmd_snf(args, budget) -> dict:
 
 def cmd_dk(args, budget) -> dict:
     matrix = decode_matrix(load_file(args.input))
-    upto = min(matrix.rows, matrix.cols)
-    return {
-        "divisors": [
-            encode_int(determinantal_divisor(matrix, k))
-            for k in range(1, upto + 1)
-        ]
-    }
+    return {"divisors": [encode_int(d) for d in determinantal_divisors(matrix)]}
 
 
 def cmd_complete(args, budget) -> dict:

@@ -3,14 +3,17 @@
 Everything here is plain Python integer arithmetic: determinants are computed
 fraction-free, Smith forms track their unimodular transforms, and the two
 completion constructions (square completion, window-coprime padding) verify
-their own postconditions before returning.
+their own postconditions before returning.  The determinantal divisors are
+read off the Smith form (``determinantal_divisors``); the minor enumeration
+``determinantal_divisor`` is kept only as an independent oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import mul
 
 from .errors import PreconditionError
 
@@ -320,11 +323,22 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
     return SnfResult(IntMatrix(u), IntMatrix(s), IntMatrix(v))
 
 
+def determinantal_divisors(matrix: IntMatrix) -> list[int]:
+    """d_1, ..., d_min(rows, cols), where d_j is the gcd of the j x j minors.
+
+    They are the prefix products of the Smith diagonal, so d_j is 0 from the
+    first zero invariant factor on.
+    """
+    diag = smith_normal_form(matrix).S.data
+    upto = min(matrix.rows, matrix.cols)
+    return list(accumulate((diag[i][i] for i in range(upto)), mul))
+
+
 def determinantal_divisor(matrix: IntMatrix, k: int) -> int:
     """Nonnegative gcd of all k x k minors (rows and columns in any position).
 
-    Deliberately enumerates minors instead of reading the Smith form, so the
-    two routes stay independent cross-checks of each other.
+    Deliberately enumerates minors instead of reading the Smith form: it is
+    the independent oracle for ``determinantal_divisors``, on no command path.
     """
     if not 1 <= k <= min(matrix.rows, matrix.cols):
         raise PreconditionError(f"minor order {k} out of range")
@@ -351,40 +365,24 @@ def complete_to_square(matrix: IntMatrix) -> IntMatrix:
     """Extend a full-row-rank k x m matrix to an m x m one of minimal determinant.
 
     The output contains the input as its first k rows and has determinant
-    equal to determinantal_divisor(matrix, k).  Rows are added below via the
-    Smith transforms: with A = U' S V' and S = (D | 0), border D by an
-    identity block and push it back through the inverses.  A square input is
-    already its own completion (there the determinant keeps its sign, since
-    no added row is available to flip it).
+    equal to d_k, the gcd of the k x k minors.  The rows added below come
+    from the Smith transforms: U A V = (D | 0) gives A = U^-1 D (first k rows
+    of V^-1), so A stacked on the last m - k rows of V^-1 is
+    diag(U^-1 D, I) V^-1, of determinant +-d_k.  A square input is already
+    its own completion (there the determinant keeps its sign, since no added
+    row is available to flip it).
     """
     k, m = matrix.rows, matrix.cols
     if k > m:
         raise PreconditionError("completion needs at least as many columns as rows")
     snf = smith_normal_form(matrix)
-    factors = [snf.S.data[i][i] for i in range(k)]
-    if any(f == 0 for f in factors):
+    dk = math.prod(snf.S.data[i][i] for i in range(k))
+    if dk == 0:
         raise PreconditionError("matrix has a zero invariant factor (rank deficient)")
-    dk = 1
-    for f in factors:
-        dk *= f
     if k == m:
         return IntMatrix(matrix.data)
 
-    u_inv = _unimodular_inverse(snf.U)
-    v_inv = _unimodular_inverse(snf.V)
-    bordered_u = [[0] * m for _ in range(m)]
-    for i in range(k):
-        for j in range(k):
-            bordered_u[i][j] = u_inv.data[i][j]
-    for i in range(k, m):
-        bordered_u[i][i] = 1
-    bordered_s = [[0] * m for _ in range(m)]
-    for i in range(k):
-        bordered_s[i][i] = factors[i]
-    for i in range(k, m):
-        bordered_s[i][i] = 1
-
-    result = IntMatrix(bordered_u) @ IntMatrix(bordered_s) @ v_inv
+    result = IntMatrix(matrix.data + _unimodular_inverse(snf.V).data[k:])
     if det(result) != dk:
         # determinant can only be off by sign; flip the first added row
         fixed = result.to_lists()

@@ -269,19 +269,15 @@ def _identity_form_details(system: RestrictedSystem):
 
     completed = complete_to_square(system.matrix)
     d = det(completed)
-    adj = adjugate(completed)
-    # border columns: zeros on top, identity below
     free = m - k
-    border = IntMatrix(
-        [[0] * free for _ in range(k)]
-        + [[1 if i == j else 0 for j in range(free)] for i in range(free)]
-    )
-    slopes = adj @ border
+    # A adj(completed) = (d I_k | 0), so columns k.. of the adjugate solve
+    # A x = 0
+    slopes = [row[k:] for row in adjugate(completed).data]
 
     divisors = []
     for i in range(m):
         g = 0
-        for v in slopes.data[i]:
+        for v in slopes[i]:
             g = math.gcd(g, v)
         divisors.append(g)
     for i, g in enumerate(divisors):
@@ -291,7 +287,7 @@ def _identity_form_details(system: RestrictedSystem):
 
     d_inv = scalar_inverse(d, group)
     reduced_rows = [
-        [v // divisors[i] for v in slopes.data[i]] for i in range(m)
+        [v // divisors[i] for v in slopes[i]] for i in range(m)
     ]
     target_matrix = IntMatrix(
         [

@@ -10,8 +10,8 @@ of these, so composition and exhaustive verification live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from .abelian import AbelianGroup, Element
@@ -20,7 +20,7 @@ from .errors import (
     BudgetExceededError,
     PreconditionError,
 )
-from .intmat import IntMatrix, determinantal_divisor
+from .intmat import IntMatrix, determinantal_divisors
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -29,12 +29,16 @@ Solution = tuple[Element, ...]
 
 @dataclass(frozen=True)
 class RestrictedSystem:
+    """A x = b over ``group``, each x_i confined to ``restrictions[i]``.
+
+    d_k (``determinantal``) and ``coprime`` are read off the Smith form of A
+    on first access, so a system never asked for them never computes them.
+    """
+
     group: AbelianGroup
     matrix: IntMatrix
     rhs: tuple[Element, ...]
     restrictions: tuple[tuple[Element, ...], ...]
-    determinantal: int = field(init=False)
-    coprime: bool = field(init=False)
 
     def __init__(self, group, matrix, rhs, restrictions):
         if matrix.rows > matrix.cols:
@@ -51,13 +55,16 @@ class RestrictedSystem:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "rhs", clean_rhs)
         object.__setattr__(self, "restrictions", clean_sets)
-        # an identity left block is a k x k minor equal to 1, so d_k = 1
-        if _identity_prefix(matrix):
-            dk = 1
-        else:
-            dk = determinantal_divisor(matrix, matrix.rows)
-        object.__setattr__(self, "determinantal", dk)
-        object.__setattr__(self, "coprime", math.gcd(dk, group.order) == 1)
+
+    @cached_property
+    def determinantal(self) -> int:
+        """d_k, the gcd of the k x k minors of A (0 when A is rank deficient)."""
+        return determinantal_divisors(self.matrix)[-1]
+
+    @cached_property
+    def coprime(self) -> bool:
+        """Whether d_k is coprime to the group order, the paper's hypothesis."""
+        return math.gcd(self.determinantal, self.group.order) == 1
 
     @property
     def equations(self) -> int:
@@ -140,12 +147,13 @@ def _identity_prefix(matrix: IntMatrix) -> bool:
 def _unit_pivots(system: RestrictedSystem):
     """Row-reduce (A | b) modulo the group exponent e with unit pivots.
 
-    Returns (pivots, rows, rhs) where rows[:, pivots] is the identity and
-    rows x = rhs has the same solutions over the group as A x = b (every
-    step is invertible mod e), or None when a row has no unit entry left.
-    Each row pivots on its unit column with the largest restriction set,
-    so that set is solved for, not walked.  An identity left block is
-    taken as it is.
+    Returns (pivots, rows, rhs) where rows x = rhs has the same solutions
+    over the group as A x = b (every step is invertible mod e) and each
+    pivot column is 1 on its own row and 0 elsewhere.  Each row pivots on
+    its unit column with the largest restriction set, so that set is solved
+    for, not walked.  A row with no unit entry left is a check row: its
+    pivot is None, so it constrains the free coordinates alone.  An
+    identity left block is taken as it is.
     """
     k, m = system.equations, system.variables
     rhs = [list(v) for v in system.rhs]
@@ -154,13 +162,14 @@ def _unit_pivots(system: RestrictedSystem):
     e = system.group.exponent
     sizes = [len(xs) for xs in system.restrictions]
     rows = [[v % e for v in row] for row in system.matrix.data]
-    pivots: list[int] = []
+    pivots: list[int | None] = []
     for i in range(k):
         units = [
             j for j in range(m) if j not in pivots and math.gcd(rows[i][j], e) == 1
         ]
         if not units:
-            return None
+            pivots.append(None)
+            continue
         j = max(units, key=lambda c: (sizes[c], -c))
         inv = pow(rows[i][j], -1, e)
         rows[i] = [v * inv % e for v in rows[i]]
@@ -179,41 +188,32 @@ def enumerate_solutions(
 ) -> list[Solution]:
     """All solutions in lexicographic order of the full coordinate vector.
 
-    When A reduces modulo the group exponent to an identity on k pivot
-    columns (see ``_unit_pivots``), only the other, free coordinates are
-    walked and the pivots are solved for (see ``_pivot_walk``); otherwise
-    every candidate in the restriction product is checked.  The candidate
-    count, the product of the walked sets, is compared against the budget
-    before any work happens.
+    A is row-reduced modulo the group exponent onto unit pivot columns
+    (see ``_unit_pivots``); only the other, free coordinates are walked, the
+    pivots are solved for and rows without a unit pivot are checked (see
+    ``_pivot_walk``).  The candidate count, the product of the walked sets,
+    is compared against the budget before any work happens.
     """
     sets = system.restrictions
     if any(len(xs) == 0 for xs in sets):
         return []
-    reduced = _unit_pivots(system)
-    if reduced is None:
-        total = math.prod(len(xs) for xs in sets)
-        if total > budget:
-            raise BudgetExceededError(
-                f"{total} candidates exceed the budget of {budget}"
-            )
-        sols = [x for x in product(*sets) if system.apply(x) == system.rhs]
-    else:
-        pivots, rows, rhs = reduced
-        taken = set(pivots)
-        free = [j for j in range(system.variables) if j not in taken]
-        free_total = math.prod(len(sets[j]) for j in free)
-        if free_total > budget:
-            raise BudgetExceededError(
-                f"{free_total} candidates exceed the budget of {budget}"
-            )
-        sols = _pivot_walk(system.group, sets, pivots, rows, rhs, free)
+    pivots, rows, rhs = _unit_pivots(system)
+    taken = set(pivots)
+    free = [j for j in range(system.variables) if j not in taken]
+    free_total = math.prod(len(sets[j]) for j in free)
+    if free_total > budget:
+        raise BudgetExceededError(
+            f"{free_total} candidates exceed the budget of {budget}"
+        )
+    sols = _pivot_walk(system.group, sets, pivots, rows, rhs, free)
     sols.sort()
     return sols
 
 
 def _pivot_walk(group, sets, pivots, rows, rhs, free) -> list[Solution]:
     """Solutions of rows x = rhs, whose pivot columns are the identity, in
-    no particular order.
+    no particular order.  A row whose pivot is None is a check row, tested
+    like a restricted pivot row whose set is {0}.
 
     One depth-first walk over the free coordinates carries, per pivot row
     and cyclic factor, the partial sum rhs_i - sum a_ij x_j of the free
@@ -233,20 +233,23 @@ def _pivot_walk(group, sets, pivots, rows, rhs, free) -> list[Solution]:
     # free coordinates are set
     due: list[list] = [[] for _ in range(depth + 1)]
     for i, p in enumerate(pivots):
-        if len(sets[p]) < order:
+        if p is None or len(sets[p]) < order:
             last = max((d + 1 for d in range(depth) if cols[d][i]), default=0)
-            due[last].append((i, frozenset(sets[p])))
+            due[last].append((i, frozenset([group.zero] if p is None else sets[p])))
     for i, members in due[0]:
         if tuple([a[i] % q for a, q in zip(acc, mods)]) not in members:
             return []
     # the walk's values come as k pivots, then the free ones in walk order
     slot = {p: i for i, p in enumerate(pivots)}
     slot.update((j, k + d) for d, j in enumerate(free))
-    layout = [slot[j] for j in range(k + depth)]
+    layout = [slot[j] for j in range(len(sets))]
     if depth == 0:
         vals = list(zip(*[[a % q for a in af] for af, q in zip(acc, mods)]))
         return [tuple(vals[i] for i in layout)]
     place = itemgetter(*layout)
+    if len(layout) == 1:
+        # one index makes itemgetter return the bare value, not a tuple
+        place = lambda vals, get=place: (get(vals),)
     leaf_col, leaf_due, leaf_set = cols[-1], due[depth], sets[free[-1]]
     sols: list[Solution] = []
     stack = [(acc, ())]

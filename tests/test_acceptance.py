@@ -464,6 +464,12 @@ def cli_runs():
         ("dk", fx("matrix_row.json")),
         ("complete", fx("matrix_row.json")),
         ("complete", fx("matrix_wide.json")),
+        ("dk", fx("matrix_wide.json")),
+        ("complete", fx("matrix_2x2.json")),
+        ("dk", fx("matrix_rankdef_3x2.json")),
+        ("complete", fx("matrix_rankdef_3x2.json")),
+        ("dk", fx("matrix_rankdef_2x3.json")),
+        ("complete", fx("matrix_rankdef_2x3.json")),
         ("ngood", "--n", "5", fx("matrix_square.json")),
         ("ngood", "--n", "7", fx("matrix_2x2.json")),
         ("circular", "--n", "5", fx("matrix_wide.json")),
@@ -498,6 +504,7 @@ def cli_runs():
         ("remove", fx("sys_thin.json")),
         ("solve", fx("malformed.json")),
         ("pipeline", fx("sys_badgcd.json")),
+        ("remove", fx("sys_badgcd.json")),
     ]
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -19,16 +20,18 @@ from linremoval import (
     cli,
     enumerate_solutions,
     greedy_removal,
+    intmat,
     pipeline,
     system,
 )
 from linremoval.jsonio import decode_system, load_file
+from test_acceptance import cli_runs
 from test_removal import brute_min_size
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -37,6 +40,7 @@ def run_cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -490,6 +494,47 @@ def test_precondition_exit():
         assert proc.returncode == 3
         err = json.loads(proc.stderr)
         assert err["error"]["kind"] == "precondition"
+
+
+def test_no_command_enumerates_minors(count_calls):
+    # every golden command, run in-process, reads d_k off a Smith form if it
+    # needs it at all; the minor enumeration is an oracle for the tests
+    minors = count_calls(intmat, "determinantal_divisor", lambda a, k: (a.rows, a.cols, k))
+    codes = set()
+    for args in cli_runs():
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()):
+                codes.add(cli.main(list(args)))
+    assert codes == {0, 2, 3, 4}
+    assert minors == []
+
+
+def test_even_wide_system_is_refused_quickly(tmp_path):
+    # an 8 x 40 matrix with even entries over Z2: d_8 is even, so remove and
+    # pipeline refuse it from one Smith form instead of walking C(40, 8),
+    # about 7.7e7, minors; solve finds no unit pivot and refuses the 2^40
+    # walked candidates against the budget
+    rng = random.Random(840)
+    data = [[2 * rng.randint(-5, 5) for _ in range(40)] for _ in range(8)]
+    path = tmp_path / "even_8x40.json"
+    path.write_text(
+        json.dumps(
+            {
+                "group": {"moduli": [2]},
+                "A": {"rows": 8, "cols": 40, "data": data},
+                "b": [[0]] * 8,
+                "X": [[[0], [1]]] * 40,
+            }
+        )
+    )
+    for command, code, message in (
+        ("remove", 3, "determinantal divisor shares a factor with the group order"),
+        ("pipeline", 3, "determinantal divisor shares a factor with the group order"),
+        ("solve", 4, f"{2**40} candidates exceed the budget of 10000000"),
+    ):
+        proc = run_cli(command, str(path), timeout=30)
+        assert (proc.returncode, proc.stdout) == (code, "")
+        assert json.loads(proc.stderr)["error"]["message"] == message
 
 
 def test_budget_exit():

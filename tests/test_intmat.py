@@ -6,6 +6,7 @@ expansion below, never by the code under test.
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from linremoval import (
     PreconditionError,
     complete_to_square,
     determinantal_divisor,
+    determinantal_divisors,
     is_n_good,
     n_good_padding,
     smith_normal_form,
@@ -204,6 +206,63 @@ def test_determinantal_divisor_matches_minor_gcd(m):
         assert determinantal_divisor(m, k) == minor_gcd(m, k)
 
 
+def rank_deficient(max_cols=5):
+    # rank at most 2 over at least 3 rows: multiples of a row u, then u + w,
+    # u - w and 2u
+    def build(u, w, coeffs):
+        rows = [[c * v for v in u] for c in coeffs]
+        rows += [[a + b for a, b in zip(u, w)], [a - b for a, b in zip(u, w)]]
+        rows.append([2 * v for v in u])
+        return IntMatrix(rows)
+
+    def vector(c):
+        return st.lists(small_entries, min_size=c, max_size=c)
+
+    return st.integers(1, max_cols).flatmap(
+        lambda c: st.builds(build, vector(c), vector(c), st.lists(small_entries, max_size=2))
+    )
+
+
+divisor_inputs = st.one_of(
+    matrices(max_rows=4, max_cols=5),
+    matrices(max_rows=6, max_cols=3),  # mostly tall
+    matrices(max_rows=4, max_cols=4, entries=st.integers(-30, -1)),
+    st.tuples(st.integers(1, 4), st.integers(1, 5)).map(lambda rc: IntMatrix.zero(*rc)),
+    rank_deficient(),
+)
+
+
+def test_determinantal_divisors_frozen_values():
+    assert determinantal_divisors(IntMatrix([[2, 4], [0, 6]])) == [2, 12]
+    assert determinantal_divisors(IntMatrix([[2, 4], [1, 2], [-3, -6]])) == [1, 0]
+    assert determinantal_divisors(IntMatrix([[2, 4, 6], [1, 2, 3]])) == [1, 0]
+    assert determinantal_divisors(IntMatrix.zero(2, 3)) == [0, 0]
+    assert determinantal_divisors(IntMatrix([[-4], [6]])) == [2]
+
+
+@given(divisor_inputs)
+@settings(max_examples=120, deadline=None)
+def test_determinantal_divisors_match_minor_oracle(m):
+    # prefix products of the Smith diagonal against the minor enumeration,
+    # for every order j, on tall, zero, rank-deficient and negative inputs
+    upto = min(m.rows, m.cols)
+    assert determinantal_divisors(m) == [
+        determinantal_divisor(m, j) for j in range(1, upto + 1)
+    ]
+
+
+@given(divisor_inputs)
+@settings(max_examples=40, deadline=None)
+def test_determinantal_divisors_match_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    factors = invariant_factors(sympy.Matrix(m.to_lists()), domain=sympy.ZZ)
+    assert determinantal_divisors(m) == list(
+        itertools.accumulate((abs(int(f)) for f in factors), lambda a, b: a * b)
+    )
+
+
 # -------------------------------------------------------------- completion
 
 
@@ -242,6 +301,66 @@ def test_complete_to_square_rejects_rank_deficient():
         complete_to_square(IntMatrix([[2, 4], [1, 2]]))
     with pytest.raises(PreconditionError):
         complete_to_square(IntMatrix([[0, 0, 0]]))
+
+
+def bordered_completion(matrix):
+    # oracle: the earlier construction.  With A = U^-1 S V^-1 and S = (D | 0),
+    # border D and the leading k x k block of U^-1 by identity blocks and
+    # multiply them back through V^-1, then fix the sign of the first added row
+    k, m = matrix.rows, matrix.cols
+    if k > m:
+        raise PreconditionError("completion needs at least as many columns as rows")
+    snf = smith_normal_form(matrix)
+    factors = [snf.S.data[i][i] for i in range(k)]
+    if 0 in factors:
+        raise PreconditionError("matrix has a zero invariant factor (rank deficient)")
+    dk = math.prod(factors)
+    if k == m:
+        return IntMatrix(matrix.data)
+
+    def inverse(u):
+        return adjugate(u).scale(det(u))  # det(u) is +-1
+
+    u_inv, v_inv = inverse(snf.U), inverse(snf.V)
+    bordered_u = [[0] * m for _ in range(m)]
+    bordered_s = [[0] * m for _ in range(m)]
+    for i in range(m):
+        bordered_u[i][i] = bordered_s[i][i] = 1
+    for i in range(k):
+        bordered_u[i][:k] = u_inv.data[i]
+        bordered_s[i][i] = factors[i]
+    rows = (IntMatrix(bordered_u) @ IntMatrix(bordered_s) @ v_inv).to_lists()
+    if cofactor_det(rows) != dk:
+        rows[k] = [-v for v in rows[k]]
+    return IntMatrix(rows)
+
+
+def outcome(fn, matrix):
+    try:
+        return fn(matrix)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def test_complete_to_square_matches_bordered_oracle():
+    # the same matrix, or the same error, on a seeded sweep that includes
+    # tall, square, rank-deficient and zero inputs
+    rng = random.Random(1106)
+    kinds = {"completed": 0, "square": 0, "tall": 0, "rank deficient": 0}
+    for _ in range(600):
+        k = rng.randint(1, 4)
+        m = rng.randint(max(1, k - 1), 7)
+        rows = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(k)]
+        if k > 1 and rng.random() < 0.2:
+            rows[-1] = [2 * v for v in rows[0]]
+        a = IntMatrix(rows)
+        got = outcome(complete_to_square, a)
+        assert got == outcome(bordered_completion, a), a
+        if isinstance(got, IntMatrix):
+            kinds["square" if k == m else "completed"] += 1
+        else:
+            kinds["tall" if k > m else "rank deficient"] += 1
+    assert all(kinds.values()), kinds
 
 
 @given(matrices(max_rows=3, max_cols=4).filter(lambda m: m.rows <= m.cols))

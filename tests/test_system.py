@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,12 +23,16 @@ from linremoval import (
     full_extension,
     homogenize,
     identity_extension,
+    intmat,
     is_thin,
     pull_back_removal,
     remove_elements,
     verify_extension,
 )
+from linremoval.jsonio import decode_system, load_file
 from linremoval.system import _identity_prefix, _unit_pivots
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def brute_solutions(system):
@@ -87,7 +92,9 @@ def test_system_divisor_fields():
 
 
 def test_identity_prefix_divisor_matches_minors():
-    # an identity left block sets d_k = 1 without enumerating minors
+    # an identity left block is a k x k minor equal to 1, so d_k = 1; the
+    # Smith form finds it with no shortcut for the block, in agreement with
+    # the minor enumeration
     g = z(5)
     circular = full_extension(
         RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), full_sets(g, 3))
@@ -104,6 +111,38 @@ def test_identity_prefix_divisor_matches_minors():
         sys_ = RestrictedSystem(g, a, rhs, full_sets(g, a.cols))
         assert sys_.determinantal == determinantal_divisor(a, a.rows) == 1
         assert sys_.coprime
+
+
+def count_divisor_work(count_calls):
+    return {
+        name: count_calls(intmat, name, lambda *args: args[0].rows)
+        for name in ("smith_normal_form", "determinantal_divisor")
+    }
+
+
+def test_construction_computes_no_divisor(count_calls):
+    # d_k is computed on first read, never while a system is built: every
+    # system fixture, and the 26 x 28 circular target of x1 + x2 + x3 over Z5
+    g = z(5)
+    target = full_extension(
+        RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), full_sets(g, 3))
+    ).chain[2].target
+    assert (target.equations, target.variables) == (26, 28)
+    work = count_divisor_work(count_calls)
+    built = [decode_system(load_file(path)) for path in sorted(FIXTURES.glob("sys_*.json"))]
+    built.append(RestrictedSystem(g, target.matrix, target.rhs, target.restrictions))
+    assert len(built) == 11
+    assert work == {"smith_normal_form": [], "determinantal_divisor": []}
+
+
+def test_divisor_is_read_off_one_smith_form(count_calls):
+    g = z(10)
+    sys_ = RestrictedSystem(g, IntMatrix([[2, 4, 1], [0, 6, 3]]), ((0,), (0,)), full_sets(g, 3))
+    work = count_divisor_work(count_calls)
+    assert not sys_.coprime
+    assert not sys_.coprime
+    assert sys_.determinantal == 6
+    assert work == {"smith_normal_form": [2], "determinantal_divisor": []}
 
 
 def test_apply_and_homogeneous():
@@ -176,16 +215,46 @@ def test_enumerate_fast_path_matches_oracle():
 
 
 def test_enumerate_without_unit_pivot_walks_every_candidate():
-    # 2 and 3 are both zero divisors mod 6: no pivot, the full product
+    # 2 and 3 are both zero divisors mod 6: the row has no unit pivot, so it
+    # is a check row and the walk covers the full product
     g = z(6)
     sys_ = RestrictedSystem(
         g, IntMatrix([[2, 3]]), ((5,),), (g.elements(), g.elements())
     )
-    assert _unit_pivots(sys_) is None
+    assert _unit_pivots(sys_) == ([None], [[2, 3]], [[5]])
     assert enumerate_solutions(sys_) == brute_solutions(sys_)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="^36 candidates exceed the budget of 35$"):
         enumerate_solutions(sys_, budget=35)
     assert count_solutions(sys_, budget=36) == 6
+
+
+def test_enumerate_mixed_system_walks_only_free_coordinates():
+    # the first row pivots on its unit; the second has none left after
+    # elimination and becomes a check row on the two free coordinates, so
+    # 6 x 6 candidates are walked, not the 6^3 of the whole product
+    g = z(6)
+    sys_ = RestrictedSystem(
+        g, IntMatrix([[1, 2, 3], [2, 2, 4]]), ((1,), (4,)), full_sets(g, 3)
+    )
+    pivots, rows, rhs = _unit_pivots(sys_)
+    assert pivots == [0, None]
+    assert rows == [[1, 2, 3], [0, 4, 4]]
+    assert rhs == [[1], [2]]
+    assert enumerate_solutions(sys_, budget=36) == brute_solutions(sys_)
+    assert len(brute_solutions(sys_)) == 12
+    with pytest.raises(BudgetExceededError, match="^36 candidates"):
+        enumerate_solutions(sys_, budget=35)
+
+
+@pytest.mark.parametrize("moduli", [(6,), (4,), (2, 4)])
+def test_enumerate_single_coordinate_check_row(moduli):
+    # m = 1 with no pivot: the one walked coordinate is the whole solution
+    g = AbelianGroup(moduli)
+    for coeff in (0, 2, -4):
+        for b in g.elements():
+            sys_ = RestrictedSystem(g, IntMatrix([[coeff]]), (b,), full_sets(g, 1))
+            assert _unit_pivots(sys_)[0] == [None]
+            assert enumerate_solutions(sys_) == brute_solutions(sys_)
 
 
 def test_enumerate_unit_pivot_budget_counts_walked_coordinates():
@@ -243,14 +312,15 @@ def test_enumeration_matches_oracle_random(moduli, data):
 def pivot_loop_solutions(system):
     # oracle: the candidate-by-candidate pivot loop the depth-first walk
     # replaced; every candidate of the free product solves all k pivot rows
-    # afresh with one group.reduce per row
+    # afresh with one group.reduce per row, and a check row (pivot None)
+    # must reduce to zero
     sets = system.restrictions
     if any(len(xs) == 0 for xs in sets):
         return []
     group = system.group
     pivots, rows, rhs = _unit_pivots(system)
     free = [j for j in range(system.variables) if j not in pivots]
-    members = [frozenset(sets[j]) for j in pivots]
+    members = [frozenset([group.zero] if j is None else sets[j]) for j in pivots]
     bdata = [[row[j] for j in free] for row in rows]
     sols = []
     x = [()] * system.variables
@@ -266,7 +336,8 @@ def pivot_loop_solutions(system):
             if pivot not in members[i]:
                 ok = False
                 break
-            x[pivots[i]] = pivot
+            if pivots[i] is not None:
+                x[pivots[i]] = pivot
         if ok:
             for j, v in zip(free, tail):
                 x[j] = v
@@ -324,10 +395,14 @@ def test_pivot_walk_matches_pivot_loop_on_circular_targets():
 def test_pivot_walk_matches_oracles_on_random_systems():
     # small systems of every shape, coefficients with many zeros so that
     # restricted rows fall due at every depth of the walk; compared with the
-    # old pivot loop and, where the product is small, the product scan
+    # old pivot loop and, where the product is small, the product scan.
+    # Zero divisors in the composite groups leave rows without a unit pivot,
+    # which are walked as check rows, alone or beside real pivots
     rng = random.Random(7)
     groups = [(2,), (5,), (6,), (7,), (9,), (1,), (1, 5), (3, 1), (2, 4), (3, 5)]
-    seen = dict.fromkeys(["non-leading", "square", "mixed", "empty", "z1", "scanned"], 0)
+    seen = dict.fromkeys(
+        ["non-leading", "square", "mixed", "empty", "z1", "check", "check-mixed", "scanned"], 0
+    )
     for _ in range(400):
         g = AbelianGroup(rng.choice(groups))
         elements = g.elements()
@@ -347,11 +422,10 @@ def test_pivot_walk_matches_oracles_on_random_systems():
                 sets.append(proper_subset(rng, elements))
         rhs = tuple(rng.choice(elements) for _ in range(k))
         sys_ = RestrictedSystem(g, IntMatrix(rows), rhs, tuple(sets))
-        reduced = _unit_pivots(sys_)
-        if reduced is None:
-            continue
-        pivots = reduced[0]
-        full = [len(sys_.restrictions[p]) == g.order for p in pivots]
+        pivots = _unit_pivots(sys_)[0]
+        seen["check"] += None in pivots
+        seen["check-mixed"] += None in pivots and pivots != [None] * k
+        full = [len(sys_.restrictions[p]) == g.order for p in pivots if p is not None]
         seen["non-leading"] += pivots != list(range(k))
         seen["square"] += k == m
         seen["mixed"] += any(full) and not all(full)

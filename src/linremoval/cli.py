@@ -44,10 +44,9 @@ from .jsonio import (
 )
 from .pipeline import (
     CircularSystem,
+    _standard_form,
     build_kernel_matrix,
     full_extension,
-    is_circular,
-    standardize,
 )
 from .removal import greedy_removal, min_removal_exact
 from .system import (
@@ -103,11 +102,11 @@ def cmd_ngood(args, budget) -> dict:
 
 def cmd_circular(args, budget) -> dict:
     matrix = decode_matrix(load_file(args.input))
-    ok = is_circular(matrix, args.n)
+    standard = _standard_form(matrix, args.n)
     return {
-        "circular": ok,
+        "circular": standard is not None,
         "n": args.n,
-        "standard": encode_matrix(standardize(matrix, args.n)) if ok else None,
+        "standard": None if standard is None else encode_matrix(standard),
     }
 
 

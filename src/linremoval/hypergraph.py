@@ -86,15 +86,14 @@ def build_host(
     circular: CircularSystem,
     restrictions,
 ) -> HostHypergraph:
-    clean = tuple(
-        tuple(sorted({group.reduce(v) for v in xs})) for xs in restrictions
-    )
+    """Host on a validated circular system.  The restriction sets are taken
+    as they are, so pass reduced elements, such as a RestrictedSystem's."""
     return HostHypergraph(
         group=group,
         matrix=circular.matrix,
         kernel_matrix=circular.kernel_matrix,
         modulus=circular.modulus,
-        restrictions=clean,
+        restrictions=tuple(restrictions),
     )
 
 

@@ -5,7 +5,9 @@ fraction-free, Smith forms track their unimodular transforms, and the two
 completion constructions (square completion, window-coprime padding) verify
 their own postconditions before returning.  The determinantal divisors are
 read off the Smith form (``determinantal_divisors``); the minor enumeration
-``determinantal_divisor`` is kept only as an independent oracle.
+``determinantal_divisor`` is kept only as an independent oracle, as is
+``pipeline.is_circular``, whose per-window ``_det_rows`` determinants are on
+no command path.
 """
 
 from __future__ import annotations
@@ -151,37 +153,6 @@ def det(matrix: IntMatrix) -> int:
     if matrix.rows != matrix.cols:
         raise PreconditionError("determinant needs a square matrix")
     return _det_rows(matrix.to_lists())
-
-
-def _unit_reduced_det(rows: list[list[int]]) -> int:
-    """Determinant that first expands along columns holding a single +-1.
-
-    Matches _det_rows on every input; it only pays off on the nearly-identity
-    window matrices the circular checks produce, where it collapses the
-    computation to a small core.
-    """
-    active_rows = list(range(len(rows)))
-    active_cols = list(range(len(rows)))
-    sign = 1
-    changed = True
-    while changed and active_rows:
-        changed = False
-        for cpos, j in enumerate(active_cols):
-            hits = [i for i in active_rows if rows[i][j] != 0]
-            if len(hits) == 1 and rows[hits[0]][j] in (1, -1):
-                i = hits[0]
-                rpos = active_rows.index(i)
-                sign *= rows[i][j] * (-1) ** (rpos + cpos)
-                active_rows.remove(i)
-                active_cols.remove(j)
-                changed = True
-                break
-            if not hits:
-                return 0
-    if not active_rows:
-        return sign
-    core = [[rows[i][j] for j in active_cols] for i in active_rows]
-    return sign * _det_rows(core)
 
 
 def adjugate(matrix: IntMatrix) -> IntMatrix:
@@ -435,12 +406,8 @@ def _combination_with_unit_lead(values: list[int], n: int) -> tuple[list[int], i
     search over t.
     """
     r = len(values)
-    dprime = 0
-    for val in values:
-        dprime = math.gcd(dprime, val)
-    rest = 0
-    for val in values[1:]:
-        rest = math.gcd(rest, val)
+    dprime = math.gcd(*values)
+    rest = math.gcd(*values[1:])
     if rest == 0:
         # only the first entry is nonzero: the combination is forced
         lam0 = 1 if values[0] > 0 else -1

@@ -10,10 +10,11 @@ Circularity here always means: every window of k consecutive columns, taken
 cyclically, has determinant coprime to the modulus.  For a standard matrix
 (I_k | B) the kernel construction is the circularity check: each window's
 determinant is that of an at most (m-k) x (m-k) core of B, and the core
-solve raises exactly when it is not a unit.  CircularSystem is the one place
-that checks a target, by rebuilding its kernel; the steps that build it
-check their own inputs only.  is_circular is the dense scan for general
-matrices.
+solve raises exactly when it is not a unit.  That is the only route by which
+a command decides circularity: CircularSystem checks a target by rebuilding
+its kernel, standardize its output the same way, and the steps that build a
+target check their own inputs only.  is_circular, a dense determinant per
+window, is the independent oracle and is on no command path.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .abelian import AbelianGroup, scalar_inverse
 from .errors import PreconditionError
 from .intmat import (
     IntMatrix,
-    _unit_reduced_det,
+    _det_rows,
     _xgcd,
     adjugate,
     complete_to_square,
@@ -51,8 +52,9 @@ def is_circular(matrix: IntMatrix, modulus: int) -> bool:
     """True when every cyclic window of k consecutive columns has
     determinant coprime to the modulus.
 
-    A dense k x k determinant per window, for any matrix; standard matrices
-    are checked by building their kernel instead (see _standard_kernel).
+    A dense k x k determinant per window, for any matrix: the oracle for
+    the window solves of _standard_kernel, which decide circularity on every
+    command path.
     """
     k, m = matrix.rows, matrix.cols
     if k > m:
@@ -63,7 +65,7 @@ def is_circular(matrix: IntMatrix, modulus: int) -> bool:
         window = [
             [matrix.data[i][(j + t) % m] for t in range(k)] for i in range(k)
         ]
-        if math.gcd(_unit_reduced_det(window), modulus) != 1:
+        if math.gcd(_det_rows(window), modulus) != 1:
             return False
     return True
 
@@ -118,20 +120,33 @@ def standardize(matrix: IntMatrix, modulus: int) -> IntMatrix:
     """Row-reduce a circular matrix mod n until the left block is exactly
     the identity; entries land in [0, n).
 
+    PreconditionError when the matrix is not circular; see _standard_form,
+    which decides that by building the kernel of the result.
+    """
+    standard = _standard_form(matrix, modulus)
+    if standard is None:
+        raise PreconditionError("matrix is not circular for this modulus")
+    return standard
+
+
+def _standard_form(matrix: IntMatrix, modulus: int) -> IntMatrix | None:
+    """standardize's result, or None exactly when the matrix is not circular.
+
     The result L^-1 A has the windows of A times the unit det L^-1, so it is
     circular exactly when A is: a non-unit left block L fails its own
-    elimination, and the result is checked by building its kernel.
+    elimination, and the result is checked by building its kernel.  Bad
+    shapes and moduli still raise.
     """
-    if modulus < 2:
-        raise PreconditionError("modulus must be at least 2")
     k, m = matrix.rows, matrix.cols
     if k > m:
         raise PreconditionError("more equations than variables")
+    if modulus < 2:
+        raise PreconditionError("modulus must be at least 2")
     try:
         standard = IntMatrix(_eliminate_mod(matrix.data, k, modulus))
         _standard_kernel(standard, modulus)
     except PreconditionError:
-        raise PreconditionError("matrix is not circular for this modulus") from None
+        return None
     return standard
 
 
@@ -176,19 +191,13 @@ def build_kernel_matrix(matrix: IntMatrix, modulus: int) -> IntMatrix:
     predecessor columns (the window right before j, cyclically); entry
     (j, j) is set to -1 mod n, so the matrix annihilates the system matrix
     column by column.  Entries outside the interval [j-k, j] stay zero.
-    The input is reduced mod n and must start with the identity; building
-    the kernel is its circularity check, so a non-circular matrix raises
+    The input is reduced mod n and validated by CircularSystem, whose kernel
+    construction is the circularity check: a non-circular matrix raises
     PreconditionError from the window that is not a unit.
     """
-    k, m = matrix.rows, matrix.cols
     if modulus < 2:
         raise PreconditionError("modulus must be at least 2")
-    if m < k + 2:
-        raise PreconditionError("need at least two more columns than rows")
-    reduced = matrix.mod(modulus)
-    if not _identity_prefix(reduced):
-        raise PreconditionError("matrix is not in standard form")
-    return _standard_kernel(reduced, modulus)
+    return CircularSystem.from_matrix(matrix.mod(modulus), modulus).kernel_matrix
 
 
 @dataclass(frozen=True)
@@ -217,7 +226,7 @@ class CircularSystem:
         if any(not 0 <= v < n for row in self.matrix.data for v in row):
             raise PreconditionError("matrix entries must be reduced mod n")
         if not _identity_prefix(self.matrix):
-            raise PreconditionError("left block is not the identity")
+            raise PreconditionError("matrix is not in standard form")
         given = self.kernel_matrix
         if given is not None and (given.rows != m or given.cols != m):
             raise PreconditionError("kernel matrix must be square of size m")
@@ -256,36 +265,27 @@ def extend_to_identity_form(system: RestrictedSystem):
 def _identity_form_details(system: RestrictedSystem):
     if not system.is_homogeneous():
         raise PreconditionError("identity-form step needs a homogeneous system")
-    if system.determinantal == 0:
-        raise PreconditionError("determinantal divisor is zero")
-    if not system.coprime:
-        raise PreconditionError(
-            "determinantal divisor shares a factor with the group order"
-        )
     group = system.group
     k, m = system.equations, system.variables
+    # the d_k gate on every path: the completion refuses a rank-deficient A,
+    # and d = det(completed) = d_k has an inverse only when coprime to |G|
+    completed = complete_to_square(system.matrix)
+    d = det(completed)
+    d_inv = scalar_inverse(d, group)
     if k == m:
         return ThinWitness(coordinate=0, value=group.zero), ()
 
-    completed = complete_to_square(system.matrix)
-    d = det(completed)
     free = m - k
     # A adj(completed) = (d I_k | 0), so columns k.. of the adjugate solve
     # A x = 0
     slopes = [row[k:] for row in adjugate(completed).data]
 
-    divisors = []
-    for i in range(m):
-        g = 0
-        for v in slopes[i]:
-            g = math.gcd(g, v)
-        divisors.append(g)
+    divisors = [math.gcd(*row) for row in slopes]
     for i, g in enumerate(divisors):
         if g == 0:
             # coordinate i is zero in every solution
             return ThinWitness(coordinate=i, value=group.zero), tuple(divisors)
 
-    d_inv = scalar_inverse(d, group)
     reduced_rows = [
         [v // divisors[i] for v in slopes[i]] for i in range(m)
     ]
@@ -349,9 +349,7 @@ def circularize(system: RestrictedSystem, modulus: int) -> Extension:
     blocks = []
     for p in range(k):
         row = [system.matrix.data[p][k + t] for t in range(r)]
-        g = 0
-        for v in row:
-            g = math.gcd(g, v)
+        g = math.gcd(*row)
         if g != 1:
             raise PreconditionError(f"row {p} of the free block has gcd {g}, not 1")
         completed = complete_to_square(IntMatrix([row]))

@@ -184,15 +184,34 @@ def test_pipeline_enumerates_each_system_once(count_calls, name, stages):
     assert enumerated == stages
 
 
+@pytest.mark.parametrize(
+    "name", ["sys_z5_restricted.json", "sys_z3z5_restricted.json", "sys_z11_2x4.json"]
+)
+def test_pipeline_gates_divisor_with_two_smith_forms(count_calls, name):
+    # one Smith form of the input's matrix for the coprimality check, one in
+    # the identity form's completion, which is also that step's d_k gate: a
+    # translate target does not compute its divisor again
+    smith = count_calls(intmat, "smith_normal_form", lambda a: (a.rows, a.cols))
+    sys_ = decode_system(load_file(fixture(name)))
+    out = main_json(["pipeline", fixture(name)])
+    assert out["outcome"] == "circular"
+    assert smith.count((sys_.equations, sys_.variables)) == 2
+
+
 def test_circular_command_scans_windows_once(count_calls):
-    # standardize checks its output by building its kernel, so the command's
-    # own is_circular is the one dense scan
+    # the kernel built on the standard form decides circularity: no dense
+    # is_circular scan, and a circular input takes one core solve per window
     work = count_window_work(count_calls)
+    k, m = 2, 4
     for n, circular in (("5", True), ("4", False)):
-        work["scans"].clear()
+        work["cores"].clear()
         out = main_json(["circular", "--n", n, fixture("matrix_wide.json")])
         assert out["circular"] is circular
-        assert work["scans"] == [(2, 4)]
+        assert work["scans"] == []
+        assert len(work["cores"]) <= m
+        assert max(work["cores"]) <= min(k, m - k)
+        if circular:
+            assert len(work["cores"]) == m
 
 
 def test_pipeline_trace():
@@ -498,8 +517,10 @@ def test_precondition_exit():
 
 def test_no_command_enumerates_minors(count_calls):
     # every golden command, run in-process, reads d_k off a Smith form if it
-    # needs it at all; the minor enumeration is an oracle for the tests
+    # needs it at all, and decides circularity by window solves; the minor
+    # enumeration and the dense window scan are oracles for the tests
     minors = count_calls(intmat, "determinantal_divisor", lambda a, k: (a.rows, a.cols, k))
+    scans = count_calls(pipeline, "is_circular", lambda a, n: (a.rows, a.cols))
     codes = set()
     for args in cli_runs():
         with contextlib.redirect_stdout(io.StringIO()):
@@ -507,6 +528,7 @@ def test_no_command_enumerates_minors(count_calls):
                 codes.add(cli.main(list(args)))
     assert codes == {0, 2, 3, 4}
     assert minors == []
+    assert scans == []
 
 
 def test_even_wide_system_is_refused_quickly(tmp_path):

@@ -23,7 +23,11 @@ from linremoval import (
     standardize,
     verify_extension,
 )
-from linremoval.pipeline import _identity_form_details, _solve_window_mod
+from linremoval.pipeline import (
+    _identity_form_details,
+    _solve_window_mod,
+    _standard_form,
+)
 
 
 def full_sets(group, m):
@@ -133,7 +137,8 @@ def test_standardize_rejects_non_circular():
     with pytest.raises(PreconditionError):
         standardize(IntMatrix([[2, 1]]), 4)
     # standardize has no dense scan: its elimination and the kernel built on
-    # its output must reject precisely the matrices is_circular rejects
+    # its output must reject precisely the matrices is_circular rejects, and
+    # the circular command reads the same decision as _standard_form's None
     rng = random.Random(20112)
     seen = {True: 0, False: 0}
     for _ in range(1500):
@@ -143,6 +148,7 @@ def test_standardize_rejects_non_circular():
         a = IntMatrix([[rng.randrange(-n, 2 * n) for _ in range(m)] for _ in range(k)])
         circular = is_circular(a, n)
         seen[circular] += 1
+        assert (_standard_form(a, n) is not None) == circular
         if not circular:
             with pytest.raises(PreconditionError, match="not circular"):
                 standardize(a, n)
@@ -443,6 +449,21 @@ def test_identity_form_preconditions():
     shared = RestrictedSystem(g4, IntMatrix([[2, 2, 2]]), ((0,),), full_sets(g4, 3))
     with pytest.raises(PreconditionError):
         extend_to_identity_form(shared)
+    # the d_k gate holds before the square and the pinned-coordinate returns,
+    # and on a rank-deficient matrix
+    for group, rows in (
+        (g4, [[2]]),
+        (g4, [[1, 2], [3, 2]]),
+        (g4, [[2, 0, 0]]),
+        (g, [[1, 1], [2, 2]]),
+        (g, [[1, 1, 1], [2, 2, 2]]),
+    ):
+        k, m = len(rows), len(rows[0])
+        bad = RestrictedSystem(
+            group, IntMatrix(rows), (group.zero,) * k, full_sets(group, m)
+        )
+        with pytest.raises(PreconditionError):
+            _identity_form_details(bad)
 
 
 # -------------------------------------------------------------- circularize

@@ -152,6 +152,8 @@ def _encode_stages(stages) -> list:
         enc = dict(st)
         if "row_divisors" in enc:
             enc["row_divisors"] = [encode_int(v) for v in enc["row_divisors"]]
+        if "column_order" in enc:
+            enc["column_order"] = [j + 1 for j in enc["column_order"]]
         out.append(enc)
     return out
 
@@ -182,12 +184,20 @@ def cmd_pipeline(args, budget) -> dict:
     payload["target_circular"] = True
     payload["verification"] = _report_payload(res.verification)
     if args.trace:
+        # stages after the input pair up with the chain's extensions
+        targets = {
+            st["stage"]: ext.target.matrix
+            for st, ext in zip(res.stages[1:], res.chain)
+        }
         payload["matrices"] = {
-            "translate": encode_matrix(res.chain[0].target.matrix),
-            "identity_form": encode_matrix(res.chain[1].target.matrix),
-            "circular": encode_matrix(res.chain[2].target.matrix),
+            "translate": encode_matrix(targets["translate"]),
+            "circular": encode_matrix(res.circular.matrix),
             "kernel": encode_matrix(res.circular.kernel_matrix),
         }
+        if "identity-form" in targets:
+            payload["matrices"]["identity_form"] = encode_matrix(
+                targets["identity-form"]
+            )
     return payload
 
 

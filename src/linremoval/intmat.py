@@ -343,6 +343,13 @@ def complete_to_square(matrix: IntMatrix) -> IntMatrix:
     its own completion (there the determinant keeps its sign, since no added
     row is available to flip it).
     """
+    return _complete_with_divisor(matrix)[0]
+
+
+def _complete_with_divisor(matrix: IntMatrix) -> tuple[IntMatrix, int]:
+    """complete_to_square's completion together with d_k, read off the
+    Smith form; for k < m that is the completion's determinant, computed
+    once (a row flip only negates it)."""
     k, m = matrix.rows, matrix.cols
     if k > m:
         raise PreconditionError("completion needs at least as many columns as rows")
@@ -351,20 +358,22 @@ def complete_to_square(matrix: IntMatrix) -> IntMatrix:
     if dk == 0:
         raise PreconditionError("matrix has a zero invariant factor (rank deficient)")
     if k == m:
-        return IntMatrix(matrix.data)
+        return IntMatrix(matrix.data), dk
 
     result = IntMatrix(matrix.data + _unimodular_inverse(snf.V).data[k:])
-    if det(result) != dk:
+    d = det(result)
+    if d != dk:
         # determinant can only be off by sign; flip the first added row
         fixed = result.to_lists()
         fixed[k] = [-v for v in fixed[k]]
         result = IntMatrix(fixed)
+        d = -d
 
     if result.data[:k] != matrix.data:
         raise AssertionError("completion displaced the original rows")
-    if det(result) != dk:
+    if d != dk:
         raise AssertionError("completion missed the target determinant")
-    return result
+    return result, dk
 
 
 def is_n_good(matrix: IntMatrix, n: int) -> bool:

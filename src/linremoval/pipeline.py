@@ -1,10 +1,14 @@
 """Reduction of restricted systems to standard circular homogeneous form.
 
-The chain runs translate -> identity form -> circular form.  Every stage is
-an Extension, so solutions biject end to end and counting any stage counts
-them all.  The circular target additionally gets a kernel matrix, one column
-per coordinate, supported on a short circular interval; the hypergraph
-encoding is built from exactly that matrix.
+The chain runs translate, then one of two routes to a circular target.
+When some cyclic order of the columns makes every k-window a unit mod n,
+the standard stage permutes the columns and row-reduces to (I_k | B): the
+target keeps the input's k x m shape.  Otherwise identity form ->
+circular form pads the system into the paper's general target.  Every
+stage is an Extension, so solutions biject end to end and counting any
+stage counts them all.  The circular target additionally gets a kernel
+matrix, one column per coordinate, supported on a short circular interval;
+the hypergraph encoding is built from exactly that matrix.
 
 Circularity here always means: every window of k consecutive columns, taken
 cyclically, has determinant coprime to the modulus.  For a standard matrix
@@ -13,12 +17,15 @@ determinant is that of an at most (m-k) x (m-k) core of B, and the core
 solve raises exactly when it is not a unit.  That is the only route by which
 a command decides circularity: CircularSystem checks a target by rebuilding
 its kernel, standardize its output the same way, and the steps that build a
-target check their own inputs only.  is_circular, a dense determinant per
-window, is the independent oracle and is on no command path.
+target check their own inputs only.  The column-order search picks its
+order with the same mod-n elimination, and its target is still checked by
+CircularSystem.  is_circular, a dense determinant per window, is the
+independent oracle and is on no command path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,11 +33,11 @@ from .abelian import AbelianGroup, scalar_inverse
 from .errors import PreconditionError
 from .intmat import (
     IntMatrix,
+    _complete_with_divisor,
     _det_rows,
     _xgcd,
     adjugate,
     complete_to_square,
-    det,
     n_good_padding,
 )
 from .system import (
@@ -268,9 +275,9 @@ def _identity_form_details(system: RestrictedSystem):
     group = system.group
     k, m = system.equations, system.variables
     # the d_k gate on every path: the completion refuses a rank-deficient A,
-    # and d = det(completed) = d_k has an inverse only when coprime to |G|
-    completed = complete_to_square(system.matrix)
-    d = det(completed)
+    # and d = d_k, which is det(completed) when k < m, has an inverse only
+    # when coprime to |G|
+    completed, d = _complete_with_divisor(system.matrix)
     d_inv = scalar_inverse(d, group)
     if k == m:
         return ThinWitness(coordinate=0, value=group.zero), ()
@@ -360,7 +367,8 @@ def circularize(system: RestrictedSystem, modulus: int) -> Extension:
         # leading identity of this block is the previous block's tail
         stack.extend(list(rw) for rw in blk.data[r:])
     tall = len(stack)
-    assert tall == 2 * k * r * r + r, "stacked block count is off"
+    if tall != 2 * k * r * r + r:
+        raise AssertionError("stacked block count is off")
 
     tmat = IntMatrix(
         [
@@ -397,16 +405,107 @@ def circularize(system: RestrictedSystem, modulus: int) -> Extension:
     )
 
 
+def _circular_order(matrix: IntMatrix, n: int, budget: int) -> list[int] | None:
+    """The lexicographically first cyclic column order, starting at column
+    0, in which every window of k consecutive columns is a unit mod n.
+
+    None when no order has that property, or when the search tries more
+    than ``budget`` columns.  For k = 1 every column is a window, so the
+    given order works exactly when every entry is a unit.  For k >= 2 a
+    depth-first search extends the order one column at a time and rejects
+    a prefix as soon as a closed window fails; the wrapping windows are
+    tested once the order is complete.  A window is tested by the mod-n
+    elimination _standard_kernel solves with, once per column set, so a
+    search makes at most C(m, k) eliminations.  A matrix that is circular
+    as given keeps its order.
+    """
+    k, m = matrix.rows, matrix.cols
+    data = matrix.data
+    if k == 1:
+        units = all(math.gcd(v, n) == 1 for v in data[0])
+        return list(range(m)) if units else None
+    known: dict[tuple[int, ...], bool] = {}
+
+    def unit(window) -> bool:
+        key = tuple(sorted(window))
+        if key not in known:
+            try:
+                _eliminate_mod([[row[c] for c in key] for row in data], k, n)
+                known[key] = True
+            except PreconditionError:
+                known[key] = False
+        return known[key]
+
+    order, used = [0], {0}
+    # frontier[d]: the columns still to try at position d + 1
+    frontier = [iter(range(1, m))]
+    tried = 0
+    while frontier:
+        for c in frontier[-1]:
+            if c in used:
+                continue
+            tried += 1
+            if tried > budget:
+                return None
+            if len(order) + 1 >= k and not unit(order[len(order) + 1 - k :] + [c]):
+                continue
+            if len(order) + 1 < m:
+                order.append(c)
+                used.add(c)
+                frontier.append(iter(range(1, m)))
+                break
+            full = order + [c]
+            if all(
+                unit([full[(s + t) % m] for t in range(k)])
+                for s in range(m - k + 1, m)
+            ):
+                return full
+        else:
+            frontier.pop()
+            used.discard(order.pop())
+    return None
+
+
+def _standard_extension(
+    system: RestrictedSystem, order: list[int], modulus: int
+) -> Extension:
+    """Extension of a homogeneous system onto (I_k | B), its matrix with
+    the columns in ``order`` row-reduced mod n.
+
+    Target column t is source column order[t] with the same restriction
+    set and identity value maps: row operations mod n by an invertible
+    left block keep the solution set, since n kills every group element.
+    The order must make the leading window a unit; CircularSystem checks
+    the rest.
+    """
+    k = system.equations
+    permuted = [[row[c] for c in order] for row in system.matrix.data]
+    sets = tuple(system.restrictions[c] for c in order)
+    target = RestrictedSystem(
+        system.group, IntMatrix(_eliminate_mod(permuted, k, modulus)), system.rhs, sets
+    )
+    coords = tuple(range(system.variables))
+    return Extension(
+        source=system,
+        target=target,
+        mapped_coords=coords,
+        coord_map=dict(enumerate(order)),
+        value_maps={t: {v: v for v in sets[t]} for t in coords},
+    )
+
+
 @dataclass
 class PipelineResult:
     """Outcome of the full reduction.
 
     outcome is "circular" (chain completed), "thin" (a pinned coordinate
     short-circuits everything), or "small-system" (at most one free column;
-    the removal module handles these directly).  verification is the
-    exhaustive check of the composed extension, run once inside
-    full_extension on the solution lists it already holds; None unless the
-    outcome is "circular".
+    the removal module handles these directly).  A circular outcome's chain
+    is [translate, standard] when the input has a circular column order and
+    [translate, identity form, circular] otherwise; the last target is the
+    one ``circular`` holds.  verification is the exhaustive check of the
+    composed extension, run once inside full_extension on the solution
+    lists it already holds; None unless the outcome is "circular".
     """
 
     outcome: str
@@ -421,12 +520,19 @@ class PipelineResult:
 def full_extension(
     system: RestrictedSystem, budget: int = DEFAULT_BUDGET
 ) -> PipelineResult:
-    """Run translate -> identity form -> circular form on a system.
+    """Run translate, then standard or identity form -> circular form.
+
+    After the translation, a search looks for a cyclic column order in
+    which every k-window is a unit mod n (see _circular_order).  When one
+    exists, the ``standard`` stage permutes the columns and row-reduces to
+    a k x m target, and its record carries the ``column_order``.  Otherwise,
+    or when the search uses up the budget, the identity form is padded by
+    circularize into the paper's general target.
 
     Every distinct system of the chain is enumerated once: the input's
     solutions serve its stage count, the thinness test, the translation
     witness, the translate stage when the input is already homogeneous, and
-    the source side of the verification; the circular target's serve its
+    the source side of the verification; the final target's serve its
     stage count and the target side.  The translate and identity-form
     counts are enumerations of their own, and all stage counts must agree.
     The final system is built into a CircularSystem, whose kernel
@@ -473,52 +579,50 @@ def full_extension(
             "small-system", stages, None, [translated], translated, None
         )
 
-    step, divisors = _identity_form_details(translated.target)
-    if isinstance(step, ThinWitness):
-        # pinned at zero in translated coordinates; undo the translation
-        vmap = translated.value_maps[step.coordinate]
-        zero = group.zero
-        if zero in vmap:
-            back = ThinWitness(step.coordinate, vmap[zero])
-        else:
-            back = ThinWitness(step.coordinate, None, vacuous=True)
-        return PipelineResult("thin", stages, back, [translated], None, None)
-    stages.append(
-        {
-            "stage": "identity-form",
-            "equations": step.target.equations,
-            "variables": step.target.variables,
-            "solutions": len(enumerate_solutions(step.target, budget)),
-            "row_divisors": list(divisors),
-        }
+    order = _circular_order(translated.target.matrix, n, budget)
+    if order is not None:
+        last = _standard_extension(translated.target, order, n)
+        chain = [translated, last]
+        record = {"stage": "standard", "column_order": order}
+    else:
+        step, divisors = _identity_form_details(translated.target)
+        if isinstance(step, ThinWitness):
+            # pinned at zero in translated coordinates; undo the translation
+            vmap = translated.value_maps[step.coordinate]
+            zero = group.zero
+            if zero in vmap:
+                back = ThinWitness(step.coordinate, vmap[zero])
+            else:
+                back = ThinWitness(step.coordinate, None, vacuous=True)
+            return PipelineResult("thin", stages, back, [translated], None, None)
+        stages.append(
+            {
+                "stage": "identity-form",
+                "equations": step.target.equations,
+                "variables": step.target.variables,
+                "solutions": len(enumerate_solutions(step.target, budget)),
+                "row_divisors": list(divisors),
+            }
+        )
+        last = circularize(step.target, n)
+        chain = [translated, step, last]
+        record = {"stage": "circular"}
+    target_sols = enumerate_solutions(last.target, budget)
+    record.update(
+        equations=last.target.equations,
+        variables=last.target.variables,
+        solutions=len(target_sols),
+        modulus=n,
     )
-
-    circ = circularize(step.target, n)
-    target_sols = enumerate_solutions(circ.target, budget)
-    stages.append(
-        {
-            "stage": "circular",
-            "equations": circ.target.equations,
-            "variables": circ.target.variables,
-            "solutions": len(target_sols),
-            "modulus": n,
-        }
-    )
+    stages.append(record)
 
     counts = {st["solutions"] for st in stages}
-    assert len(counts) == 1, f"stage solution counts diverged: {counts}"
+    if len(counts) != 1:
+        raise AssertionError(f"stage solution counts diverged: {counts}")
 
-    composed = compose_extensions(
-        compose_extensions(translated, step), circ
-    )
-    circular = CircularSystem.from_matrix(circ.target.matrix, n)
+    composed = functools.reduce(compose_extensions, chain)
+    circular = CircularSystem.from_matrix(last.target.matrix, n)
     verification = _verify_extension(composed, lambda: (source_sols, target_sols))
     return PipelineResult(
-        "circular",
-        stages,
-        None,
-        [translated, step, circ],
-        composed,
-        circular,
-        verification,
+        "circular", stages, None, chain, composed, circular, verification
     )

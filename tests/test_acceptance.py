@@ -488,6 +488,7 @@ def cli_runs():
         ("pipeline", "--trace", fx("sys_z3z5_restricted.json")),
         ("solve", fx("sys_z11_2x4.json")),
         ("pipeline", "--trace", fx("sys_z11_2x4.json")),
+        ("pipeline", fx("sys_z6_full.json")),
         ("copies", fx("sys_z5_full.json")),
         ("copies", "--full", fx("sys_z5_restricted.json")),
         ("verify", fx("sys_z5_full.json")),
@@ -496,6 +497,10 @@ def cli_runs():
         ("verify", fx("sys_z7_2x4.json")),
         ("copies", "--full", fx("sys_z3z5_1x4.json")),
         ("verify", fx("sys_z3z5_1x4.json")),
+        ("copies", fx("sys_z3z5_restricted.json")),
+        ("verify", fx("sys_z3z5_restricted.json")),
+        ("copies", fx("sys_z11_2x4.json")),
+        ("verify", fx("sys_z11_2x4.json")),
         ("copies", "--budget", "100", fx("sys_z5_full.json")),
         ("remove", fx("sys_z5_full.json")),
         ("remove", "--greedy", fx("sys_z5_full.json")),

@@ -115,7 +115,22 @@ def test_solve_command():
 
 
 def test_pipeline_command():
+    # circular as given: the standard stage keeps the order, no padding
     out = run_json("pipeline", fixture("sys_z5_full.json"))
+    assert out["outcome"] == "circular"
+    assert [s["stage"] for s in out["stages"]] == ["input", "translate", "standard"]
+    assert out["stages"][-1]["column_order"] == [1, 2, 3]  # 1-based
+    assert out["target"] == {"equations": 1, "variables": 3, "modulus": 5}
+    assert out["target_circular"] is True
+    assert out["verification"]["ok"] is True
+    assert out["mapped_coords"] == [1, 2, 3]
+    assert "matrices" not in out
+
+
+def test_pipeline_command_padded_route():
+    # no cyclic column order of the Z6 matrix is circular: the paper's
+    # padded target
+    out = run_json("pipeline", fixture("sys_z6_full.json"))
     assert out["outcome"] == "circular"
     assert [s["stage"] for s in out["stages"]] == [
         "input",
@@ -123,11 +138,37 @@ def test_pipeline_command():
         "identity-form",
         "circular",
     ]
-    assert out["target"] == {"equations": 26, "variables": 28, "modulus": 5}
-    assert out["target_circular"] is True
+    assert all("column_order" not in s for s in out["stages"])
+    assert out["target"] == {"equations": 93, "variables": 96, "modulus": 6}
     assert out["verification"]["ok"] is True
-    assert len(out["mapped_coords"]) == 3
-    assert "matrices" not in out
+    assert len(out["mapped_coords"]) == 5
+
+
+def test_pipeline_reorders_columns(tmp_path):
+    # columns 1 and 2 are proportional mod 5, so their window is singular;
+    # the first cyclic order that separates them is 1, 3, 2, 4
+    path = tmp_path / "swapped.json"
+    full = [[v] for v in range(5)]
+    path.write_text(
+        json.dumps(
+            {
+                "group": {"moduli": [5]},
+                "A": {"rows": 2, "cols": 4, "data": [[1, 2, 0, 1], [0, 0, 1, 1]]},
+                "b": [[0], [1]],
+                "X": [full, [[1], [2]], full, [[0], [3], [4]]],
+            }
+        )
+    )
+    out = main_json(["pipeline", "--trace", str(path)])
+    stage = out["stages"][-1]
+    assert stage["stage"] == "standard"
+    assert stage["column_order"] == [1, 3, 2, 4]
+    assert out["target"] == {"equations": 2, "variables": 4, "modulus": 5}
+    assert out["verification"]["ok"] is True
+    assert out["solutions"] == 6
+    assert out["mapped_coords"] == [1, 2, 3, 4]
+    circ = out["matrices"]["circular"]["data"]
+    assert [row[:2] for row in circ] == [[1, 0], [0, 1]]
 
 
 def count_window_work(count_calls):
@@ -143,17 +184,21 @@ def count_window_work(count_calls):
 
 
 def test_pipeline_validates_target_once(count_calls):
-    # CircularSystem is the one validation of a pipeline target: it builds
-    # the kernel once, one core solve per window, and that construction is
-    # the circularity check, so no dense scan or target @ kernel product
+    # CircularSystem is the one validation of a pipeline target, on either
+    # route: it builds the kernel once, one core solve per window, and that
+    # construction is the circularity check, so no dense scan or target @
+    # kernel product; the column-order search solves no window core
     work = count_window_work(count_calls)
-    out = main_json(["pipeline", fixture("sys_z5_full.json")])
-    assert out["target_circular"] is True
-    k, m = 26, 28
-    assert len(work["cores"]) == m
-    assert max(work["cores"]) <= min(k, m - k)
-    assert work["scans"] == []
-    assert (k, m, m) not in work["products"]
+    for name, (k, m) in (("sys_z5_full.json", (1, 3)), ("sys_z6_full.json", (93, 96))):
+        for seen in work.values():
+            seen.clear()
+        out = main_json(["pipeline", fixture(name)])
+        assert out["target_circular"] is True
+        assert (out["target"]["equations"], out["target"]["variables"]) == (k, m)
+        assert len(work["cores"]) == m
+        assert max(work["cores"]) <= min(k, m - k)
+        assert work["scans"] == []
+        assert (k, m, m) not in work["products"]
 
 
 def shape(sys_, budget=None):
@@ -164,14 +209,13 @@ def shape(sys_, budget=None):
     "name, stages",
     [
         # homogeneous: the input's solutions are the translate stage's too
-        ("sys_z5_restricted.json", [(1, 3, True), (3, 5, True), (26, 28, True)]),
+        ("sys_z5_restricted.json", [(1, 3, True), (1, 3, True)]),
+        ("sys_z3z5_restricted.json", [(1, 3, False), (1, 3, True), (1, 3, True)]),
+        ("sys_z11_2x4.json", [(2, 4, False), (2, 4, True), (2, 4, True)]),
+        # no circular column order: identity form, then the padded target
         (
-            "sys_z3z5_restricted.json",
-            [(1, 3, False), (1, 3, True), (3, 5, True), (26, 28, True)],
-        ),
-        (
-            "sys_z11_2x4.json",
-            [(2, 4, False), (2, 4, True), (4, 6, True), (34, 36, True)],
+            "sys_z6_full.json",
+            [(2, 5, False), (2, 5, True), (5, 8, True), (93, 96, True)],
         ),
     ],
 )
@@ -185,17 +229,38 @@ def test_pipeline_enumerates_each_system_once(count_calls, name, stages):
 
 
 @pytest.mark.parametrize(
-    "name", ["sys_z5_restricted.json", "sys_z3z5_restricted.json", "sys_z11_2x4.json"]
+    "name",
+    [
+        "sys_z5_restricted.json",
+        "sys_z3z5_restricted.json",
+        "sys_z11_2x4.json",
+        "sys_z6_full.json",
+    ],
 )
 def test_pipeline_gates_divisor_with_two_smith_forms(count_calls, name):
-    # one Smith form of the input's matrix for the coprimality check, one in
-    # the identity form's completion, which is also that step's d_k gate: a
-    # translate target does not compute its divisor again
+    # at most two Smith forms of the input's matrix: one for the coprimality
+    # check and, on the padded route only, one in the identity form's
+    # completion, which is also that step's d_k gate (a translate target
+    # does not compute its divisor again); the standard stage needs none
     smith = count_calls(intmat, "smith_normal_form", lambda a: (a.rows, a.cols))
     sys_ = decode_system(load_file(fixture(name)))
     out = main_json(["pipeline", fixture(name)])
     assert out["outcome"] == "circular"
-    assert smith.count((sys_.equations, sys_.variables)) == 2
+    padded = out["stages"][-1]["stage"] == "circular"
+    assert padded == (name == "sys_z6_full.json")
+    assert smith.count((sys_.equations, sys_.variables)) == 1 + padded
+
+
+def test_pipeline_padded_route_takes_one_determinant_per_completion(count_calls):
+    # sys_z6_full pads: the identity form completes the 2 x 5 matrix to
+    # 5 x 5 (the Smith V inverse and the completion's own determinant), and
+    # circularize completes each of the 5 free rows to 3 x 3 (the V inverse,
+    # the completion, n_good_padding's gate); d_k is never recomputed from a
+    # completion whose determinant it is by contract
+    dets = count_calls(intmat, "det", lambda a: a.rows)
+    out = main_json(["pipeline", fixture("sys_z6_full.json")])
+    assert out["target"]["equations"] == 93
+    assert sorted(dets) == [3] * 15 + [5] * 2
 
 
 def test_circular_command_scans_windows_once(count_calls):
@@ -215,11 +280,18 @@ def test_circular_command_scans_windows_once(count_calls):
 
 
 def test_pipeline_trace():
+    # matrices are keyed by stage: identity_form only on the padded route
     out = run_json("pipeline", "--trace", fixture("sys_z5_full.json"))
     mats = out["matrices"]
-    assert mats["identity_form"]["rows"] == 3
-    assert mats["circular"]["rows"] == 26
-    assert mats["kernel"]["rows"] == 28
+    assert sorted(mats) == ["circular", "kernel", "translate"]
+    assert mats["circular"]["data"] == [[1, 1, 1]]
+    assert mats["kernel"]["rows"] == 3
+    out = run_json("pipeline", "--trace", fixture("sys_z6_full.json"))
+    mats = out["matrices"]
+    assert sorted(mats) == ["circular", "identity_form", "kernel", "translate"]
+    assert mats["identity_form"]["rows"] == 5
+    assert mats["circular"]["rows"] == 93
+    assert mats["kernel"]["rows"] == 96
 
 
 def test_pipeline_thin():
@@ -260,6 +332,32 @@ def test_copies_direct_on_thin_standard_input():
     out = run_json("copies", fixture("sys_thin.json"))
     assert out["route"] == "direct"
     assert out["count"] == 4
+
+
+def test_copies_on_a_system_with_a_circular_order(tmp_path):
+    # x1 + ... + x5 = 1 over Z5 is not homogeneous, so it is not hosted
+    # directly; the pipeline's standard target is 1 x 5, whose 5^5
+    # assignments fit the budget: 625 solutions, 5 copies each
+    path = tmp_path / "sum5.json"
+    full = [[v] for v in range(5)]
+    path.write_text(
+        json.dumps(
+            {
+                "group": {"moduli": [5]},
+                "A": {"rows": 1, "cols": 5, "data": [[1, 1, 1, 1, 1]]},
+                "b": [[1]],
+                "X": [full] * 5,
+            }
+        )
+    )
+    out = main_json(["copies", str(path)])
+    assert out["route"] == "pipeline"
+    assert out["count"] == 625 * 5
+    assert (out["positions"], out["arity"]) == (5, 2)
+    for name, classes in (("sys_z3z5_restricted.json", 5), ("sys_z11_2x4.json", 15)):
+        out = main_json(["verify", fixture(name)])
+        assert (out["route"], out["verdict"]) == ("pipeline", "PASS")
+        assert out["classes"] == out["solutions"] == classes
 
 
 def test_copies_without_host():
@@ -564,6 +662,43 @@ def test_budget_exit():
     assert proc.returncode == 4
     err = json.loads(proc.stderr)
     assert err["error"]["kind"] == "budget"
+
+
+def test_pipeline_checks_survive_optimized_mode():
+    # python -O strips assert statements; the pipeline's stacked-size and
+    # stage-count checks are explicit raises, so they still fire
+    script = """
+import contextlib, io, sys
+from linremoval import IntMatrix, cli, pipeline
+if sys.flags.optimize != 1:
+    raise SystemExit("not optimized")
+path = sys.argv[1]
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = cli.main(["pipeline", path])
+sys.stdout.write(buf.getvalue())
+pad, walk = pipeline.n_good_padding, pipeline.enumerate_solutions
+pipeline.n_good_padding = lambda m, n: IntMatrix(pad(m, n).data + pad(m, n).data[-1:])
+try:
+    cli.main(["pipeline", path])
+except AssertionError as exc:
+    print(exc)
+pipeline.n_good_padding = pad
+pipeline.enumerate_solutions = lambda s, b: walk(s, b)[1:] if s.equations == 93 else walk(s, b)
+try:
+    cli.main(["pipeline", path])
+except AssertionError as exc:
+    print(exc)
+"""
+    path = fixture("sys_z6_full.json")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, path], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    report, stacked, counts = proc.stdout.splitlines()
+    assert report + "\n" == run_cli("pipeline", path).stdout
+    assert stacked == "stacked block count is off"
+    assert counts.startswith("stage solution counts diverged")
 
 
 def test_budget_env_variable():

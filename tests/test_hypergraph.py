@@ -388,15 +388,28 @@ def test_verify_catches_missing_copies():
 
 
 def test_pipeline_host_round_trip():
-    # host built on a pipeline target keeps the source solution count
-    from linremoval import full_extension
+    # a host built on a pipeline target keeps the source solution count
+    from linremoval import (
+        circularize,
+        extend_to_identity_form,
+        full_extension,
+        homogenize,
+    )
 
     g = z(5)
     sys_ = RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), full_sets(g, 3))
     res = full_extension(sys_)
     host = build_host(g, res.circular, res.composed.target.restrictions)
-    sols = enumerate_solutions(res.composed.target)
-    assert len(sols) == 25
-    # 5^28 assignments is far beyond any budget; check the guard trips
+    assert len(enumerate_solutions(res.composed.target)) == 25
+    # the standard target is 1 x 3, so its copies can be listed
+    assert len(enumerate_copies(host)) == 25 * 5
+    # the padded target of the same system is 26 x 28: 5^28 assignments is
+    # far beyond any budget; check the guard trips
+    mid = extend_to_identity_form(homogenize(sys_).target)
+    padded = circularize(mid.target, 5).target
+    host = build_host(
+        g, CircularSystem.from_matrix(padded.matrix, 5), padded.restrictions
+    )
+    assert len(enumerate_solutions(padded)) == 25
     with pytest.raises(BudgetExceededError):
         enumerate_copies(host)

@@ -3,8 +3,10 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linremoval import (
     AbelianGroup,
@@ -19,11 +21,14 @@ from linremoval import (
     enumerate_solutions,
     extend_to_identity_form,
     full_extension,
+    homogenize,
     is_circular,
     standardize,
     verify_extension,
 )
+from linremoval import pipeline
 from linremoval.pipeline import (
+    _circular_order,
     _identity_form_details,
     _solve_window_mod,
     _standard_form,
@@ -36,6 +41,21 @@ def full_sets(group, m):
 
 def z(n):
     return AbelianGroup([n])
+
+
+def padded_target(source):
+    # the paper's general route, step by step: full_extension skips the
+    # padding for a system that has a circular column order
+    mid = extend_to_identity_form(homogenize(source).target)
+    return circularize(mid.target, source.group.order).target
+
+
+def z6_system(rhs=((2,), (4,)), sets=None):
+    # the sys_z6_full matrix: no cyclic column order makes every window a
+    # unit mod 6, so full_extension pads it
+    g = z(6)
+    a = IntMatrix([[0, -2, 0, 2, -1], [-1, 0, 1, -3, -2]])
+    return RestrictedSystem(g, a, rhs, sets or full_sets(g, 5))
 
 
 def mod_kernel_check(matrix, kernel, n):
@@ -299,7 +319,7 @@ def test_kernel_window_solves_reject_exactly_non_circular():
     # one large input: the 164 x 168 target of x1 + ... + x5 = 1 over Z5
     g = z(5)
     sys_ = RestrictedSystem(g, IntMatrix([[1] * 5]), ((1,),), full_sets(g, 5))
-    circ = full_extension(sys_).circular
+    circ = CircularSystem.from_matrix(padded_target(sys_).matrix, 5)
     a, kernel = circ.matrix, circ.kernel_matrix
     assert (a.rows, a.cols) == (164, 168)
     assert kernel == build_kernel_matrix(a, 5) == whole_window_kernel(a, 5)
@@ -521,25 +541,45 @@ def test_circularize_preconditions():
 
 
 def test_full_extension_circular_route():
+    # x1 + x2 + x3 = 0 over Z5 is circular as given: the standard stage
+    # keeps the column order and the k x m matrix, with no padding
     g = z(5)
     sys_ = RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), full_sets(g, 3))
     res = full_extension(sys_)
     assert res.outcome == "circular"
     names = [s["stage"] for s in res.stages]
-    assert names == ["input", "translate", "identity-form", "circular"]
-    assert [s["solutions"] for s in res.stages] == [25, 25, 25, 25]
-    assert res.stages[2]["row_divisors"] == [1, 1, 1]
-    assert res.stages[3]["modulus"] == 5
-    assert len(res.chain) == 3
+    assert names == ["input", "translate", "standard"]
+    assert [s["solutions"] for s in res.stages] == [25, 25, 25]
+    assert res.stages[2]["column_order"] == [0, 1, 2]
+    assert res.stages[2]["modulus"] == 5
+    assert len(res.chain) == 2
     report = verify_extension(res.composed)
     assert report.ok, report.problems
     # the verification full_extension runs on its own solution lists
     assert res.verification == report
     assert res.circular is not None
-    assert res.circular.matrix.rows == 26
-    assert res.circular.matrix.cols == 28
-    assert res.circular.kernel_matrix.rows == 28
+    assert res.circular.matrix.data == ((1, 1, 1),)
+    assert res.circular.kernel_matrix.rows == 3
     mod_kernel_check(res.circular.matrix, res.circular.kernel_matrix, 5)
+
+
+def test_full_extension_padded_route():
+    # no circular column order: identity form, then circularize
+    res = full_extension(z6_system())
+    assert res.outcome == "circular"
+    names = [s["stage"] for s in res.stages]
+    assert names == ["input", "translate", "identity-form", "circular"]
+    assert [s["solutions"] for s in res.stages] == [216] * 4
+    assert res.stages[2]["row_divisors"] == [1, 1, 1, 1, 2]
+    assert res.stages[3]["modulus"] == 6
+    assert "column_order" not in res.stages[3]
+    assert len(res.chain) == 3
+    report = verify_extension(res.composed)
+    assert report.ok, report.problems
+    assert res.verification == report
+    assert (res.circular.matrix.rows, res.circular.matrix.cols) == (93, 96)
+    assert res.circular.kernel_matrix.rows == 96
+    mod_kernel_check(res.circular.matrix, res.circular.kernel_matrix, 6)
 
 
 def test_full_extension_dimensions_depend_only_on_shape():
@@ -547,10 +587,122 @@ def test_full_extension_dimensions_depend_only_on_shape():
     sys_ = RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0, 0),), full_sets(g, 3))
     res = full_extension(sys_)
     assert res.outcome == "circular"
-    assert [s["solutions"] for s in res.stages] == [225, 225, 225, 225]
-    assert res.circular.matrix.rows == 26
-    assert res.circular.matrix.cols == 28
+    assert [s["stage"] for s in res.stages][-1] == "standard"
+    assert [s["solutions"] for s in res.stages] == [225, 225, 225]
+    assert res.circular.matrix.rows == 1
+    assert res.circular.matrix.cols == 3
     assert res.circular.modulus == 15
+
+
+def test_full_extension_padded_dimensions_depend_only_on_shape():
+    # the Z6 matrix with other right-hand sides and restriction sets keeps
+    # the padded 93 x 96 target
+    g = z(6)
+    evens = tuple((v,) for v in (0, 2, 4))
+    for rhs, sets in (
+        (((0,), (0,)), None),
+        (((2,), (4,)), (g.elements(), evens, g.elements(), evens, g.elements())),
+    ):
+        res = full_extension(z6_system(rhs, sets))
+        assert res.outcome == "circular"
+        assert [s["stage"] for s in res.stages][-1] == "circular"
+        assert len({s["solutions"] for s in res.stages}) == 1
+        assert (res.circular.matrix.rows, res.circular.matrix.cols) == (93, 96)
+        assert res.circular.modulus == 6
+        assert res.verification.ok
+
+
+def brute_circular_order(a, n):
+    # oracle: every cyclic order that starts at column 0, in lexicographic
+    # order, each tested by the dense is_circular scan
+    for rest in itertools.permutations(range(1, a.cols)):
+        order = [0, *rest]
+        if is_circular(a.submatrix(range(a.rows), order), n):
+            return order
+    return None
+
+
+@st.composite
+def small_systems(draw):
+    moduli = draw(st.sampled_from([[5], [7], [11], [6], [3, 5]]))
+    g = AbelianGroup(moduli)
+    k = draw(st.integers(1, 2))
+    # the padded route walks |G|^(m-k) candidates: keep that to a few
+    # thousand
+    free = max(r for r in range(2, 5) if g.order**r <= 3000)
+    m = draw(st.integers(k + 2, min(6, k + free)))
+    entries = st.integers(-4, 4)
+    rows = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=k, max_size=k))
+    elements = g.elements()
+    sets = [
+        draw(st.lists(st.sampled_from(elements), min_size=2, max_size=6, unique=True))
+        for _ in range(m)
+    ]
+    # the right-hand side of a point inside the sets, so a solution exists
+    point = [draw(st.sampled_from(xs)) for xs in sets]
+    rhs = tuple(g.combine(row, point) for row in rows)
+    return RestrictedSystem(g, IntMatrix(rows), rhs, tuple(map(tuple, sets)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_systems())
+def test_circular_order_search_matches_brute_force(sys_):
+    n = sys_.group.order
+    order = _circular_order(sys_.matrix, n, 10**6)
+    # the first order the search finds is the lexicographically first one
+    assert order == brute_circular_order(sys_.matrix, n)
+    if order is not None:
+        assert is_circular(sys_.matrix.submatrix(range(sys_.equations), order), n)
+    if not sys_.coprime:
+        return
+    res = full_extension(sys_)
+    if res.outcome != "circular":
+        return
+    assert [s["stage"] for s in res.stages][2:] == (
+        ["identity-form", "circular"] if order is None else ["standard"]
+    )
+    if order is not None:
+        assert res.stages[-1]["column_order"] == order
+        # the padded route on the same system: the same count everywhere
+        with mock.patch.object(pipeline, "_circular_order", return_value=None):
+            padded = full_extension(sys_)
+        assert padded.outcome == "circular"
+        assert [s["stage"] for s in padded.stages][-1] == "circular"
+        counts = {s["solutions"] for s in res.stages + padded.stages}
+        assert len(counts) == 1
+        assert padded.verification.ok, padded.verification.problems
+    assert res.verification.ok, res.verification.problems
+
+
+def test_circular_order_search_cut_by_budget_falls_back_to_padding():
+    # over Z2 the columns are points of the projective line: three columns
+    # equal to (0, 1) must alternate with the other three, and the search
+    # tries 58 columns before it finds the order 1, 4, 2, 5, 3, 6; every
+    # enumeration of the padded route walks 2^4 = 16 candidates
+    g = z(2)
+    a = IntMatrix([[1, 1, 1, 0, 0, 0], [0, 1, 1, 1, 1, 1]])
+    sys_ = RestrictedSystem(g, a, ((0,), (0,)), full_sets(g, 6))
+    assert _circular_order(a, 2, 57) is None
+    assert _circular_order(a, 2, 58) == [0, 3, 1, 4, 2, 5]
+    res = full_extension(sys_, budget=58)
+    assert res.stages[-1]["column_order"] == [0, 3, 1, 4, 2, 5]
+    assert (res.circular.equations, res.circular.variables) == (2, 6)
+    for budget in (16, 57):
+        res = full_extension(sys_, budget=budget)
+        assert res.outcome == "circular"
+        assert [s["stage"] for s in res.stages][2:] == ["identity-form", "circular"]
+        assert (res.circular.equations, res.circular.variables) == (196, 200)
+        assert [s["solutions"] for s in res.stages] == [16] * 4
+        assert res.verification.ok, res.verification.problems
+    with pytest.raises(BudgetExceededError):
+        full_extension(sys_, budget=15)
+
+
+def test_circular_order_k1_needs_unit_entries():
+    # one row: each column is its own window, so no order can help
+    assert _circular_order(IntMatrix([[1, 2, 3, 4]]), 5, 1) == [0, 1, 2, 3]
+    assert _circular_order(IntMatrix([[1, 2, 3, 5]]), 5, 10**6) is None
+    assert _circular_order(IntMatrix([[1, 2, 3, 4]]), 6, 10**6) is None
 
 
 def test_full_extension_inhomogeneous_translates_first():

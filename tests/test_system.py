@@ -19,8 +19,9 @@ from linremoval import (
     compose_extensions,
     count_solutions,
     determinantal_divisor,
+    circularize,
     enumerate_solutions,
-    full_extension,
+    extend_to_identity_form,
     homogenize,
     identity_extension,
     intmat,
@@ -52,6 +53,13 @@ def full_sets(group, m):
 
 def z(n):
     return AbelianGroup([n])
+
+
+def padded_target(source):
+    # the paper's general route, step by step: full_extension skips the
+    # padding for a system that has a circular column order
+    mid = extend_to_identity_form(homogenize(source).target)
+    return circularize(mid.target, source.group.order).target
 
 
 # ------------------------------------------------------------- construction
@@ -96,9 +104,9 @@ def test_identity_prefix_divisor_matches_minors():
     # Smith form finds it with no shortcut for the block, in agreement with
     # the minor enumeration
     g = z(5)
-    circular = full_extension(
+    circular = padded_target(
         RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), full_sets(g, 3))
-    ).circular.matrix
+    ).matrix
     assert (circular.rows, circular.cols) == (26, 28)
     matrices = [
         IntMatrix([[1, 3, 4]]),
@@ -124,9 +132,9 @@ def test_construction_computes_no_divisor(count_calls):
     # d_k is computed on first read, never while a system is built: every
     # system fixture, and the 26 x 28 circular target of x1 + x2 + x3 over Z5
     g = z(5)
-    target = full_extension(
+    target = padded_target(
         RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), full_sets(g, 3))
-    ).chain[2].target
+    )
     assert (target.equations, target.variables) == (26, 28)
     work = count_divisor_work(count_calls)
     built = [decode_system(load_file(path)) for path in sorted(FIXTURES.glob("sys_*.json"))]
@@ -351,7 +359,7 @@ def proper_subset(rng, elements):
 
 
 def circular_targets():
-    # the tall identity-prefix targets the pipeline enumerates: 26 x 28 over
+    # the tall identity-prefix targets of the padded route: 26 x 28 over
     # Z5 and Z3 x Z5, and 34 x 36 for a 2 x 4 system over Z11
     out = []
     for moduli, rows, rhs in (
@@ -362,7 +370,7 @@ def circular_targets():
         g = AbelianGroup(moduli)
         m = len(rows[0])
         source = RestrictedSystem(g, IntMatrix(rows), tuple(rhs), full_sets(g, m))
-        out.append(full_extension(source).chain[2].target)
+        out.append(padded_target(source))
     assert [(t.equations, t.variables) for t in out] == [(26, 28), (26, 28), (34, 36)]
     return out
 

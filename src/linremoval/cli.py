@@ -67,7 +67,8 @@ def _encode_sets(sets) -> list:
 def cmd_snf(args, budget) -> dict:
     matrix = decode_matrix(load_file(args.input))
     res = smith_normal_form(matrix)
-    assert (res.U @ matrix) @ res.V == res.S, "normal form product check failed"
+    if (res.U @ matrix) @ res.V != res.S:
+        raise AssertionError("normal form product check failed")
     return {
         "U": encode_matrix(res.U),
         "S": encode_matrix(res.S),
@@ -240,10 +241,11 @@ def cmd_copies(args, budget) -> dict:
         "arity": host.arity_base + 1,
     }
     if args.full:
+        code = {v: encode_element(v) for v in host.group.elements()}
         payload["copies"] = [
             {
-                "assignment": [encode_element(v) for v in c.assignment],
-                "labels": [encode_element(v) for v in c.labels],
+                "assignment": [code[v] for v in c.assignment],
+                "labels": [code[v] for v in c.labels],
             }
             for c in copies
         ]
@@ -320,7 +322,8 @@ def cmd_remove(args, budget) -> dict:
     solver = greedy_removal if args.greedy else min_removal_exact
     sol = solver(system, protected, budget)
     post = count_solutions(remove_elements(system, sol.removed), budget)
-    assert post == 0, "reported removal leaves solutions alive"
+    if post != 0:
+        raise AssertionError("reported removal leaves solutions alive")
     return {
         "removed": _encode_sets(sol.removed),
         "total_size": sol.total_size,

@@ -17,7 +17,7 @@ edge-disjoint copies, and every copy's labels solve the system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 
 from .abelian import AbelianGroup, Element
 from .errors import BudgetExceededError, PreconditionError
@@ -130,39 +130,47 @@ def enumerate_copies(
     A copy is an assignment x in G^m whose every color label lands in that
     color's restriction set; label i is ``group.combine`` of kernel row i,
     cut to its window {i, ..., i+k}, with x.  So the copies are the
-    solutions (y, x) of the lifted system [I_m | -K_w] (y, x) = 0, with y_i
-    in color i's set and x over the whole group.  Its identity left block
-    lets ``enumerate_solutions`` walk x in coordinate order and solve for
-    the labels y, testing each as soon as its window is set, so a branch is
-    cut the moment a window closes on a label outside its set.  The walk's
-    candidate count is |G|^m, checked against the budget first.
+    solutions (x, y) of the lifted system [-K_w | I_m] (x, y) = 0, with x
+    over the whole group and y_i in color i's set, and the solution order
+    of ``enumerate_solutions`` is already assignment order.  Its unit-pivot
+    reduction solves for the whole-group x columns and walks the small
+    label sets, cutting a branch the moment a label pinned by the walked
+    values leaves its set.  The budget is checked against all |G|^m
+    assignments first.  Without a check row (a row left with no unit mod a
+    composite exponent) the walk takes at most |G|^m candidates; with one,
+    the walk's own budget check still bounds it.
     """
-    k, m = host.arity_base, host.positions
+    m = host.positions
     group = host.group
     total = group.order**m
     if total > budget:
         raise BudgetExceededError(
             f"{total} assignments exceed the budget of {budget}"
         )
+    return [
+        HCopy(assignment=s[:m], labels=s[m:])
+        for s in enumerate_solutions(_lifted_system(host), budget)
+    ]
+
+
+def _lifted_system(host: HostHypergraph) -> RestrictedSystem:
+    """[-K_w | I_m] (x, y) = 0 with x over the whole group and y_i in color
+    i's set: its solutions are the copies, assignment first."""
+    k, m = host.arity_base, host.positions
+    group = host.group
     lifted = IntMatrix(
         [
-            [int(i == j) for j in range(m)]
-            + [-c if (j - i) % m <= k else 0 for j, c in enumerate(row)]
+            [-c if (j - i) % m <= k else 0 for j, c in enumerate(row)]
+            + [int(i == j) for j in range(m)]
             for i, row in enumerate(host.kernel_matrix.data)
         ]
     )
-    system = RestrictedSystem(
+    return RestrictedSystem(
         group,
         lifted,
         (group.zero,) * m,
-        list(host.restrictions) + [group.elements()] * m,
+        [group.elements()] * m + list(host.restrictions),
     )
-    copies = [
-        HCopy(assignment=s[m:], labels=s[:m])
-        for s in enumerate_solutions(system, budget)
-    ]
-    copies.sort(key=attrgetter("assignment"))
-    return copies
 
 
 @dataclass
@@ -188,8 +196,10 @@ def verify_copy_classes(
     Classes collect copies sharing a label vector.  The distinct label
     vectors must be exactly the given solutions, every class must have
     exactly |G|^k members, and within a class no two copies may share an
-    edge (same color with the same window).  The kernel product is
-    re-checked here so a corrupted kernel matrix is reported, not trusted.
+    edge (same color with the same window): per class and color, the
+    members' windows, read by one itemgetter, must all be distinct.  The
+    kernel product is re-checked here so a corrupted kernel matrix is
+    reported, not trusted.
     """
     problems: list[str] = []
     n = host.group.order
@@ -214,28 +224,23 @@ def verify_copy_classes(
         if missing:
             problems.append(f"solutions with no copies: {missing[:3]}")
 
+    ordered = sorted(classes.items())
     class_sizes_ok = True
-    for label, members in sorted(classes.items()):
+    for label, members in ordered:
         if len(members) != expected:
             class_sizes_ok = False
             problems.append(
                 f"class {label} has {len(members)} copies, expected {expected}"
             )
 
+    windows = [itemgetter(*[(i + t) % m for t in range(k + 1)]) for i in range(m)]
     disjoint_ok = True
-    for label, members in sorted(classes.items()):
-        for i in range(m):
-            windows = set()
-            for copy in members:
-                w = tuple(copy.assignment[(i + t) % m] for t in range(k + 1))
-                if w in windows:
-                    disjoint_ok = False
-                    problems.append(
-                        f"class {label} repeats a color-{i} edge"
-                    )
-                    break
-                windows.add(w)
-            if not disjoint_ok:
+    for label, members in ordered:
+        assignments = [copy.assignment for copy in members]
+        for i, window in enumerate(windows):
+            if len(set(map(window, assignments))) != len(members):
+                disjoint_ok = False
+                problems.append(f"class {label} repeats a color-{i} edge")
                 break
         if not disjoint_ok:
             break
@@ -261,14 +266,24 @@ class LabelReport:
 
 
 def verify_copy_labels(host: HostHypergraph, copies: list[HCopy]) -> LabelReport:
-    """Check that every copy's label vector solves the homogeneous system."""
+    """Check that every copy's label vector solves the homogeneous system.
+
+    Each distinct label vector is evaluated once; the copies are still read
+    in order, so the first failing copy is the one reported.
+    """
     group = host.group
     zero = group.zero
     problems: list[str] = []
+    verdicts: dict[tuple[Element, ...], bool] = {}
     for copy in copies:
-        if any(group.combine(row, copy.labels) != zero for row in host.matrix.data):
+        labels = copy.labels
+        if labels not in verdicts:
+            verdicts[labels] = all(
+                group.combine(row, labels) == zero for row in host.matrix.data
+            )
+        if not verdicts[labels]:
             problems.append(
-                f"labels {copy.labels} fail the system at assignment "
+                f"labels {labels} fail the system at assignment "
                 f"{copy.assignment}"
             )
             break

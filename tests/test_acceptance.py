@@ -12,7 +12,6 @@ Regenerate that file only on a deliberate contract change, with
 """
 
 import functools
-import itertools
 import json
 import math
 import os
@@ -47,6 +46,7 @@ from linremoval import (
     verify_copy_labels,
     verify_extension,
 )
+from test_removal import brute_min_size
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "cli_golden.json"
@@ -355,23 +355,6 @@ def test_criterion_5_copy_counts():
 
 
 # ------------------------------------------------------------- criterion 6
-
-
-def brute_min_size(system, protected=()):
-    shielded = set(protected)
-    sols = enumerate_solutions(system)
-    atoms = sorted(
-        {(i, x[i]) for x in sols for i in range(len(x)) if i not in shielded}
-    )
-    for size in range(len(atoms) + 1):
-        for combo in itertools.combinations(atoms, size):
-            chosen = set(combo)
-            if all(
-                any((i, x[i]) in chosen for i in range(len(x)) if i not in shielded)
-                for x in sols
-            ):
-                return size
-    return None
 
 
 def test_criterion_6_removal_exactness():

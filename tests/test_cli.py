@@ -385,9 +385,10 @@ def test_verify_restricted():
 
 
 def test_copies_walk_the_lifted_system(count_calls):
-    # copies are solutions of [I_m | -K_w] (y, x) = 0: one pivot walk with
-    # m pivots (the labels) and m free coordinates (the assignment), and no
-    # per-assignment combine; verify walks the system's solutions once more
+    # copies are solutions of [-K_w | I_m] (x, y) = 0: one pivot walk with
+    # m pivots (assignment columns first, then labels) and m free
+    # coordinates, and no per-assignment combine; verify walks the system's
+    # solutions once more
     walks = count_calls(
         system,
         "_pivot_walk",
@@ -699,6 +700,48 @@ except AssertionError as exc:
     assert report + "\n" == run_cli("pipeline", path).stdout
     assert stacked == "stacked block count is off"
     assert counts.startswith("stage solution counts diverged")
+
+
+def test_cli_checks_survive_optimized_mode():
+    # snf's product check and remove's post-count check are explicit
+    # raises too, so python -O keeps them
+    script = """
+import contextlib, dataclasses, io, sys
+from linremoval import IntMatrix, cli
+if sys.flags.optimize != 1:
+    raise SystemExit("not optimized")
+snf_path, remove_path = sys.argv[1:]
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = cli.main(["remove", remove_path])
+sys.stdout.write(buf.getvalue())
+snf, solve = cli.smith_normal_form, cli.min_removal_exact
+cli.smith_normal_form = lambda m: dataclasses.replace(
+    snf(m), S=IntMatrix([[v + 1 for v in row] for row in snf(m).S.data])
+)
+try:
+    cli.main(["snf", snf_path])
+except AssertionError as exc:
+    print(exc)
+cli.min_removal_exact = lambda s, p, b: dataclasses.replace(
+    solve(s, p, b), removed=((),) * s.variables
+)
+try:
+    cli.main(["remove", remove_path])
+except AssertionError as exc:
+    print(exc)
+"""
+    snf_path, remove_path = fixture("matrix_2x2.json"), fixture("sys_small.json")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, snf_path, remove_path],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report, product, post = proc.stdout.splitlines()
+    assert report + "\n" == run_cli("remove", remove_path).stdout
+    assert product == "normal form product check failed"
+    assert post == "reported removal leaves solutions alive"
 
 
 def test_budget_env_variable():

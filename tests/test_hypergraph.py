@@ -1,6 +1,7 @@
 """Colored hypergraph encoding: templates, hosts, copy counting."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -22,7 +23,8 @@ from linremoval import (
     verify_copy_classes,
     verify_copy_labels,
 )
-from linremoval.hypergraph import HCopy
+from linremoval.hypergraph import HCopy, _lifted_system
+from linremoval.system import _unit_pivots
 
 
 def z(n):
@@ -173,10 +175,12 @@ def raw_host(host, rows):
 
 
 # every (k, m) with m = k+2..k+4 whose |G|^m the scan walks in about a
-# tenth of a second: all of Z1 and Z2, Z5 up to m = 5, Z9 up to m = 4 and
-# Z3xZ5 at k = 1, m = 3; the frozen counts above cover larger hosts
+# tenth of a second: all of Z1 and Z2, Z5 up to m = 5, Z9 up to m = 4,
+# Z3xZ5 at k = 1, m = 3, Z4 up to m = 6 and Z6 up to m = 5; the frozen
+# counts above cover larger hosts.  Z4 and Z6 have non-unit entries, so
+# the lifted system's elimination mod e meets them.
 SWEEP_ASSIGNMENTS = 8_000
-SWEEP_GROUPS = ([1], [2], [5], [9], [3, 5])
+SWEEP_GROUPS = ([1], [2], [5], [9], [3, 5], [4], [6])
 
 
 def sweep_hosts():
@@ -215,12 +219,23 @@ def sweep_hosts():
                 yield moduli, k, "early close", raw_host(host, rows)
 
 
+def walked_candidates(host):
+    """The product of the set sizes the lifted system's pivot walk walks."""
+    lifted = _lifted_system(host)
+    pivots, _, _ = _unit_pivots(lifted)
+    return math.prod(
+        len(xs) for j, xs in enumerate(lifted.restrictions) if j not in pivots
+    )
+
+
 def test_copies_match_product_scan_oracle():
     found = {}
     for moduli, k, variant, host in sweep_hosts():
         expected = product_scan_copies(host)
         assert enumerate_copies(host) == expected, (moduli, k, variant)
         n, m = host.group.order, host.positions
+        # so the |G|^m pre-check bounds the walk too
+        assert walked_candidates(host) <= n**m, (moduli, k, variant)
         if variant == "whole":
             assert len(expected) == n**m
         if variant == "empty":
@@ -228,7 +243,7 @@ def test_copies_match_product_scan_oracle():
         key = (tuple(moduli), k, variant)
         found[key] = found.get(key, 0) + len(expected)
     assert {key[:2] for key in found} >= {
-        ((1,), 3), ((2,), 3), ((5,), 3), ((9,), 1), ((3, 5), 1)
+        ((1,), 3), ((2,), 3), ((5,), 3), ((9,), 1), ((3, 5), 1), ((4,), 3), ((6,), 3)
     }
     # proper sets and raw kernels still leave copies somewhere to compare
     for variant in ("proper", "corrupted", "early close"):
@@ -298,6 +313,9 @@ def test_verify_copy_labels():
     forged = HCopy(assignment=bad.assignment, labels=((1,),) + bad.labels[1:])
     report2 = verify_copy_labels(host, copies[1:] + [forged])
     assert not report2.ok
+    assert report2.problems == [
+        f"labels {forged.labels} fail the system at assignment {forged.assignment}"
+    ]
 
 
 # ---------------------------------------------------- independent recount
@@ -367,6 +385,41 @@ def test_verify_catches_corrupted_kernel():
     assert not report.ok
     assert not report.kernel_ok
     assert report.problems
+
+
+def test_verify_catches_shared_edge():
+    # forge a class member that keeps its labels but repeats another
+    # member's color-i window on the wrapping color i = m - 1, while its
+    # other windows stay unique in the class
+    g = z(5)
+    sets = (g.elements(), ((0,), (1,)), g.elements(), g.elements())
+    _, a, host = circulant_host(5, 4, sets)
+    copies = enumerate_copies(host)
+    sols = solutions_of(g, a, sets)
+    assert verify_copy_classes(host, copies, sols).ok
+    k, m = host.arity_base, host.positions
+    i = m - 1
+    label = copies[0].labels
+    members = [c for c in copies if c.labels == label]
+    kept, dropped = members[0], members[1]
+    rest = [c.assignment for c in members if c is not dropped]
+
+    def window(x, color):
+        return tuple(x[(color + t) % m] for t in range(k + 1))
+
+    forged = next(
+        HCopy(assignment=x, labels=label)
+        for x in itertools.product(g.elements(), repeat=m)
+        if window(x, i) == window(kept.assignment, i)
+        and all(window(x, c) != window(y, c) for c in range(m) if c != i for y in rest)
+    )
+    report = verify_copy_classes(
+        host, [forged if c is dropped else c for c in copies], sols
+    )
+    assert report.disjoint_ok is False
+    assert report.ok is False
+    assert report.kernel_ok and report.labels_match and report.class_sizes_ok
+    assert report.problems == [f"class {label} repeats a color-{i} edge"]
 
 
 def test_verify_catches_wrong_solution_list():

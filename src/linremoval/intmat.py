@@ -185,33 +185,9 @@ class SnfResult:
     V: IntMatrix
 
 
-def _swap_rows(m: list[list[int]], a: int, b: int) -> None:
-    m[a], m[b] = m[b], m[a]
-
-
 def _swap_cols(m: list[list[int]], a: int, b: int) -> None:
     for row in m:
         row[a], row[b] = row[b], row[a]
-
-
-def _negate_row(m: list[list[int]], i: int) -> None:
-    m[i] = [-v for v in m[i]]
-
-
-def _sub_scaled_row(m: list[list[int]], i: int, src: int, q: int) -> None:
-    if q:
-        src_row = m[src]
-        m[i] = [v - q * s for v, s in zip(m[i], src_row)]
-
-
-def _sub_scaled_col(m: list[list[int]], j: int, src: int, q: int) -> None:
-    if q:
-        for row in m:
-            row[j] -= q * row[src]
-
-
-def _add_row(m: list[list[int]], dst: int, src: int) -> None:
-    m[dst] = [v + s for v, s in zip(m[dst], m[src])]
 
 
 def smith_normal_form(matrix: IntMatrix) -> SnfResult:
@@ -221,56 +197,60 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
     chain, and U @ matrix @ V == S with |det U| == |det V| == 1.  The pivot at
     each stage is the smallest-magnitude nonzero entry of the remaining block,
     ties resolved toward the lowest row and then the lowest column.
+
+    All three are read off one working matrix, the rows of (A | I_rows)
+    followed by the rows of I_cols: a row operation on one of the first
+    ``rows`` rows updates S and U together, and a column operation on one
+    of the first ``cols`` columns updates S and V together.  The pivot
+    search and the divisibility check read only the A block.
     """
     rows, cols = matrix.rows, matrix.cols
-    s = matrix.to_lists()
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    w = [
+        list(row) + [1 if c == i else 0 for c in range(rows)]
+        for i, row in enumerate(matrix.data)
+    ]
+    w += [[1 if c == i else 0 for c in range(cols)] for i in range(cols)]
 
     for t in range(min(rows, cols)):
         best = None
         for i in range(t, rows):
             for j in range(t, cols):
-                val = s[i][j]
+                val = w[i][j]
                 if val != 0 and (best is None or abs(val) < best[0]):
                     best = (abs(val), i, j)
         if best is None:
             break
         _, bi, bj = best
         if bi != t:
-            _swap_rows(s, t, bi)
-            _swap_rows(u, t, bi)
+            w[t], w[bi] = w[bi], w[t]
         if bj != t:
-            _swap_cols(s, t, bj)
-            _swap_cols(v, t, bj)
+            _swap_cols(w, t, bj)
 
         while True:
             # reduce the cross at (t, t) until both arms vanish
             while True:
-                if s[t][t] < 0:
-                    _negate_row(s, t)
-                    _negate_row(u, t)
+                if w[t][t] < 0:
+                    w[t] = [-v for v in w[t]]
                 restart = False
                 for i in range(t + 1, rows):
-                    if s[i][t]:
-                        q = s[i][t] // s[t][t]
-                        _sub_scaled_row(s, i, t, q)
-                        _sub_scaled_row(u, i, t, q)
-                        if s[i][t]:
-                            _swap_rows(s, t, i)
-                            _swap_rows(u, t, i)
+                    if w[i][t]:
+                        q = w[i][t] // w[t][t]
+                        if q:
+                            w[i] = [v - q * s for v, s in zip(w[i], w[t])]
+                        if w[i][t]:
+                            w[t], w[i] = w[i], w[t]
                             restart = True
                             break
                 if restart:
                     continue
                 for j in range(t + 1, cols):
-                    if s[t][j]:
-                        q = s[t][j] // s[t][t]
-                        _sub_scaled_col(s, j, t, q)
-                        _sub_scaled_col(v, j, t, q)
-                        if s[t][j]:
-                            _swap_cols(s, t, j)
-                            _swap_cols(v, t, j)
+                    if w[t][j]:
+                        q = w[t][j] // w[t][t]
+                        if q:
+                            for row in w:
+                                row[j] -= q * row[t]
+                        if w[t][j]:
+                            _swap_cols(w, t, j)
                             restart = True
                             break
                 if restart:
@@ -278,20 +258,23 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
                 break
             # pivot must divide everything that remains, or the chain breaks
             violation = None
-            pivot = s[t][t]
+            pivot = w[t][t]
             for i in range(t + 1, rows):
                 for j in range(t + 1, cols):
-                    if s[i][j] % pivot:
+                    if w[i][j] % pivot:
                         violation = i
                         break
                 if violation is not None:
                     break
             if violation is None:
                 break
-            _add_row(s, t, violation)
-            _add_row(u, t, violation)
+            w[t] = [v + s for v, s in zip(w[t], w[violation])]
 
-    return SnfResult(IntMatrix(u), IntMatrix(s), IntMatrix(v))
+    return SnfResult(
+        IntMatrix([row[cols:] for row in w[:rows]]),
+        IntMatrix([row[:cols] for row in w[:rows]]),
+        IntMatrix(w[rows:]),
+    )
 
 
 def determinantal_divisors(matrix: IntMatrix) -> list[int]:

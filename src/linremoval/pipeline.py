@@ -543,8 +543,7 @@ def full_extension(
         raise PreconditionError(
             "determinantal divisor shares a factor with the group order"
         )
-    group = system.group
-    n = group.order
+    n = system.group.order
     source_sols = enumerate_solutions(system, budget)
     stages = [
         {
@@ -585,16 +584,10 @@ def full_extension(
         chain = [translated, last]
         record = {"stage": "standard", "column_order": order}
     else:
+        # never a ThinWitness here: with gcd(d_k, |G|) = 1 a coordinate the
+        # identity form pins is constant across the input's solutions, so
+        # the thinness test above has already returned
         step, divisors = _identity_form_details(translated.target)
-        if isinstance(step, ThinWitness):
-            # pinned at zero in translated coordinates; undo the translation
-            vmap = translated.value_maps[step.coordinate]
-            zero = group.zero
-            if zero in vmap:
-                back = ThinWitness(step.coordinate, vmap[zero])
-            else:
-                back = ThinWitness(step.coordinate, None, vacuous=True)
-            return PipelineResult("thin", stages, back, [translated], None, None)
         stages.append(
             {
                 "stage": "identity-form",

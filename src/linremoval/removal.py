@@ -4,14 +4,15 @@ A removal deletes values from restriction sets.  Each solution dies when
 any one of its coordinate values is deleted, so minimum removal is exact
 hitting set over the solution list, with atoms (coordinate, value).
 Protected coordinates contribute no atoms.  The exact solver and its
-greedy companion both work on the system as given; the
-`remove` command calls them on the input system.  Pulling a removal back
-from a pipeline target (``system.pull_back_removal``) is sound but can
-cost more than the source minimum, so it stays a library demonstration
-of the transfer argument, not a solving route.  Neither solver
-re-enumerates the system after its removal: a set that hits every
-solution's atoms leaves none alive by construction, and the `remove`
-command's reported post-removal count is the one check.
+greedy companion both work on the system as given, and on one bitmask
+form of the instance (``_masks``); the `remove` command calls them on the
+input system.  Pulling a removal back from a pipeline target
+(``system.pull_back_removal``) is sound but can cost more than the source
+minimum, so it stays a library demonstration of the transfer argument,
+not a solving route.  Neither solver re-enumerates the system after its
+removal: a set that hits every solution's atoms leaves none alive by
+construction, and the `remove` command's reported post-removal count is
+the one check.
 """
 
 from __future__ import annotations
@@ -68,23 +69,6 @@ def _pack(removed_atoms, variables) -> tuple[tuple[Element, ...], ...]:
     for j, v in removed_atoms:
         sets[j].append(v)
     return tuple(tuple(sorted(s)) for s in sets)
-
-
-def _greedy_atoms(per_solution) -> list[Atom]:
-    chosen: list[Atom] = []
-    uncovered = list(range(len(per_solution)))
-    while uncovered:
-        counts: dict[Atom, int] = {}
-        for idx in uncovered:
-            for atom in per_solution[idx]:
-                counts[atom] = counts.get(atom, 0) + 1
-        # most coverage; ties go to the lowest coordinate, then value order
-        best = min(counts, key=lambda a: (-counts[a], a))
-        chosen.append(best)
-        uncovered = [
-            idx for idx in uncovered if best not in per_solution[idx]
-        ]
-    return chosen
 
 
 def _masks(per_solution):
@@ -207,11 +191,23 @@ def greedy_removal(
     protected=(),
     budget: int = DEFAULT_BUDGET,
 ) -> RemovalSolution:
-    """Most-first greedy removal; feasible whenever the exact solver is."""
+    """Most-first greedy removal; feasible whenever the exact solver is.
+
+    Each round takes the atom that kills the most solutions still alive,
+    counted on the bitmask instance; a tie goes to the first atom in
+    order, the lowest coordinate and then the lowest value.
+    """
     guard = _check_protected(protected, system.variables)
     solutions = enumerate_solutions(system, budget)
     if not solutions:
         return RemovalSolution(_pack([], system.variables), 0, False, None)
     per_solution = _atom_sets(solutions, guard, system.variables)
-    chosen = _greedy_atoms(per_solution)
+    atoms_sorted, (hits, _, _, _) = _masks(per_solution)
+    chosen: list[Atom] = []
+    uncovered = (1 << len(per_solution)) - 1
+    while uncovered:
+        counts = [(h & uncovered).bit_count() for h in hits]
+        best = counts.index(max(counts))
+        chosen.append(atoms_sorted[best])
+        uncovered &= ~hits[best]
     return RemovalSolution(_pack(chosen, system.variables), len(chosen), False, None)

@@ -217,77 +217,66 @@ def _pivot_walk(group, sets, pivots, rows, rhs, free) -> list[Solution]:
 
     One depth-first walk over the free coordinates carries, per pivot row
     and cyclic factor, the partial sum rhs_i - sum a_ij x_j of the free
-    coordinates set so far, as plain integers reduced only when a pivot
-    value is read off.  A pivot row whose restriction set is a proper
-    subset is tested as soon as its last free coordinate with a nonzero
-    coefficient is set, so a failing branch is cut before it is walked
-    further; rows over the whole group never fail and are only filled in
-    at the leaves.  An itemgetter puts pivot and free values back in
-    coordinate order.
+    coordinates set so far, as plain integers reduced only inside a test
+    and when a solution is emitted.  Each value gets one body: the
+    restricted pivot rows whose value it fixes are tested, so a failing
+    branch is cut before it is walked further; at the last free coordinate
+    the passing value is emitted, its pivot values read off the partial
+    sums, and anywhere else its partial sums are pushed.  An itemgetter
+    puts pivot and free values back in coordinate order.
     """
     mods, order = group.moduli, group.order
-    k, depth = len(pivots), len(free)
-    cols = [[row[j] for row in rows] for j in free]
+    k = len(pivots)
+    # the walk starts at a virtual coordinate with a zero column and the
+    # one value zero: rows that no free coordinate touches fall due there,
+    # and a system without free coordinates emits its solution there
+    cols = [[0] * k] + [[row[j] for row in rows] for j in free]
+    walked = [(group.zero,)] + [sets[j] for j in free]
+    depth = len(cols)
     acc = [[v[f] for v in rhs] for f in range(len(mods))]
     # due[d]: the restricted rows whose value is fixed once the first d
-    # free coordinates are set
+    # walked coordinates are set
     due: list[list] = [[] for _ in range(depth + 1)]
     for i, p in enumerate(pivots):
         if p is None or len(sets[p]) < order:
-            last = max((d + 1 for d in range(depth) if cols[d][i]), default=0)
+            last = max((d + 1 for d in range(depth) if cols[d][i]), default=1)
             due[last].append((i, frozenset([group.zero] if p is None else sets[p])))
-    for i, members in due[0]:
-        if tuple([a[i] % q for a, q in zip(acc, mods)]) not in members:
-            return []
-    # the walk's values come as k pivots, then the free ones in walk order
+    # the walk's values come as k pivots, the virtual one, then the free
+    # ones in walk order
     slot = {p: i for i, p in enumerate(pivots)}
-    slot.update((j, k + d) for d, j in enumerate(free))
-    layout = [slot[j] for j in range(len(sets))]
-    if depth == 0:
-        vals = list(zip(*[[a % q for a in af] for af, q in zip(acc, mods)]))
-        return [tuple(vals[i] for i in layout)]
-    place = itemgetter(*layout)
-    if len(layout) == 1:
+    slot.update((j, k + 1 + d) for d, j in enumerate(free))
+    place = itemgetter(*[slot[j] for j in range(len(sets))])
+    if len(sets) == 1:
         # one index makes itemgetter return the bare value, not a tuple
         place = lambda vals, get=place: (get(vals),)
-    leaf_col, leaf_due, leaf_set = cols[-1], due[depth], sets[free[-1]]
     sols: list[Solution] = []
     stack = [(acc, ())]
     while stack:
         acc, prefix = stack.pop()
         d = len(prefix)
-        if d + 1 < depth:
-            col, checks = cols[d], due[d + 1]
-            for v in sets[free[d]]:
-                step = [
-                    [a - c * r for a, c in zip(af, col)] for af, r in zip(acc, v)
-                ]
-                for i, members in checks:
-                    if tuple([a[i] % q for a, q in zip(step, mods)]) not in members:
-                        break
-                else:
-                    stack.append((step, prefix + (v,)))
-            continue
-        for v in leaf_set:
-            for i, members in leaf_due:
-                coeff = leaf_col[i]
+        col, checks, leaf = cols[d], due[d + 1], d + 1 == depth
+        for v in walked[d]:
+            for i, members in checks:
+                coeff = col[i]
                 if (
                     tuple([(a[i] - coeff * r) % q for a, r, q in zip(acc, v, mods)])
                     not in members
                 ):
                     break
             else:
-                vals = list(
-                    zip(
+                if leaf:
+                    pivot_vals = zip(
                         *[
-                            [(a - c * r) % q for a, c in zip(af, leaf_col)]
+                            [(a - c * r) % q for a, c in zip(af, col)]
                             for af, r, q in zip(acc, v, mods)
                         ]
                     )
-                )
-                vals += prefix
-                vals.append(v)
-                sols.append(place(vals))
+                    sols.append(place([*pivot_vals, *prefix, v]))
+                else:
+                    step = [
+                        [a - c * r for a, c in zip(af, col)] for af, r in zip(acc, v)
+                    ]
+                    stack.append((step, prefix + (v,)))
     return sols
 
 

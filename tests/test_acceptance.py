@@ -493,6 +493,16 @@ def cli_runs():
         ("solve", fx("malformed.json")),
         ("pipeline", fx("sys_badgcd.json")),
         ("remove", fx("sys_badgcd.json")),
+        ("snf", fx("matrix_square.json")),
+        ("snf", fx("matrix_row.json")),
+        ("snf", fx("matrix_rankdef_2x3.json")),
+        ("snf", fx("matrix_rankdef_3x2.json")),
+        ("remove", "--greedy", fx("sys_z3z5_restricted.json")),
+        ("remove", "--greedy", fx("sys_z11_2x4.json")),
+        ("remove", "--greedy", fx("sys_z6_full.json")),
+        ("remove", "--greedy", "--protect", "2", fx("sys_z5_restricted.json")),
+        ("solve", fx("sys_z6_full.json")),
+        ("solve", fx("sys_z7_2x4.json")),
     ]
 
 

@@ -738,6 +738,20 @@ def test_full_extension_thin_route():
     assert not res.thin.vacuous
 
 
+def test_full_extension_thin_before_identity_form_pins():
+    # x1 = 2, x2 + x3 + x4 = 1 over Z5: the identity form of the homogeneous
+    # system pins coordinate 0 at zero, and the input's thinness test
+    # already reports the same coordinate at its translated value
+    g = z(5)
+    a = IntMatrix([[1, 0, 0, 0], [0, 1, 1, 1]])
+    res = full_extension(RestrictedSystem(g, a, ((2,), (1,)), full_sets(g, 4)))
+    assert res.outcome == "thin"
+    assert res.thin == ThinWitness(coordinate=0, value=(2,))
+    assert [st["stage"] for st in res.stages] == ["input"]
+    homogeneous = RestrictedSystem(g, a, ((0,), (0,)), full_sets(g, 4))
+    assert extend_to_identity_form(homogeneous) == ThinWitness(0, (0,))
+
+
 def test_full_extension_vacuous_route():
     g = z(3)
     sys_ = RestrictedSystem(g, IntMatrix([[1, 1]]), ((1,),), (((0,),), ((0,),)))

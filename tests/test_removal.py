@@ -189,6 +189,24 @@ def test_greedy_never_beats_exact():
         assert removal_kills(sys_, exact.removed)
 
 
+def test_greedy_breaks_coverage_ties_by_atom_order():
+    # x1 + x2 + x3 = 0 over Z5 with X1 = {0, 1}, X2 = {0, 1, 2}: six
+    # solutions, x3 = 0, 4, 3, 4, 3, 2 in order
+    g = z(5)
+    sets = (((0,), (1,)), ((0,), (1,), (2,)), g.elements())
+    sys_ = RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), sets)
+    # (0, 0) and (0, 1) both kill three: the lower value goes first
+    res = greedy_removal(sys_)
+    assert res.removed == (((0,), (1,)), (), ())
+    # with x1 protected, (1, 0), (1, 1), (1, 2), (2, 3) and (2, 4) all kill
+    # two: the lowest coordinate goes first, then (1, 1) ties with (1, 2)
+    # and (2, 3)
+    res = greedy_removal(sys_, protected=(0,))
+    assert res.removed == ((), ((0,), (1,), (2,)), ())
+    assert res.total_size == 3
+    assert removal_kills(sys_, res.removed)
+
+
 def test_greedy_respects_protection():
     g = z(5)
     sys_ = RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), full_sets(g, 3))

@@ -637,6 +637,58 @@ def test_verify_extension_catches_non_full_unmapped():
     assert not report.full_group_ok
 
 
+def forged_extension(source, target, value_maps):
+    coords = tuple(range(source.variables))
+    return Extension(
+        source=source,
+        target=target,
+        mapped_coords=coords,
+        coord_map={j: j for j in coords},
+        value_maps=value_maps,
+    )
+
+
+def test_verify_extension_catches_value_map_missing_a_value():
+    g = z(3)
+    sys_ = RestrictedSystem(g, IntMatrix([[1, 1]]), ((0,),), full_sets(g, 2))
+    maps = dict(identity_extension(sys_).value_maps)
+    maps[0] = {(0,): (0,), (1,): (1,)}  # (2,) is in the target set
+    report = verify_extension(forged_extension(sys_, sys_, maps))
+    assert not report.structure_ok
+    assert not report.ok
+    assert report.problems == ["value map at 0 does not cover its restriction set"]
+
+
+def test_verify_extension_catches_value_map_leaving_the_source_set():
+    g = z(3)
+    sys_ = RestrictedSystem(
+        g, IntMatrix([[1, 1]]), ((0,),), (((0,), (1,)), g.elements())
+    )
+    maps = dict(identity_extension(sys_).value_maps)
+    maps[0] = {(0,): (0,), (1,): (2,)}  # (2,) is outside X_0 = {0, 1}
+    report = verify_extension(forged_extension(sys_, sys_, maps))
+    assert not report.structure_ok
+    assert not report.ok
+    assert report.problems == ["value map at 0 leaves the source restriction set"]
+
+
+def test_verify_extension_catches_missing_preimage():
+    # the target drops x_0 = 2, so the source solution (2, 1) is never hit
+    g = z(3)
+    src = RestrictedSystem(g, IntMatrix([[1, 1]]), ((0,),), full_sets(g, 2))
+    tgt = RestrictedSystem(
+        g, IntMatrix([[1, 1]]), ((0,),), (((0,), (1,)), g.elements())
+    )
+    report = verify_extension(
+        forged_extension(src, tgt, identity_extension(tgt).value_maps)
+    )
+    assert report.structure_ok
+    assert not report.bijection_ok
+    assert not report.ok
+    assert (report.source_count, report.target_count) == (3, 2)
+    assert report.problems == ["source solution ((2,), (1,)) has no preimage"]
+
+
 def test_compose_extensions():
     g = z(6)
     sys_ = RestrictedSystem(

@@ -26,6 +26,7 @@ from .hypergraph import (
     TemplateHypergraph,
     build_host,
     build_template,
+    copy_class_structure,
     enumerate_copies,
     host_edge_label,
     verify_copy_classes,
@@ -102,6 +103,7 @@ __all__ = [
     "circularize",
     "complete_to_square",
     "compose_extensions",
+    "copy_class_structure",
     "count_solutions",
     "determinantal_divisor",
     "determinantal_divisors",

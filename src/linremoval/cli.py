@@ -4,8 +4,9 @@ Subcommands: snf, dk, complete (integer normal forms); ngood, circular,
 cmatrix (padding, circularity, kernel matrix); solve, pipeline, copies,
 verify, remove (restricted systems end to end).  Input is one JSON file
 in the package wire format; the report is JSON on stdout, pretty with
---human.  Exit codes: 0 success (thin included), 2 parse, 3 precondition,
-4 budget, 5 infeasible protection.
+--human.  Exit codes: 0 success (thin included), 2 parse or an unreadable
+input or unwritable --output file, 3 precondition, 4 budget, 5 infeasible
+protection.
 
 Coordinates in reports are 1-based, as is --protect.  Commands are
 deterministic: the same input file always produces byte-identical output.
@@ -24,7 +25,7 @@ from .errors import (
     PreconditionError,
     SchemaError,
 )
-from .hypergraph import build_host, enumerate_copies, verify_copy_classes, verify_copy_labels
+from .hypergraph import build_host, copy_class_structure, enumerate_copies
 from .intmat import (
     complete_to_square,
     det,
@@ -224,6 +225,15 @@ def _route_host(system, budget):
     return "pipeline", host, res
 
 
+def _circular_solutions(host, budget):
+    """Solutions of the host's circular system inside its restriction sets."""
+    zero_rhs = (host.group.zero,) * host.matrix.rows
+    return enumerate_solutions(
+        RestrictedSystem(host.group, host.matrix, zero_rhs, host.restrictions),
+        budget,
+    )
+
+
 def cmd_copies(args, budget) -> dict:
     system = decode_system(load_file(args.input))
     route, host, res = _route_host(system, budget)
@@ -233,22 +243,29 @@ def cmd_copies(args, budget) -> dict:
             "outcome": res.outcome,
             "note": "no circular target to enumerate copies on",
         }
-    copies = enumerate_copies(host, budget)
     payload = {
         "route": route,
-        "count": len(copies),
         "positions": host.positions,
         "arity": host.arity_base + 1,
     }
-    if args.full:
-        code = {v: encode_element(v) for v in host.group.elements()}
-        payload["copies"] = [
-            {
-                "assignment": [code[v] for v in c.assignment],
-                "labels": [code[v] for v in c.labels],
-            }
-            for c in copies
-        ]
+    if not args.full:
+        classes, _ = copy_class_structure(host, _circular_solutions(host, budget))
+        if not classes.ok:
+            raise AssertionError(
+                "copy class structure fails: " + "; ".join(classes.problems)
+            )
+        payload["count"] = classes.copy_count
+        return payload
+    copies = enumerate_copies(host, budget)
+    code = {v: encode_element(v) for v in host.group.elements()}
+    payload["count"] = len(copies)
+    payload["copies"] = [
+        {
+            "assignment": [code[v] for v in c.assignment],
+            "labels": [code[v] for v in c.labels],
+        }
+        for c in copies
+    ]
     return payload
 
 
@@ -261,17 +278,11 @@ def cmd_verify(args, budget) -> dict:
             "outcome": res.outcome,
             "note": "no circular target to verify",
         }
-    copies = enumerate_copies(host, budget)
-    zero_rhs = tuple(host.group.zero for _ in range(host.matrix.rows))
-    circ_system = RestrictedSystem(
-        host.group, host.matrix, zero_rhs, host.restrictions
-    )
-    sols = enumerate_solutions(circ_system, budget)
-    classes = verify_copy_classes(host, copies, sols)
-    labels = verify_copy_labels(host, copies)
+    sols = _circular_solutions(host, budget)
+    classes, labels = copy_class_structure(host, sols)
     return {
         "route": route,
-        "copies": len(copies),
+        "copies": classes.copy_count,
         "classes": classes.class_count,
         "expected_class_size": classes.expected_class_size,
         "solutions": len(sols),
@@ -398,7 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", action="store_true", help="include intermediate matrices"
     )
     p.set_defaults(handler=cmd_pipeline)
-    p = sub.add_parser("copies", parents=[common], help="enumerate hypergraph copies")
+    p = sub.add_parser(
+        "copies",
+        parents=[common],
+        help="count hypergraph copies (list them with --full)",
+    )
     p.add_argument(
         "--full", action="store_true", help="list assignments and labels"
     )
@@ -447,8 +462,14 @@ def main(argv=None) -> int:
 
     text = dump(payload, human=args.human)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            _emit_error(
+                "schema", SchemaError(f"cannot write {args.output}: {e.strerror}")
+            )
+            return 2
     else:
         sys.stdout.write(text)
     return 0

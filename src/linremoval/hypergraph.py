@@ -8,20 +8,26 @@ restriction set.  The host is never materialized: edge membership is a
 predicate, and copies of the template are the solutions of a lifted
 linear system, enumerated by the pruned pivot walk of ``system``.
 
-Copies group into classes by label vector.  The two verifiers check the
-counting facts the encoding stands on: label vectors are exactly the
-solutions of the restricted system, every class has exactly |G|^k pairwise
-edge-disjoint copies, and every copy's labels solve the system.
+Copies group into classes by label vector: the copies with labels y are
+the fibre K_w x = y, a coset of ker K_w, where K_w is the kernel cut to its
+windows.  So the counting facts the encoding stands on (label vectors are
+exactly the solutions of the restricted system, every class has exactly
+|G|^k pairwise edge-disjoint copies, and every copy's labels solve the
+system) follow from integer Smith forms of A, K_w and its column blocks
+and the solution list, which ``copy_class_structure`` reads off without
+listing a copy.  ``verify_copy_classes`` and ``verify_copy_labels`` check
+the same facts on a listed copy set, copy by copy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .abelian import AbelianGroup, Element
 from .errors import BudgetExceededError, PreconditionError
-from .intmat import IntMatrix
+from .intmat import IntMatrix, smith_normal_form
 from .pipeline import CircularSystem
 from .system import DEFAULT_BUDGET, RestrictedSystem, enumerate_solutions
 
@@ -156,13 +162,12 @@ def enumerate_copies(
 def _lifted_system(host: HostHypergraph) -> RestrictedSystem:
     """[-K_w | I_m] (x, y) = 0 with x over the whole group and y_i in color
     i's set: its solutions are the copies, assignment first."""
-    k, m = host.arity_base, host.positions
+    m = host.positions
     group = host.group
     lifted = IntMatrix(
         [
-            [-c if (j - i) % m <= k else 0 for j, c in enumerate(row)]
-            + [int(i == j) for j in range(m)]
-            for i, row in enumerate(host.kernel_matrix.data)
+            [-c for c in row] + [int(i == j) for j in range(m)]
+            for i, row in enumerate(_windowed_kernel(host).data)
         ]
     )
     return RestrictedSystem(
@@ -173,6 +178,29 @@ def _lifted_system(host: HostHypergraph) -> RestrictedSystem:
     )
 
 
+def _windowed_kernel(host: HostHypergraph) -> IntMatrix:
+    """K_w: kernel row i with every entry outside its window {i, ..., i+k}
+    zeroed, the matrix the labels y = K_w x read."""
+    k, m = host.arity_base, host.positions
+    return IntMatrix(
+        [
+            [c if (j - i) % m <= k else 0 for j, c in enumerate(row)]
+            for i, row in enumerate(host.kernel_matrix.data)
+        ]
+    )
+
+
+def _kernel_order(matrix: IntMatrix, moduli) -> int:
+    """|ker M| on G^cols for G = Z_q1 x ... x Z_qr: the product over factors
+    q and columns j of gcd(s_j, q), s_j the j-th Smith invariant of M (0
+    past the rank)."""
+    diag = smith_normal_form(matrix).S.data
+    invariants = [
+        diag[j][j] if j < matrix.rows else 0 for j in range(matrix.cols)
+    ]
+    return math.prod(math.gcd(s, q) for q in moduli for s in invariants)
+
+
 @dataclass
 class ClassReport:
     ok: bool
@@ -180,10 +208,111 @@ class ClassReport:
     labels_match: bool
     class_sizes_ok: bool
     disjoint_ok: bool
-    copy_count: int
-    class_count: int
+    copy_count: int | None
+    class_count: int | None
     expected_class_size: int
     problems: list[str]
+
+
+@dataclass
+class LabelReport:
+    ok: bool
+    copy_count: int | None
+    problems: list[str]
+
+
+def copy_class_structure(
+    host: HostHypergraph, solutions
+) -> tuple[ClassReport, LabelReport]:
+    """The class and label facts of the copy set, without listing a copy.
+
+    ``solutions`` is the circular system's solution list, restriction sets
+    included.  The copies labelled y are the fibre K_w x = y, a coset of
+    ker K_w whenever y is in the image, so over G = Z_q1 x ... x Z_qr:
+
+    - labels: A K_w == 0 modulo every q (the group exponent, not |G|) puts
+      every label vector in ker A, so every copy's labels solve the system;
+      |G|^m / |ker K_w| == |ker A| then makes im K_w = ker A, and the
+      classes are exactly the solutions.
+    - class sizes: every class has |ker K_w| members, which must be |G|^k.
+    - edge-disjointness: two members of a class differ by some d in
+      ker K_w and share their color-i edge iff d vanishes on window i, so
+      K_w cut to the m - k - 1 columns outside window i must have trivial
+      kernel.
+
+    Kernel orders come from ``_kernel_order``.  Every class is a coset of
+    the same kernel, so a size or edge problem names the first solution in
+    sorted order, the class a listing reports first; with no solutions
+    there is no class and both facts hold, as in the listing.  The kernel
+    product A K == 0 mod n is re-checked as in ``verify_copy_classes``.
+    Unless labels_match holds the classes are not the solutions, and the
+    counts are None: only a listing could count them.
+    """
+    problems: list[str] = []
+    group = host.group
+    n, e = group.order, group.exponent
+    k, m = host.arity_base, host.positions
+
+    windowed = _windowed_kernel(host)
+    product = host.matrix @ host.kernel_matrix
+    kernel_ok = all(v % host.modulus == 0 for row in product.data for v in row)
+    if not kernel_ok:
+        problems.append("kernel matrix does not annihilate the system matrix")
+
+    if windowed != host.kernel_matrix:
+        product = host.matrix @ windowed
+    bad = next(
+        (j for j in range(m) if any(row[j] % e for row in product.data)), None
+    )
+    label_problems = []
+    if bad is not None:
+        label_problems.append(
+            f"labels from windowed kernel column {bad} fail the system"
+        )
+    problems += label_problems
+    class_size = _kernel_order(windowed, group.moduli)
+    image = n**m // class_size
+    solved = _kernel_order(host.matrix, group.moduli)
+    if image != solved:
+        problems.append(
+            f"the windowed kernel has {image} label vectors, "
+            f"the unrestricted system {solved} solutions"
+        )
+    labels_match = not label_problems and image == solved
+
+    expected = n**k
+    class_sizes_ok = disjoint_ok = True
+    if solutions:
+        first = min(solutions)
+        if class_size != expected:
+            class_sizes_ok = False
+            problems.append(
+                f"class {first} has {class_size} copies, expected {expected}"
+            )
+        for i in range(m):
+            outside = [(i + t) % m for t in range(k + 1, m)]
+            block = windowed.submatrix(range(m), outside)
+            if _kernel_order(block, group.moduli) != 1:
+                disjoint_ok = False
+                problems.append(f"class {first} repeats a color-{i} edge")
+                break
+
+    copy_count = len(solutions) * class_size if labels_match else None
+    classes = ClassReport(
+        ok=kernel_ok and labels_match and class_sizes_ok and disjoint_ok,
+        kernel_ok=kernel_ok,
+        labels_match=labels_match,
+        class_sizes_ok=class_sizes_ok,
+        disjoint_ok=disjoint_ok,
+        copy_count=copy_count,
+        class_count=len(solutions) if labels_match else None,
+        expected_class_size=expected,
+        problems=problems,
+    )
+    labels = LabelReport(
+        ok=not label_problems, copy_count=copy_count, problems=label_problems
+    )
+    return classes, labels
 
 
 def verify_copy_classes(
@@ -256,13 +385,6 @@ def verify_copy_classes(
         expected_class_size=expected,
         problems=problems,
     )
-
-
-@dataclass
-class LabelReport:
-    ok: bool
-    copy_count: int
-    problems: list[str]
 
 
 def verify_copy_labels(host: HostHypergraph, copies: list[HCopy]) -> LabelReport:

@@ -503,6 +503,9 @@ def cli_runs():
         ("remove", "--greedy", "--protect", "2", fx("sys_z5_restricted.json")),
         ("solve", fx("sys_z6_full.json")),
         ("solve", fx("sys_z7_2x4.json")),
+        ("copies", "--full", "--budget", "100", fx("sys_z5_full.json")),
+        ("copies", fx("sys_z6_full.json")),
+        ("verify", fx("sys_z6_full.json")),
     ]
 
 

@@ -385,34 +385,42 @@ def test_verify_restricted():
 
 
 def test_copies_walk_the_lifted_system(count_calls):
-    # copies are solutions of [-K_w | I_m] (x, y) = 0: one pivot walk with
-    # m pivots (assignment columns first, then labels) and m free
-    # coordinates, and no per-assignment combine; verify walks the system's
-    # solutions once more
+    # listed copies are solutions of [-K_w | I_m] (x, y) = 0: one pivot
+    # walk with m pivots (assignment columns first, then labels) and m free
+    # coordinates, and no per-assignment combine.  The count and verify
+    # read the class facts off Smith forms and walk only the circular
+    # system's solutions: k pivots and m - k free coordinates
     walks = count_calls(
         system,
         "_pivot_walk",
         lambda group, sets, pivots, rows, rhs, free: (len(pivots), len(free)),
     )
     combines = count_calls(AbelianGroup, "combine", lambda g, c, x: len(c))
-    out = main_json(["copies", fixture("sys_z5_full.json")])
+    out = main_json(["copies", "--full", fixture("sys_z5_full.json")])
     assert (out["route"], out["count"]) == ("direct", 125)
     assert walks == [(3, 3)]
     assert combines == []
     walks.clear()
+    out = main_json(["copies", fixture("sys_z5_full.json")])
+    assert (out["route"], out["count"]) == ("direct", 125)
+    assert walks == [(1, 2)]
+    assert combines == []
+    walks.clear()
     out = main_json(["verify", fixture("sys_z5_restricted.json")])
     assert (out["route"], out["verdict"]) == ("direct", "PASS")
-    assert walks == [(3, 3), (1, 2)]
+    assert walks == [(1, 2)]
 
 
 def test_direct_route_scans_windows_once(count_calls, tmp_path):
     # CircularSystem.from_matrix decides the direct route: one core solve
-    # per window and no dense scan.  verify's class check re-forms the
-    # host's A K on purpose (a host can carry a corrupted kernel); copies
-    # forms no product at all
+    # per window and no dense scan.  The class check of copies and verify
+    # re-forms the host's A K on purpose (a host can carry a corrupted
+    # kernel), once, since the kernel is already cut to its windows;
+    # copies --full forms no product at all
     work = count_window_work(count_calls)
     for args, products in (
-        (["copies", fixture("sys_z5_full.json")], 0),
+        (["copies", "--full", fixture("sys_z5_full.json")], 0),
+        (["copies", fixture("sys_z5_full.json")], 1),
         (["verify", fixture("sys_z5_restricted.json")], 1),
     ):
         for seen in work.values():
@@ -703,14 +711,14 @@ except AssertionError as exc:
 
 
 def test_cli_checks_survive_optimized_mode():
-    # snf's product check and remove's post-count check are explicit
-    # raises too, so python -O keeps them
+    # snf's product check, remove's post-count check and the class check
+    # behind copies' count are explicit raises too, so python -O keeps them
     script = """
 import contextlib, dataclasses, io, sys
 from linremoval import IntMatrix, cli
 if sys.flags.optimize != 1:
     raise SystemExit("not optimized")
-snf_path, remove_path = sys.argv[1:]
+snf_path, remove_path, copies_path = sys.argv[1:]
 buf = io.StringIO()
 with contextlib.redirect_stdout(buf):
     code = cli.main(["remove", remove_path])
@@ -730,18 +738,32 @@ try:
     cli.main(["remove", remove_path])
 except AssertionError as exc:
     print(exc)
+build = cli.build_host
+cli.build_host = lambda g, c, r: dataclasses.replace(
+    build(g, c, r), kernel_matrix=IntMatrix([[8, 2, 0], [0, 4, 1], [1, 0, 4]])
+)
+try:
+    cli.main(["copies", copies_path])
+except AssertionError as exc:
+    print(exc)
 """
     snf_path, remove_path = fixture("matrix_2x2.json"), fixture("sys_small.json")
+    copies_path = fixture("sys_z5_full.json")
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", script, snf_path, remove_path],
+        [sys.executable, "-O", "-c", script, snf_path, remove_path, copies_path],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    report, product, post = proc.stdout.splitlines()
+    report, product, post, structure = proc.stdout.splitlines()
     assert report + "\n" == run_cli("remove", remove_path).stdout
     assert product == "normal form product check failed"
     assert post == "reported removal leaves solutions alive"
+    assert structure == (
+        "copy class structure fails: "
+        "kernel matrix does not annihilate the system matrix; "
+        "labels from windowed kernel column 0 fail the system"
+    )
 
 
 def test_budget_env_variable():
@@ -801,6 +823,20 @@ def test_output_file(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert json.loads(dest.read_text()) == {"divisors": [2, 12]}
+
+
+def test_output_file_write_error(tmp_path):
+    # a report that cannot be written ends like an input that cannot be read
+    dest = tmp_path / "missing" / "report.json"
+    proc = run_cli("solve", fixture("sys_z5_full.json"), "-o", str(dest))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert json.loads(proc.stderr) == {
+        "error": {
+            "kind": "schema",
+            "message": f"cannot write {dest}: No such file or directory",
+        }
+    }
+    assert not dest.parent.exists()
 
 
 def test_human_formatting():

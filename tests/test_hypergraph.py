@@ -17,6 +17,7 @@ from linremoval import (
     build_kernel_matrix,
     build_template,
     CircularSystem,
+    copy_class_structure,
     enumerate_copies,
     enumerate_solutions,
     host_edge_label,
@@ -250,6 +251,175 @@ def test_copies_match_product_scan_oracle():
         assert sum(c for key, c in found.items() if key[2] == variant)
 
 
+# ------------------------------------- class facts from Smith forms
+
+
+def listed_structure(host):
+    """The exhaustive checkers on the listed copies, and the algebraic
+    report from the solution list, side by side."""
+    sols = solutions_of(host.group, host.matrix, host.restrictions)
+    copies = enumerate_copies(host)
+    listed = verify_copy_classes(host, copies, sols), verify_copy_labels(host, copies)
+    return listed, copy_class_structure(host, sols)
+
+
+def flags(classes, labels):
+    return (
+        classes.ok,
+        classes.kernel_ok,
+        classes.labels_match,
+        classes.class_sizes_ok,
+        classes.disjoint_ok,
+        labels.ok,
+    )
+
+
+def test_class_structure_matches_listing_on_sweep():
+    # on every host with its kernel the facts hold, whatever the sets; a
+    # raw kernel the algebra rejects can still pass a listing whose sets
+    # leave out its stray labels, but never the other way round
+    honest = 0
+    for moduli, k, variant, host in sweep_hosts():
+        (classes, labels), (found, found_labels) = listed_structure(host)
+        where = (moduli, k, variant)
+        assert found.expected_class_size == classes.expected_class_size, where
+        if found.ok:
+            assert classes.ok, where
+        if variant in ("proper", "empty", "whole"):
+            honest += 1
+            assert flags(found, found_labels) == flags(classes, labels), where
+            assert found.ok, where
+            assert found.copy_count == classes.copy_count, where
+            assert found.class_count == classes.class_count, where
+            assert found_labels.copy_count == labels.copy_count, where
+    assert honest == 126
+
+
+FORGED_GROUPS = ([3], [4], [5], [6], [7], [2, 2], [2, 4])
+
+
+def forged_hosts(count):
+    """Seeded raw hosts with full sets, their kernels supported on the
+    windows: another circular matrix's kernel, one window entry shifted,
+    multiples of the group exponent added, or random window entries."""
+    rng = random.Random(1106)
+    for _ in range(count):
+        moduli = rng.choice(FORGED_GROUPS)
+        g = AbelianGroup(moduli)
+        n = g.order
+        k, m = rng.choice(
+            [(k, m) for k in (1, 2, 3) for m in range(k + 2, k + 5) if n**m <= 2000]
+        )
+        host = build_host(g, random_circular(rng, n, k, m), full_sets(g, m))
+        rows = [list(r) for r in host.kernel_matrix.data]
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows = [list(r) for r in random_circular(rng, n, k, m).kernel_matrix.data]
+        elif kind == 1:
+            i, t = rng.randrange(m), rng.randrange(k + 1)
+            rows[i][(i + t) % m] += rng.randrange(1, 2 * n)
+        elif kind == 2:
+            for i in range(m):
+                for t in range(k + 1):
+                    rows[i][(i + t) % m] += g.exponent * rng.randrange(-1, 2)
+        else:
+            rows = [
+                [rng.randrange(n) if (j - i) % m <= k else 0 for j in range(m)]
+                for i in range(m)
+            ]
+        yield moduli, kind, raw_host(host, rows)
+
+
+def test_class_structure_matches_listing_on_forged_kernels():
+    # with full sets every assignment is a copy, so the listing sees every
+    # label vector and the two reports agree exactly; counts are None when
+    # the labels are not the solutions, where the listing counts copies of
+    # a broken encoding
+    seen, exponent_only = set(), set()
+    for moduli, kind, host in forged_hosts(300):
+        (classes, labels), (found, found_labels) = listed_structure(host)
+        where = (moduli, kind, host.kernel_matrix)
+        assert flags(found, found_labels) == flags(classes, labels), where
+        if found.labels_match:
+            assert (found.copy_count, found.class_count) == (
+                classes.copy_count,
+                classes.class_count,
+            ), where
+        else:
+            assert found.copy_count is found.class_count is None, where
+        seen.add(flags(classes, labels))
+        if not classes.kernel_ok and labels.ok:
+            # A K is nonzero mod |G| but zero mod the exponent
+            exponent_only.add(tuple(moduli))
+    for i in range(6):
+        assert any(not f[i] for f in seen), i
+    assert (True,) * 6 in seen
+    assert (2, 2) in exponent_only
+
+
+def forged_sum_host(rows, moduli):
+    """x1 + x2 + x3 = 0 with full sets and the given kernel rows."""
+    g = AbelianGroup(moduli)
+    n = g.order
+    circ = CircularSystem.from_matrix(IntMatrix([[1, 1, 1]]), n)
+    return raw_host(build_host(g, circ, full_sets(g, 3)), rows)
+
+
+def test_class_structure_problem_texts():
+    # the honest kernel of x1 + x2 + x3 = 0 over Z5 is
+    # [[4, 1, 0], [0, 4, 1], [1, 0, 4]]
+    zero = ((0,), (0,), (0,))
+    cases = [
+        # off by 2 mod 4, zero on Z2 x Z2: only the product mod |G| fails
+        (
+            [[5, 1, 0], [0, 3, 1], [1, 0, 3]],
+            (2, 2),
+            (False, False, True, True, True, True),
+            ["kernel matrix does not annihilate the system matrix"],
+        ),
+        # row 0 doubled: same kernel size, labels outside ker A
+        (
+            [[8, 2, 0], [0, 4, 1], [1, 0, 4]],
+            (5,),
+            (False, False, False, True, True, False),
+            [
+                "kernel matrix does not annihilate the system matrix",
+                "labels from windowed kernel column 0 fail the system",
+            ],
+        ),
+        # columns 1 and 2 zeroed: labels still solve, but reach 5 of the 25
+        # solutions, and every class has 25 members
+        (
+            [[4, 0, 0], [0, 0, 0], [1, 0, 0]],
+            (5,),
+            (False, True, False, False, False, True),
+            [
+                "the windowed kernel has 5 label vectors, "
+                "the unrestricted system 25 solutions",
+                f"class {zero} has 25 copies, expected 5",
+                f"class {zero} repeats a color-0 edge",
+            ],
+        ),
+        # im K_w = ker A and |ker K_w| = 5, but the color-0 block, column 2,
+        # is zero: members (0, 0, t) share their color-0 edge
+        (
+            [[1, 1, 0], [0, 4, 0], [4, 0, 0]],
+            (5,),
+            (False, True, True, True, False, True),
+            [f"class {zero} repeats a color-0 edge"],
+        ),
+    ]
+    for rows, moduli, want, problems in cases:
+        host = forged_sum_host(rows, moduli)
+        (classes, labels), (found, found_labels) = listed_structure(host)
+        assert flags(found, found_labels) == want, rows
+        assert flags(classes, labels) == want, rows
+        assert found.problems == problems, rows
+        assert found_labels.problems == ([] if want[5] else problems[1:2]), rows
+    # on the last host the listing names the same first class
+    assert classes.problems == [f"class {zero} repeats a color-0 edge"]
+
+
 # ------------------------------------------------------------- edge labels
 
 
@@ -466,3 +636,7 @@ def test_pipeline_host_round_trip():
     assert len(enumerate_solutions(padded)) == 25
     with pytest.raises(BudgetExceededError):
         enumerate_copies(host)
+    # the class facts need no listing: 25 classes of 5^26 copies each
+    classes, labels = copy_class_structure(host, enumerate_solutions(padded))
+    assert classes.ok and labels.ok, classes.problems
+    assert (classes.class_count, classes.copy_count) == (25, 25 * 5**26)

@@ -84,16 +84,19 @@ def encode_element(elem) -> list:
     return [encode_int(v) for v in elem]
 
 
-def decode_element(obj, group: AbelianGroup, where: str = "element"):
+def _residues(obj, group: AbelianGroup, where: str) -> tuple[int, ...]:
+    """The integers of one element, checked but not reduced."""
     if not isinstance(obj, list):
         raise SchemaError(f"{where}: expected an array of residues")
     if len(obj) != group.rank:
         raise SchemaError(
             f"{where}: expected {group.rank} residues, got {len(obj)}"
         )
-    return group.reduce(
-        [decode_int(v, f"{where}[{i}]") for i, v in enumerate(obj)]
-    )
+    return tuple(decode_int(v, f"{where}[{i}]") for i, v in enumerate(obj))
+
+
+def decode_element(obj, group: AbelianGroup, where: str = "element"):
+    return group.reduce(_residues(obj, group, where))
 
 
 def encode_system(system: RestrictedSystem) -> dict:
@@ -108,6 +111,8 @@ def encode_system(system: RestrictedSystem) -> dict:
 
 
 def decode_system(obj, where: str = "system") -> RestrictedSystem:
+    """Check the wire form of a system; ``RestrictedSystem`` reduces its
+    elements, so each is reduced once."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
     for key in ("group", "A", "b", "X"):
@@ -119,7 +124,7 @@ def decode_system(obj, where: str = "system") -> RestrictedSystem:
     if not isinstance(b, list) or len(b) != matrix.rows:
         raise SchemaError(f"{where}.b: expected {matrix.rows} elements")
     rhs = tuple(
-        decode_element(v, group, f"{where}.b[{i}]") for i, v in enumerate(b)
+        _residues(v, group, f"{where}.b[{i}]") for i, v in enumerate(b)
     )
     xs = obj["X"]
     if not isinstance(xs, list) or len(xs) != matrix.cols:
@@ -130,7 +135,7 @@ def decode_system(obj, where: str = "system") -> RestrictedSystem:
             raise SchemaError(f"{where}.X[{i}]: expected an array of elements")
         sets.append(
             tuple(
-                decode_element(v, group, f"{where}.X[{i}][{j}]")
+                _residues(v, group, f"{where}.X[{i}][{j}]")
                 for j, v in enumerate(raw)
             )
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from itertools import compress, repeat
 
 from .abelian import AbelianGroup, Element
 from .errors import (
@@ -191,15 +191,20 @@ def enumerate_solutions(
     A is row-reduced modulo the group exponent onto unit pivot columns
     (see ``_unit_pivots``); only the other, free coordinates are walked, the
     pivots are solved for and rows without a unit pivot are checked (see
-    ``_pivot_walk``).  The candidate count, the product of the walked sets,
-    is compared against the budget before any work happens.
+    ``_pivot_walk``).  The free coordinates are walked smallest set first,
+    so the last one, whose values are taken in one batch, has the largest.
+    The candidate count, the product of the walked sets, is compared
+    against the budget before any work happens.
     """
     sets = system.restrictions
     if any(len(xs) == 0 for xs in sets):
         return []
     pivots, rows, rhs = _unit_pivots(system)
     taken = set(pivots)
-    free = [j for j in range(system.variables) if j not in taken]
+    free = sorted(
+        (j for j in range(system.variables) if j not in taken),
+        key=lambda j: len(sets[j]),
+    )
     free_total = math.prod(len(sets[j]) for j in free)
     if free_total > budget:
         raise BudgetExceededError(
@@ -215,24 +220,30 @@ def _pivot_walk(group, sets, pivots, rows, rhs, free) -> list[Solution]:
     no particular order.  A row whose pivot is None is a check row, tested
     like a restricted pivot row whose set is {0}.
 
-    One depth-first walk over the free coordinates carries, per pivot row
-    and cyclic factor, the partial sum rhs_i - sum a_ij x_j of the free
-    coordinates set so far, as plain integers reduced only inside a test
-    and when a solution is emitted.  Each value gets one body: the
+    One depth-first walk over the free coordinates, in the order given,
+    carries per pivot row and cyclic factor the partial sum
+    rhs_i - sum a_ij x_j of the free coordinates set so far, as plain
+    integers reduced only inside a test and when a solution is emitted.
+    Above the last free coordinate each value gets one body: the
     restricted pivot rows whose value it fixes are tested, so a failing
-    branch is cut before it is walked further; at the last free coordinate
-    the passing value is emitted, its pivot values read off the partial
-    sums, and anywhere else its partial sums are pushed.  An itemgetter
-    puts pivot and free values back in coordinate order.
+    branch is cut before it is walked further, and its partial sums are
+    pushed.  The last free coordinate, the leaf, is taken in one batch per
+    node.  The products c_i * v of each row with every leaf value are
+    formed once, before the walk; at a node, one comprehension per row and
+    factor gives that row's value for every leaf value still standing, and
+    each row due at the leaf keeps those whose value lies in its set.  The
+    survivors' solutions are zipped from their coordinates' columns, each
+    tuple built once.
     """
     mods, order = group.moduli, group.order
     k = len(pivots)
     # the walk starts at a virtual coordinate with a zero column and the
     # one value zero: rows that no free coordinate touches fall due there,
-    # and a system without free coordinates emits its solution there
+    # and a system without free coordinates has it as its leaf
     cols = [[0] * k] + [[row[j] for row in rows] for j in free]
     walked = [(group.zero,)] + [sets[j] for j in free]
     depth = len(cols)
+    leaf = depth - 1
     acc = [[v[f] for v in rhs] for f in range(len(mods))]
     # due[d]: the restricted rows whose value is fixed once the first d
     # walked coordinates are set
@@ -241,46 +252,70 @@ def _pivot_walk(group, sets, pivots, rows, rhs, free) -> list[Solution]:
         if p is None or len(sets[p]) < order:
             last = max((d + 1 for d in range(depth) if cols[d][i]), default=1)
             due[last].append((i, frozenset([group.zero] if p is None else sets[p])))
-    # the walk's values come as k pivots, the virtual one, then the free
-    # ones in walk order
-    slot = {p: i for i, p in enumerate(pivots)}
-    slot.update((j, k + 1 + d) for d, j in enumerate(free))
-    place = itemgetter(*[slot[j] for j in range(len(sets))])
-    if len(sets) == 1:
-        # one index makes itemgetter return the bare value, not a tuple
-        place = lambda vals, get=place: (get(vals),)
+    leaf_set = walked[leaf]
+    # per row and factor, c_i * v_f for every leaf value v; None for a row
+    # the leaf does not touch, whose value is the same for all of them
+    leaf_prods = [
+        [[c * v[f] for v in leaf_set] for f in range(len(mods))] if c else None
+        for c in cols[leaf]
+    ]
+
+    def row_values(i, acc, idx):
+        """Row i's value for each leaf value indexed by idx."""
+        prods = leaf_prods[i]
+        if prods is None:
+            return repeat(tuple([a[i] % q for a, q in zip(acc, mods)]), len(idx))
+        return zip(
+            *[[(a[i] - ps[t]) % q for t in idx] for a, ps, q in zip(acc, prods, mods)]
+        )
+
+    # a leaf node's columns come as the pivot rows', the free values of
+    # its prefix past the virtual one, then the leaf's (unused when the
+    # leaf is the virtual one); place lists them in coordinate order
+    out_rows = [i for i, p in enumerate(pivots) if p is not None]
+    slot = {pivots[i]: s for s, i in enumerate(out_rows)}
+    slot.update((j, len(out_rows) + d) for d, j in enumerate(free))
+    place = [slot[j] for j in range(len(sets))]
     sols: list[Solution] = []
     stack = [(acc, ())]
     while stack:
         acc, prefix = stack.pop()
         d = len(prefix)
-        col, checks, leaf = cols[d], due[d + 1], d + 1 == depth
-        for v in walked[d]:
-            for i, members in checks:
-                coeff = col[i]
-                if (
-                    tuple([(a[i] - coeff * r) % q for a, r, q in zip(acc, v, mods)])
-                    not in members
-                ):
-                    break
-            else:
-                if leaf:
-                    pivot_vals = zip(
-                        *[
-                            [(a - c * r) % q for a, c in zip(af, col)]
-                            for af, r, q in zip(acc, v, mods)
-                        ]
-                    )
-                    sols.append(place([*pivot_vals, *prefix, v]))
+        if d < leaf:
+            col, checks = cols[d], due[d + 1]
+            for v in walked[d]:
+                for i, members in checks:
+                    coeff = col[i]
+                    if (
+                        tuple([(a[i] - coeff * r) % q for a, r, q in zip(acc, v, mods)])
+                        not in members
+                    ):
+                        break
                 else:
                     step = [
                         [a - c * r for a, c in zip(af, col)] for af, r in zip(acc, v)
                     ]
                     stack.append((step, prefix + (v,)))
+            continue
+        # idx: the leaf values whose rows due so far lie in their sets
+        idx = range(len(leaf_set))
+        for i, members in due[depth]:
+            values = row_values(i, acc, idx)
+            idx = list(compress(idx, map(members.__contains__, values)))
+            if not idx:
+                break
+        else:
+            n = len(idx)
+            columns = [row_values(i, acc, idx) for i in out_rows]
+            columns += [repeat(v, n) for v in prefix[1:]]
+            columns.append([leaf_set[t] for t in idx])
+            sols.extend(zip(*[columns[s] for s in place]))
     return sols
 
 
 def count_solutions(system: RestrictedSystem, budget: int = DEFAULT_BUDGET) -> int:
+    """The number of solutions, under the same budget as
+    ``enumerate_solutions``, which lists them."""
     return len(enumerate_solutions(system, budget))
 
 
@@ -437,7 +472,13 @@ def _verify_extension(ext: Extension, solutions) -> ExtensionReport:
     if structure_ok:
         ssols, tsols = solutions()
         source_count, target_count = len(ssols), len(tsols)
-        images = [ext.project(y) for y in tsols]
+        # the structure checks make coord_map a bijection onto the source
+        # coordinates, so each source slot has one target index and value
+        # map, and a projection needs no coverage check
+        plan = sorted(
+            (ext.coord_map[j], j, ext.value_maps[j]) for j in ext.mapped_coords
+        )
+        images = [tuple([vmap[y[j]] for _, j, vmap in plan]) for y in tsols]
         sset = set(ssols)
         bijection_ok = True
         for y, x in zip(tsols, images):
@@ -445,7 +486,8 @@ def _verify_extension(ext: Extension, solutions) -> ExtensionReport:
                 bijection_ok = False
                 problems.append(f"target solution {y} projects to non-solution {x}")
                 break
-        if bijection_ok and len(set(images)) != len(images):
+        image_set = set(images)
+        if bijection_ok and len(image_set) != len(images):
             bijection_ok = False
             seen: dict[Solution, Solution] = {}
             for y, x in zip(tsols, images):
@@ -455,9 +497,9 @@ def _verify_extension(ext: Extension, solutions) -> ExtensionReport:
                     )
                     break
                 seen[x] = y
-        if bijection_ok and set(images) != sset:
+        if bijection_ok and image_set != sset:
             bijection_ok = False
-            missing = sorted(sset - set(images))[0]
+            missing = min(sset - image_set)
             problems.append(f"source solution {missing} has no preimage")
 
     return ExtensionReport(

@@ -97,6 +97,11 @@ def test_system_round_trip():
     text = dump(encode_system(sys_))
     again = decode_system(load_text(text))
     assert again == sys_
+    # residues outside [0, 5) decode to the same canonical system
+    wire = encode_system(sys_)
+    wire["b"] = [[-5]]
+    wire["X"][0] = [[5], [-4]]
+    assert decode_system(wire) == sys_
 
 
 def test_load_text_reports_position():

@@ -409,7 +409,9 @@ def test_pivot_walk_matches_oracles_on_random_systems():
     rng = random.Random(7)
     groups = [(2,), (5,), (6,), (7,), (9,), (1,), (1, 5), (3, 1), (2, 4), (3, 5)]
     seen = dict.fromkeys(
-        ["non-leading", "square", "mixed", "empty", "z1", "check", "check-mixed", "scanned"], 0
+        ["non-leading", "square", "mixed", "empty", "z1", "check", "check-mixed", "scanned"]
+        + ["leaf-pivot", "leaf-check", "virtual-leaf", "one-variable", "multi-factor-leaf"],
+        0,
     )
     for _ in range(400):
         g = AbelianGroup(rng.choice(groups))
@@ -430,7 +432,7 @@ def test_pivot_walk_matches_oracles_on_random_systems():
                 sets.append(proper_subset(rng, elements))
         rhs = tuple(rng.choice(elements) for _ in range(k))
         sys_ = RestrictedSystem(g, IntMatrix(rows), rhs, tuple(sets))
-        pivots = _unit_pivots(sys_)[0]
+        pivots, reduced, _ = _unit_pivots(sys_)
         seen["check"] += None in pivots
         seen["check-mixed"] += None in pivots and pivots != [None] * k
         full = [len(sys_.restrictions[p]) == g.order for p in pivots if p is not None]
@@ -440,6 +442,25 @@ def test_pivot_walk_matches_oracles_on_random_systems():
         seen["empty"] += any(not xs for xs in sys_.restrictions)
         seen["z1"] += 1 in g.moduli
         sols = enumerate_solutions(sys_)
+        # the leaf is the free coordinate with the largest set, walked last;
+        # without one, the walk's virtual coordinate is the leaf and every
+        # restricted row falls due there
+        free = sorted(
+            (j for j in range(m) if j not in pivots),
+            key=lambda j: len(sys_.restrictions[j]),
+        )
+        at_leaf = [
+            p
+            for row, p in zip(reduced, pivots)
+            if (p is None or len(sys_.restrictions[p]) < g.order)
+            and (not free or row[free[-1]])
+        ]
+        if all(sys_.restrictions):
+            seen["leaf-pivot"] += any(p is not None for p in at_leaf)
+            seen["leaf-check"] += None in at_leaf
+            seen["virtual-leaf"] += not free
+            seen["one-variable"] += m == 1
+            seen["multi-factor-leaf"] += len(g.moduli) > 1 and bool(free) and bool(sols)
         assert sols == pivot_loop_solutions(sys_)
         if math.prod(map(len, sys_.restrictions)) <= 20_000:
             assert sols == brute_solutions(sys_)

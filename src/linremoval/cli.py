@@ -52,7 +52,6 @@ from .pipeline import (
 from .removal import greedy_removal, min_removal_exact
 from .system import (
     DEFAULT_BUDGET,
-    RestrictedSystem,
     count_solutions,
     enumerate_solutions,
     remove_elements,
@@ -225,15 +224,6 @@ def _route_host(system, budget):
     return "pipeline", host, res
 
 
-def _circular_solutions(host, budget):
-    """Solutions of the host's circular system inside its restriction sets."""
-    zero_rhs = (host.group.zero,) * host.matrix.rows
-    return enumerate_solutions(
-        RestrictedSystem(host.group, host.matrix, zero_rhs, host.restrictions),
-        budget,
-    )
-
-
 def cmd_copies(args, budget) -> dict:
     system = decode_system(load_file(args.input))
     route, host, res = _route_host(system, budget)
@@ -249,7 +239,7 @@ def cmd_copies(args, budget) -> dict:
         "arity": host.arity_base + 1,
     }
     if not args.full:
-        classes, _ = copy_class_structure(host, _circular_solutions(host, budget))
+        classes, _ = copy_class_structure(host, budget)
         if not classes.ok:
             raise AssertionError(
                 "copy class structure fails: " + "; ".join(classes.problems)
@@ -278,14 +268,13 @@ def cmd_verify(args, budget) -> dict:
             "outcome": res.outcome,
             "note": "no circular target to verify",
         }
-    sols = _circular_solutions(host, budget)
-    classes, labels = copy_class_structure(host, sols)
+    classes, labels = copy_class_structure(host, budget)
     return {
         "route": route,
         "copies": classes.copy_count,
         "classes": classes.class_count,
         "expected_class_size": classes.expected_class_size,
-        "solutions": len(sols),
+        "solutions": classes.solution_count,
         "class_report": {
             "ok": classes.ok,
             "kernel": classes.kernel_ok,

@@ -13,10 +13,11 @@ the fibre K_w x = y, a coset of ker K_w, where K_w is the kernel cut to its
 windows.  So the counting facts the encoding stands on (label vectors are
 exactly the solutions of the restricted system, every class has exactly
 |G|^k pairwise edge-disjoint copies, and every copy's labels solve the
-system) follow from integer Smith forms of A, K_w and its column blocks
-and the solution list, which ``copy_class_structure`` reads off without
-listing a copy.  ``verify_copy_classes`` and ``verify_copy_labels`` check
-the same facts on a listed copy set, copy by copy.
+system) follow from the Smith invariants of A, K_w and its column blocks
+modulo each cyclic factor of the group and from the number of solutions,
+which ``copy_class_structure`` reads off without listing a copy.
+``verify_copy_classes`` and ``verify_copy_labels`` check the same facts on
+a listed copy set, copy by copy.
 """
 
 from __future__ import annotations
@@ -27,9 +28,14 @@ from operator import itemgetter
 
 from .abelian import AbelianGroup, Element
 from .errors import BudgetExceededError, PreconditionError
-from .intmat import IntMatrix, smith_normal_form
+from .intmat import IntMatrix, smith_invariants_mod
 from .pipeline import CircularSystem
-from .system import DEFAULT_BUDGET, RestrictedSystem, enumerate_solutions
+from .system import (
+    DEFAULT_BUDGET,
+    RestrictedSystem,
+    count_solutions,
+    enumerate_solutions,
+)
 
 
 @dataclass(frozen=True)
@@ -190,15 +196,17 @@ def _windowed_kernel(host: HostHypergraph) -> IntMatrix:
     )
 
 
-def _kernel_order(matrix: IntMatrix, moduli) -> int:
-    """|ker M| on G^cols for G = Z_q1 x ... x Z_qr: the product over factors
-    q and columns j of gcd(s_j, q), s_j the j-th Smith invariant of M (0
-    past the rank)."""
-    diag = smith_normal_form(matrix).S.data
-    invariants = [
-        diag[j][j] if j < matrix.rows else 0 for j in range(matrix.cols)
-    ]
-    return math.prod(math.gcd(s, q) for q in moduli for s in invariants)
+def kernel_order(rows, moduli) -> int:
+    """|ker M| on G^cols for the matrix M with the given rows and
+    G = Z_q1 x ... x Z_qr: the product over factors q and columns j of
+    gcd(s_j, q), s_j the j-th Smith invariant of M (0 past the rank), each
+    read off ``smith_invariants_mod`` of M over Z/q."""
+    cols = len(rows[0])
+    order = 1
+    for q in moduli:
+        invariants = smith_invariants_mod(rows, q)
+        order *= math.prod(invariants) * q ** (cols - len(invariants))
+    return order
 
 
 @dataclass
@@ -211,6 +219,7 @@ class ClassReport:
     copy_count: int | None
     class_count: int | None
     expected_class_size: int
+    solution_count: int
     problems: list[str]
 
 
@@ -222,35 +231,37 @@ class LabelReport:
 
 
 def copy_class_structure(
-    host: HostHypergraph, solutions
+    host: HostHypergraph, budget: int = DEFAULT_BUDGET
 ) -> tuple[ClassReport, LabelReport]:
     """The class and label facts of the copy set, without listing a copy.
 
-    ``solutions`` is the circular system's solution list, restriction sets
-    included.  The copies labelled y are the fibre K_w x = y, a coset of
-    ker K_w whenever y is in the image, so over G = Z_q1 x ... x Z_qr:
+    The copies labelled y are the fibre K_w x = y, a coset of ker K_w
+    whenever y is in the image, so over G = Z_q1 x ... x Z_qr:
 
     - labels: A K_w == 0 modulo every q (the group exponent, not |G|) puts
       every label vector in ker A, so every copy's labels solve the system;
       |G|^m / |ker K_w| == |ker A| then makes im K_w = ker A, and the
-      classes are exactly the solutions.
+      classes are exactly the solutions of the host's circular system in
+      its restriction sets.
     - class sizes: every class has |ker K_w| members, which must be |G|^k.
     - edge-disjointness: two members of a class differ by some d in
       ker K_w and share their color-i edge iff d vanishes on window i, so
       K_w cut to the m - k - 1 columns outside window i must have trivial
       kernel.
 
-    Kernel orders come from ``_kernel_order``.  Every class is a coset of
-    the same kernel, so a size or edge problem names the first solution in
-    sorted order, the class a listing reports first; with no solutions
-    there is no class and both facts hold, as in the listing.  The kernel
-    product A K == 0 mod n is re-checked as in ``verify_copy_classes``.
-    Unless labels_match holds the classes are not the solutions, and the
-    counts are None: only a listing could count them.
+    Kernel orders come from ``kernel_order``, and the solutions are
+    counted by ``count_solutions`` under the budget.  Every class is a
+    coset of the same kernel, so a size or edge problem names the least
+    solution, the class a listing reports first; only then are the
+    solutions listed.  With no solutions there is no class and both facts
+    hold, as in the listing.  The kernel product A K == 0 mod n is
+    re-checked as in ``verify_copy_classes``.  Unless labels_match holds
+    the classes are not the solutions, and the counts are None: only a
+    listing could count them.
     """
     problems: list[str] = []
     group = host.group
-    n, e = group.order, group.exponent
+    n, e, moduli = group.order, group.exponent, group.moduli
     k, m = host.arity_base, host.positions
 
     windowed = _windowed_kernel(host)
@@ -270,9 +281,9 @@ def copy_class_structure(
             f"labels from windowed kernel column {bad} fail the system"
         )
     problems += label_problems
-    class_size = _kernel_order(windowed, group.moduli)
+    class_size = kernel_order(windowed.data, moduli)
     image = n**m // class_size
-    solved = _kernel_order(host.matrix, group.moduli)
+    solved = kernel_order(host.matrix.data, moduli)
     if image != solved:
         problems.append(
             f"the windowed kernel has {image} label vectors, "
@@ -281,23 +292,30 @@ def copy_class_structure(
     labels_match = not label_problems and image == solved
 
     expected = n**k
+    # the host's circular system in its sets: its solutions label the classes
+    circular = RestrictedSystem(
+        group, host.matrix, (group.zero,) * k, host.restrictions
+    )
+    solution_count = count_solutions(circular, budget)
     class_sizes_ok = disjoint_ok = True
-    if solutions:
-        first = min(solutions)
-        if class_size != expected:
-            class_sizes_ok = False
+    if solution_count:
+        class_sizes_ok = class_size == expected
+        for i in range(m):
+            outside = [(i + t) % m for t in range(k + 1, m)]
+            block = [[row[j] for j in outside] for row in windowed.data]
+            if kernel_order(block, moduli) != 1:
+                disjoint_ok = False
+                break
+    if not (class_sizes_ok and disjoint_ok):
+        first = enumerate_solutions(circular, budget)[0]
+        if not class_sizes_ok:
             problems.append(
                 f"class {first} has {class_size} copies, expected {expected}"
             )
-        for i in range(m):
-            outside = [(i + t) % m for t in range(k + 1, m)]
-            block = windowed.submatrix(range(m), outside)
-            if _kernel_order(block, group.moduli) != 1:
-                disjoint_ok = False
-                problems.append(f"class {first} repeats a color-{i} edge")
-                break
+        if not disjoint_ok:
+            problems.append(f"class {first} repeats a color-{i} edge")
 
-    copy_count = len(solutions) * class_size if labels_match else None
+    copy_count = solution_count * class_size if labels_match else None
     classes = ClassReport(
         ok=kernel_ok and labels_match and class_sizes_ok and disjoint_ok,
         kernel_ok=kernel_ok,
@@ -305,8 +323,9 @@ def copy_class_structure(
         class_sizes_ok=class_sizes_ok,
         disjoint_ok=disjoint_ok,
         copy_count=copy_count,
-        class_count=len(solutions) if labels_match else None,
+        class_count=solution_count if labels_match else None,
         expected_class_size=expected,
+        solution_count=solution_count,
         problems=problems,
     )
     labels = LabelReport(
@@ -383,6 +402,7 @@ def verify_copy_classes(
         copy_count=len(copies),
         class_count=len(classes),
         expected_class_size=expected,
+        solution_count=len(solutions),
         problems=problems,
     )
 

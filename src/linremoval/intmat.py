@@ -1,7 +1,8 @@
 """Exact integer matrices and the normal forms used by the reduction pipeline.
 
 Everything here is plain Python integer arithmetic: determinants are computed
-fraction-free, Smith forms track their unimodular transforms, and the two
+fraction-free, Smith forms track their unimodular transforms (the Smith
+invariants modulo q, ``smith_invariants_mod``, need none), and the two
 completion constructions (square completion, window-coprime padding) verify
 their own postconditions before returning.  The determinantal divisors are
 read off the Smith form (``determinantal_divisors``); the minor enumeration
@@ -89,16 +90,10 @@ class IntMatrix:
             raise PreconditionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = other.cols
-        out = []
-        for arow in self.data:
-            out.append(
-                [
-                    sum(arow[t] * other.data[t][j] for t in range(self.cols))
-                    for j in range(cols)
-                ]
-            )
-        return IntMatrix(out)
+        columns = list(zip(*other.data))
+        return IntMatrix(
+            [[sum(map(mul, arow, col)) for col in columns] for arow in self.data]
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.data == other.data
@@ -275,6 +270,80 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
         IntMatrix([row[:cols] for row in w[:rows]]),
         IntMatrix(w[rows:]),
     )
+
+
+def smith_invariants_mod(rows, q: int) -> list[int]:
+    """gcd(s_j, q) for the Smith invariants s_1 | s_2 | ... of the integer
+    matrix with the given rows, one per j < min(rows, cols), with s_j = 0
+    past the rank: the Smith form of the matrix over Z/q.
+
+    Elimination modulo q, with no transforms and no factoring of q.  Each
+    stage pivots on an entry of least gcd g with q (the first unit, when
+    one is left).  While g fails to divide an entry of the pivot's row or
+    column, one unimodular 2 x 2 xgcd step merges that entry into the
+    pivot, which strictly shrinks g; only such an entry is merged, so the
+    loop ends.  Then the pivot's column is cleared and its row and column
+    dropped: every entry of the row is a multiple of the pivot modulo q,
+    so clearing the row would change nothing else.  On a composite q the
+    diagonal found need not be a divisibility chain; gcd / lcm steps, which
+    keep the cokernel, put it in Smith order.
+    """
+    work = [[v % q for v in row] for row in rows]
+    size = min(len(work), len(work[0])) if work else 0
+    diag: list[int] = []
+    while len(diag) < size:
+        g, pi, pj = q, 0, 0
+        for i, row in enumerate(work):
+            for j, v in enumerate(row):
+                if v and math.gcd(v, q) < g:
+                    g, pi, pj = math.gcd(v, q), i, j
+                    if g == 1:
+                        break
+            if g == 1:
+                break
+        if g == q:
+            # every entry left is zero modulo q
+            diag += [q] * (size - len(diag))
+            break
+        pivot_row = work[pi]
+        while g > 1:
+            p = pivot_row[pj]
+            i = next((i for i, row in enumerate(work) if row[pj] % g), None)
+            if i is not None:
+                e = work[i][pj]
+                h, x, y = _xgcd(p, e)
+                a, b = -e // h, p // h
+                work[pi], work[i] = (
+                    [(x * s + y * t) % q for s, t in zip(pivot_row, work[i])],
+                    [(a * s + b * t) % q for s, t in zip(pivot_row, work[i])],
+                )
+                pivot_row = work[pi]
+            else:
+                j = next((j for j, v in enumerate(pivot_row) if v % g), None)
+                if j is None:
+                    break
+                e = pivot_row[j]
+                h, x, y = _xgcd(p, e)
+                a, b = -e // h, p // h
+                for row in work:
+                    s, t = row[pj], row[j]
+                    row[pj], row[j] = (x * s + y * t) % q, (a * s + b * t) % q
+            g = math.gcd(pivot_row[pj], q)
+        inv = pow(pivot_row[pj] // g, -1, q // g)
+        del work[pi]
+        for row in work:
+            e = row[pj]
+            if e:
+                c = e // g * inv
+                row[:] = [(s - c * t) % q for s, t in zip(row, pivot_row)]
+            del row[pj]
+        diag.append(g)
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            diag[i] = math.gcd(a, b)
+            diag[j] = a * b // diag[i]
+    return diag
 
 
 def determinantal_divisors(matrix: IntMatrix) -> list[int]:

@@ -22,7 +22,7 @@ from functools import reduce
 from operator import or_
 
 from .abelian import Element
-from .errors import InfeasibleRemovalError, PreconditionError
+from .errors import BudgetExceededError, InfeasibleRemovalError, PreconditionError
 from .system import DEFAULT_BUDGET, RestrictedSystem, enumerate_solutions
 
 Atom = tuple[int, Element]
@@ -107,14 +107,29 @@ def _disjoint_bound(clash, uncovered: int, cap: int) -> int:
     return bound
 
 
-def _cover_exists(masks, uncovered: int, lo: int, room: int, failed) -> bool:
+class _Nodes:
+    """The cover-search nodes of one solve, counted against its budget."""
+
+    __slots__ = ("budget", "used")
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.used = 0
+
+
+def _cover_exists(
+    masks, uncovered: int, lo: int, room: int, failed, nodes: _Nodes
+) -> bool:
     """Whether at most ``room`` atoms of index ``lo`` or more cover the
     solutions in ``uncovered``.
 
     Depth-first on an explicit stack, branching on the atoms of the first
     uncovered solution; cut by stranded solutions, the packing bound and
     sets already searched with as much room.  A search that fails records
-    its states in ``failed`` for later calls to skip.
+    its states in ``failed`` for later calls to skip.  Every state that
+    passes those memo cuts is a node: it takes one packing bound and one
+    memo entry, and it raises BudgetExceededError once the solve's nodes
+    pass the budget, so the memo stays within the budget too.
     """
     hits, own, clash, stranded = masks
     seen: dict[int, int] = {}
@@ -127,6 +142,11 @@ def _cover_exists(masks, uncovered: int, lo: int, room: int, failed) -> bool:
             continue
         if seen.get(u, -1) >= r or failed.get((u, lo), -1) >= r:
             continue
+        nodes.used += 1
+        if nodes.used > nodes.budget:
+            raise BudgetExceededError(
+                f"{nodes.used} cover-search nodes exceed the budget of {nodes.budget}"
+            )
         seen[u] = r
         if _disjoint_bound(clash, u, r + 1) > r:
             continue
@@ -150,7 +170,8 @@ def min_removal_exact(
     bound, at which a cover exists.  The witness reported is the
     lexicographically first atom set of that size: atom by atom, the
     least one that still leaves a cover of the size among the later
-    atoms.  So reruns are reproducible.
+    atoms.  So reruns are reproducible.  The budget bounds the solution
+    walk and, separately, the cover-search nodes of the whole solve.
     """
     guard = _check_protected(protected, system.variables)
     solutions = enumerate_solutions(system, budget)
@@ -165,8 +186,9 @@ def min_removal_exact(
 
     root_bound = _disjoint_bound(clash, everything, len(per_solution))
     failed: dict[tuple[int, int], int] = {}
+    nodes = _Nodes(budget)
     best = root_bound
-    while not _cover_exists(masks, everything, 0, best, failed):
+    while not _cover_exists(masks, everything, 0, best, failed, nodes):
         best += 1
 
     witness: list[int] = []
@@ -176,7 +198,7 @@ def min_removal_exact(
         atom = next(
             i for i in range(start, len(hits))
             if uncovered & hits[i]
-            and _cover_exists(masks, uncovered & ~hits[i], i + 1, room, failed)
+            and _cover_exists(masks, uncovered & ~hits[i], i + 1, room, failed, nodes)
         )
         witness.append(atom)
         uncovered &= ~hits[atom]

@@ -20,7 +20,7 @@ from .errors import (
     BudgetExceededError,
     PreconditionError,
 )
-from .intmat import IntMatrix, determinantal_divisors
+from .intmat import IntMatrix, determinantal_divisors, smith_invariants_mod
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -31,8 +31,9 @@ Solution = tuple[Element, ...]
 class RestrictedSystem:
     """A x = b over ``group``, each x_i confined to ``restrictions[i]``.
 
-    d_k (``determinantal``) and ``coprime`` are read off the Smith form of A
-    on first access, so a system never asked for them never computes them.
+    ``coprime`` is read off the Smith form of A over Z/|G| on first access,
+    and d_k (``determinantal``), which no command path reads, off the
+    integer Smith form; a system never asked for them computes neither.
     """
 
     group: AbelianGroup
@@ -63,8 +64,12 @@ class RestrictedSystem:
 
     @cached_property
     def coprime(self) -> bool:
-        """Whether d_k is coprime to the group order, the paper's hypothesis."""
-        return math.gcd(self.determinantal, self.group.order) == 1
+        """Whether d_k is coprime to the group order, the paper's hypothesis:
+        d_k is the product of the first k Smith invariants, so this holds
+        exactly when all k of them are 1 over Z/|G|."""
+        return all(
+            s == 1 for s in smith_invariants_mod(self.matrix.data, self.group.order)
+        )
 
     @property
     def equations(self) -> int:
@@ -112,15 +117,6 @@ class Extension:
     mapped_coords: tuple[int, ...]
     coord_map: dict[int, int]
     value_maps: dict[int, dict[Element, Element]]
-
-    def project(self, y: Solution) -> Solution:
-        """Carry a target solution back to a source coordinate vector."""
-        out: list[Element | None] = [None] * self.source.variables
-        for j in self.mapped_coords:
-            out[self.coord_map[j]] = self.value_maps[j][y[j]]
-        if any(v is None for v in out):
-            raise PreconditionError("extension does not cover every source coordinate")
-        return tuple(out)  # type: ignore[arg-type]
 
 
 def identity_extension(system: RestrictedSystem) -> Extension:
@@ -196,9 +192,24 @@ def enumerate_solutions(
     The candidate count, the product of the walked sets, is compared
     against the budget before any work happens.
     """
+    sols = _walk(system, budget, count=False)
+    sols.sort()
+    return sols
+
+
+def count_solutions(system: RestrictedSystem, budget: int = DEFAULT_BUDGET) -> int:
+    """The number of solutions: the walk of ``enumerate_solutions``, under
+    the same budget pre-check, adding up each leaf node's survivors instead
+    of building and sorting their tuples."""
+    return _walk(system, budget, count=True)
+
+
+def _walk(system: RestrictedSystem, budget: int, count: bool):
+    """The set-up and budget pre-check the listing and the count share,
+    then their pivot walk."""
     sets = system.restrictions
     if any(len(xs) == 0 for xs in sets):
-        return []
+        return 0 if count else []
     pivots, rows, rhs = _unit_pivots(system)
     taken = set(pivots)
     free = sorted(
@@ -210,15 +221,14 @@ def enumerate_solutions(
         raise BudgetExceededError(
             f"{free_total} candidates exceed the budget of {budget}"
         )
-    sols = _pivot_walk(system.group, sets, pivots, rows, rhs, free)
-    sols.sort()
-    return sols
+    return _pivot_walk(system.group, sets, pivots, rows, rhs, free, count)
 
 
-def _pivot_walk(group, sets, pivots, rows, rhs, free) -> list[Solution]:
+def _pivot_walk(group, sets, pivots, rows, rhs, free, count):
     """Solutions of rows x = rhs, whose pivot columns are the identity, in
-    no particular order.  A row whose pivot is None is a check row, tested
-    like a restricted pivot row whose set is {0}.
+    no particular order, or with ``count`` only their number.  A row whose
+    pivot is None is a check row, tested like a restricted pivot row whose
+    set is {0}.
 
     One depth-first walk over the free coordinates, in the order given,
     carries per pivot row and cyclic factor the partial sum
@@ -233,7 +243,7 @@ def _pivot_walk(group, sets, pivots, rows, rhs, free) -> list[Solution]:
     factor gives that row's value for every leaf value still standing, and
     each row due at the leaf keeps those whose value lies in its set.  The
     survivors' solutions are zipped from their coordinates' columns, each
-    tuple built once.
+    tuple built once; a count only adds up how many survive.
     """
     mods, order = group.moduli, group.order
     k = len(pivots)
@@ -277,6 +287,7 @@ def _pivot_walk(group, sets, pivots, rows, rhs, free) -> list[Solution]:
     slot.update((j, len(out_rows) + d) for d, j in enumerate(free))
     place = [slot[j] for j in range(len(sets))]
     sols: list[Solution] = []
+    total = 0
     stack = [(acc, ())]
     while stack:
         acc, prefix = stack.pop()
@@ -306,17 +317,16 @@ def _pivot_walk(group, sets, pivots, rows, rhs, free) -> list[Solution]:
                 break
         else:
             n = len(idx)
-            columns = [row_values(i, acc, idx) for i in out_rows]
-            columns += [repeat(v, n) for v in prefix[1:]]
-            columns.append([leaf_set[t] for t in idx])
-            sols.extend(zip(*[columns[s] for s in place]))
-    return sols
+            if count:
+                total += n
+            else:
+                columns = [row_values(i, acc, idx) for i in out_rows]
+                columns += [repeat(v, n) for v in prefix[1:]]
+                columns.append([leaf_set[t] for t in idx])
+                sols.extend(zip(*[columns[s] for s in place]))
+    return total if count else sols
 
 
-def count_solutions(system: RestrictedSystem, budget: int = DEFAULT_BUDGET) -> int:
-    """The number of solutions, under the same budget as
-    ``enumerate_solutions``, which lists them."""
-    return len(enumerate_solutions(system, budget))
 
 
 def is_thin(

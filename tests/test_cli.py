@@ -238,17 +238,22 @@ def test_pipeline_enumerates_each_system_once(count_calls, name, stages):
     ],
 )
 def test_pipeline_gates_divisor_with_two_smith_forms(count_calls, name):
-    # at most two Smith forms of the input's matrix: one for the coprimality
-    # check and, on the padded route only, one in the identity form's
-    # completion, which is also that step's d_k gate (a translate target
-    # does not compute its divisor again); the standard stage needs none
+    # the coprimality gate reads the input's Smith invariants over Z/|G|,
+    # once, and no integer Smith form; the input's matrix gets one only on
+    # the padded route, in the identity form's completion, which is also
+    # that step's d_k gate (a translate target does not compute its divisor
+    # again); the standard stage needs none
     smith = count_calls(intmat, "smith_normal_form", lambda a: (a.rows, a.cols))
+    local = count_calls(
+        intmat, "smith_invariants_mod", lambda rows, q: (len(rows), len(rows[0]), q)
+    )
     sys_ = decode_system(load_file(fixture(name)))
     out = main_json(["pipeline", fixture(name)])
     assert out["outcome"] == "circular"
     padded = out["stages"][-1]["stage"] == "circular"
     assert padded == (name == "sys_z6_full.json")
-    assert smith.count((sys_.equations, sys_.variables)) == 1 + padded
+    assert smith.count((sys_.equations, sys_.variables)) == padded
+    assert local == [(sys_.equations, sys_.variables, sys_.group.order)]
 
 
 def test_pipeline_padded_route_takes_one_determinant_per_completion(count_calls):
@@ -385,30 +390,42 @@ def test_verify_restricted():
 
 
 def test_copies_walk_the_lifted_system(count_calls):
-    # listed copies are solutions of [-K_w | I_m] (x, y) = 0: one pivot
-    # walk with m pivots (assignment columns first, then labels) and m free
-    # coordinates, and no per-assignment combine.  The count and verify
-    # read the class facts off Smith forms and walk only the circular
-    # system's solutions: k pivots and m - k free coordinates
+    # listed copies are solutions of [-K_w | I_m] (x, y) = 0: one listing
+    # pivot walk with m pivots (assignment columns first, then labels) and
+    # m free coordinates, and no per-assignment combine.  The count and
+    # verify read the class facts off Smith invariants mod q and count the
+    # circular system's solutions with the same walk (k pivots and m - k
+    # free coordinates), listing none and running no integer Smith form
     walks = count_calls(
         system,
         "_pivot_walk",
-        lambda group, sets, pivots, rows, rhs, free: (len(pivots), len(free)),
+        lambda group, sets, pivots, rows, rhs, free, count=False: (
+            len(pivots),
+            len(free),
+            count,
+        ),
     )
+    listed = count_calls(system, "enumerate_solutions", shape)
+    smith = count_calls(intmat, "smith_normal_form", lambda a: (a.rows, a.cols))
     combines = count_calls(AbelianGroup, "combine", lambda g, c, x: len(c))
     out = main_json(["copies", "--full", fixture("sys_z5_full.json")])
     assert (out["route"], out["count"]) == ("direct", 125)
-    assert walks == [(3, 3)]
+    assert walks == [(3, 3, False)]
+    assert listed == [(3, 6, True)]
     assert combines == []
     walks.clear()
+    listed.clear()
     out = main_json(["copies", fixture("sys_z5_full.json")])
     assert (out["route"], out["count"]) == ("direct", 125)
-    assert walks == [(1, 2)]
+    assert walks == [(1, 2, True)]
+    assert listed == []
     assert combines == []
     walks.clear()
     out = main_json(["verify", fixture("sys_z5_restricted.json")])
     assert (out["route"], out["verdict"]) == ("direct", "PASS")
-    assert walks == [(1, 2)]
+    assert walks == [(1, 2, True)]
+    assert listed == []
+    assert smith == []
 
 
 def test_direct_route_scans_windows_once(count_calls, tmp_path):
@@ -511,11 +528,14 @@ def main_json(args):
 
 @pytest.mark.parametrize("flags", [[], ["--greedy"]])
 def test_remove_enumerates_twice(count_calls, flags):
-    # once to solve, once for the reported post-removal count
+    # two walks of the system: one listing to solve, and one count, which
+    # lists nothing, for the reported post-removal count
     enumerated = count_calls(system, "enumerate_solutions", shape)
+    counted = count_calls(system, "count_solutions", shape)
     out = main_json(["remove", *flags, fixture("sys_z5_full.json")])
     assert out["post_count"] == 0
-    assert enumerated == [(1, 3, True)] * 2
+    assert enumerated == [(1, 3, True)]
+    assert counted == [(1, 3, True)]
 
 
 def test_remove_deep_search_in_process(tmp_path):
@@ -671,6 +691,32 @@ def test_budget_exit():
     assert proc.returncode == 4
     err = json.loads(proc.stderr)
     assert err["error"]["kind"] == "budget"
+
+
+def test_remove_cover_search_budget_exit(tmp_path):
+    # 900 walked candidates fit the budget, the exact cover search does not
+    rng = random.Random(7)
+    sets = [rng.sample(range(61), 30) for _ in range(3)]
+    path = tmp_path / "z61.json"
+    path.write_text(
+        json.dumps(
+            {
+                "group": {"moduli": [61]},
+                "A": {"rows": 1, "cols": 3, "data": [[1, 1, -2]]},
+                "b": [[0]],
+                "X": [[[v] for v in xs] for xs in sets],
+            }
+        )
+    )
+    proc = run_cli("remove", "--budget", "10000", str(path))
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert json.loads(proc.stderr) == {
+        "error": {
+            "kind": "budget",
+            "message": "10001 cover-search nodes exceed the budget of 10000",
+        }
+    }
+    assert run_json("remove", "--greedy", "--budget", "10000", str(path))["post_count"] == 0
 
 
 def test_pipeline_checks_survive_optimized_mode():

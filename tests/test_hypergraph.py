@@ -260,7 +260,7 @@ def listed_structure(host):
     sols = solutions_of(host.group, host.matrix, host.restrictions)
     copies = enumerate_copies(host)
     listed = verify_copy_classes(host, copies, sols), verify_copy_labels(host, copies)
-    return listed, copy_class_structure(host, sols)
+    return listed, copy_class_structure(host)
 
 
 def flags(classes, labels):
@@ -637,6 +637,6 @@ def test_pipeline_host_round_trip():
     with pytest.raises(BudgetExceededError):
         enumerate_copies(host)
     # the class facts need no listing: 25 classes of 5^26 copies each
-    classes, labels = copy_class_structure(host, enumerate_solutions(padded))
+    classes, labels = copy_class_structure(host)
     assert classes.ok and labels.ok, classes.problems
     assert (classes.class_count, classes.copy_count) == (25, 25 * 5**26)

@@ -18,7 +18,9 @@ from linremoval import (
     determinantal_divisor,
     determinantal_divisors,
     is_n_good,
+    kernel_order,
     n_good_padding,
+    smith_invariants_mod,
     smith_normal_form,
 )
 from linremoval.intmat import _xgcd, adjugate, det
@@ -182,6 +184,70 @@ def test_smith_form_invariants(m):
     for k, entry in enumerate(diag, start=1):
         prod *= entry
         assert prod == minor_gcd(m, k) or (prod == 0 and minor_gcd(m, k) == 0)
+
+
+# ------------------------------------------------- Smith invariants mod q
+
+
+def test_smith_invariants_mod_frozen_values():
+    # diag(2, 3) has integer Smith form diag(1, 6): the elimination finds 2
+    # and 3 over Z6, and the gcd / lcm step puts them in Smith order
+    assert smith_invariants_mod([[2, 0], [0, 3]], 6) == [1, 6]
+    # a pivot gcd that misses an entry of its column, or of its row, takes
+    # one xgcd merge: gcd(2, 6) = 2 does not divide 3
+    assert smith_invariants_mod([[2], [3]], 6) == [1]
+    assert smith_invariants_mod([[2, 3]], 6) == [1]
+    # a pivot gcd that divides its row and column takes no merge
+    assert smith_invariants_mod([[2, 4], [6, 8]], 12) == [2, 4]
+    assert smith_invariants_mod([[0, 0, 0]], 9) == [9]
+    assert smith_invariants_mod([[5, 7], [1, 3]], 1) == [1, 1]
+    prime = 2**61 - 1
+    assert smith_invariants_mod([[prime, 2 * prime], [1, 2]], prime) == [1, prime]
+    assert smith_invariants_mod([], 6) == []
+
+
+SMITH_MODULI = [
+    (4,), (6,), (8,), (9,), (12,), (27,), (36,), (60,), (210,), (2, 6), (3, 5),
+    (2**61 - 1,),
+]
+# entries in +-20, with some above 2^64 of either sign
+wide_entries = st.one_of(
+    st.integers(-20, 20),
+    st.integers(-20, 20),
+    st.integers(-20, 20),
+    st.integers(2**64, 2**66),
+    st.integers(-(2**66), -(2**64)),
+)
+
+
+def with_dependent_row(m):
+    # a last row that is a combination of two others keeps low ranks drawn
+    if m.rows < 3:
+        return m
+    rows = [list(r) for r in m.data]
+    rows[-1] = [2 * a - 3 * b for a, b in zip(rows[0], rows[1])]
+    return IntMatrix(rows)
+
+
+@given(
+    st.one_of(
+        matrices(max_rows=6, max_cols=7, entries=wide_entries),
+        matrices(max_rows=6, max_cols=7, entries=wide_entries).map(with_dependent_row),
+    ),
+    st.sampled_from(SMITH_MODULI),
+)
+@settings(max_examples=300, deadline=None)
+def test_smith_invariants_mod_match_integer_smith_form(m, moduli):
+    # gcd(s_j, q) of the integer Smith diagonal, one per j < min(rows,
+    # cols), and |ker M| on G^cols as their product with q per column past
+    diag = smith_normal_form(m).S.data
+    invariants = [diag[j][j] for j in range(min(m.rows, m.cols))]
+    padded = invariants + [0] * (m.cols - len(invariants))
+    for q in moduli:
+        assert smith_invariants_mod(m.data, q) == [math.gcd(s, q) for s in invariants]
+    assert kernel_order(m.data, moduli) == math.prod(
+        math.gcd(s, q) for q in moduli for s in padded
+    )
 
 
 # --------------------------------------------------- determinantal divisors

@@ -1,6 +1,7 @@
 """Minimum removal sets: exact solver against subset brute force."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,6 +160,29 @@ def test_exact_budget():
     sys_ = RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), full_sets(g, 3))
     with pytest.raises(BudgetExceededError):
         min_removal_exact(sys_, budget=10)
+
+
+def z61_sample_system():
+    # x1 + x2 - 2 x3 = 0 over Z61, each set a seeded sample of 30 values,
+    # drawn in coordinate order: 900 walked candidates, but a long search
+    rng = random.Random(7)
+    g = z(61)
+    sets = tuple(tuple((v,) for v in rng.sample(range(61), 30)) for _ in range(3))
+    return RestrictedSystem(g, IntMatrix([[1, 1, -2]]), ((0,),), sets)
+
+
+def test_exact_cover_search_runs_under_the_budget():
+    # the listing fits a budget of 10,000; the cover search's nodes do not
+    sys_ = z61_sample_system()
+    assert count_solutions(sys_, budget=10_000) == len(enumerate_solutions(sys_))
+    with pytest.raises(
+        BudgetExceededError,
+        match="^10001 cover-search nodes exceed the budget of 10000$",
+    ):
+        min_removal_exact(sys_, budget=10_000)
+    res = min_removal_exact(sys_)
+    assert (res.total_size, res.optimal, res.lower_bound) == (30, True, 24)
+    assert removal_kills(sys_, res.removed)
 
 
 # ------------------------------------------------------------ greedy route

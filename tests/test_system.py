@@ -317,6 +317,98 @@ def test_enumeration_matches_oracle_random(moduli, data):
     assert enumerate_solutions(sys_) == brute_solutions(sys_)
 
 
+COUNT_GROUPS = [(2,), (3,), (4,), (6,), (8,), (9,), (12,), (2, 4), (2, 6), (3, 5)]
+
+
+@given(st.sampled_from(COUNT_GROUPS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_count_matches_enumeration(moduli, data):
+    # the counting walk against the listing, coefficients with zero
+    # divisors so composite exponents leave check rows; at a drawn budget
+    # both succeed, or both raise the same budget error
+    g = AbelianGroup(moduli)
+    elements = g.elements()
+    m = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, min(m, 3)))
+    entries = data.draw(
+        st.lists(
+            st.lists(st.sampled_from([0, 1, -1, 2, 3, 4, 6, -9]), min_size=m, max_size=m),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    rhs = tuple(data.draw(st.sampled_from(elements)) for _ in range(k))
+    sets = tuple(
+        tuple(data.draw(st.sets(st.sampled_from(elements), max_size=5)))
+        for _ in range(m)
+    )
+    sys_ = RestrictedSystem(g, IntMatrix(entries), rhs, sets)
+    assert count_solutions(sys_) == len(enumerate_solutions(sys_))
+    budget = data.draw(st.integers(1, max(1, math.prod(map(len, sets)))))
+    try:
+        listed = enumerate_solutions(sys_, budget)
+    except BudgetExceededError as e:
+        with pytest.raises(BudgetExceededError) as counted:
+            count_solutions(sys_, budget)
+        assert str(counted.value) == str(e)
+    else:
+        assert count_solutions(sys_, budget) == len(listed)
+
+
+def test_count_matches_enumeration_with_check_rows():
+    # rows left without a unit pivot under composite exponents, alone or
+    # beside a pivot row, restricted or not: the count is the listing's
+    # length and the budget stops both at the walked product
+    cases = [
+        ((6,), [[2, 3]], [(5,)]),
+        ((4,), [[2, 2, 0]], [(2,)]),
+        ((12,), [[1, 2, 3], [4, 4, 8]], [(1,), (4,)]),
+        ((2, 4), [[2, 0, 2], [0, 2, 6]], [(0, 2), (0, 0)]),
+        ((2, 6), [[3, 2, 2, 1], [2, 6, 4, 0]], [(1, 1), (0, 2)]),
+    ]
+    rng = random.Random(1707)
+    for moduli, rows, rhs in cases:
+        g = AbelianGroup(moduli)
+        elements = g.elements()
+        for sets in (
+            full_sets(g, len(rows[0])),
+            tuple(proper_subset(rng, elements) for _ in rows[0]),
+        ):
+            sys_ = RestrictedSystem(g, IntMatrix(rows), tuple(rhs), sets)
+            pivots, _, _ = _unit_pivots(sys_)
+            assert None in pivots, moduli
+            listed = enumerate_solutions(sys_)
+            assert listed == brute_solutions(sys_)
+            assert count_solutions(sys_) == len(listed)
+            walked = math.prod(
+                len(sys_.restrictions[j])
+                for j in range(sys_.variables)
+                if j not in pivots
+            )
+            assert count_solutions(sys_, walked) == len(listed)
+            for listing in (enumerate_solutions, count_solutions):
+                with pytest.raises(BudgetExceededError, match=f"^{walked} candidates"):
+                    listing(sys_, walked - 1)
+
+
+@given(st.sampled_from([(2,), (4,), (5,), (6,), (9,), (12,), (60,), (2, 6), (3, 5)]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_coprime_matches_divisor_gcd(moduli, data):
+    # all k Smith invariants over Z/|G| are 1 exactly when gcd(d_k, |G|) = 1
+    g = AbelianGroup(moduli)
+    m = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, min(m, 3)))
+    rows = data.draw(
+        st.lists(
+            st.lists(st.integers(-20, 20), min_size=m, max_size=m),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    sys_ = RestrictedSystem(g, IntMatrix(rows), (g.zero,) * k, ((g.zero,),) * m)
+    assert sys_.coprime == (math.gcd(sys_.determinantal, g.order) == 1)
+
+
 def pivot_loop_solutions(system):
     # oracle: the candidate-by-candidate pivot loop the depth-first walk
     # replaced; every candidate of the free product solves all k pivot rows
@@ -588,9 +680,11 @@ def test_homogenize_projection_bijection():
     )
     ext = homogenize(sys_)
     src = enumerate_solutions(sys_)
-    tgt = enumerate_solutions(ext.target)
-    assert sorted(ext.project(y) for y in tgt) == src
-    assert verify_extension(ext).ok
+    report = verify_extension(ext)
+    # the report projects every target solution through the value maps and
+    # checks the images are distinct source solutions covering them all
+    assert report.ok and report.bijection_ok and report.problems == []
+    assert report.source_count == report.target_count == len(src) > 0
 
 
 # --------------------------------------------------------------- extensions

@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
     SchemaError,
 )
-from .hypergraph import build_host, copy_class_structure, enumerate_copies
+from .hypergraph import _copy_solutions, build_host, copy_class_structure
 from .intmat import (
     complete_to_square,
     det,
@@ -246,15 +246,13 @@ def cmd_copies(args, budget) -> dict:
             )
         payload["count"] = classes.copy_count
         return payload
-    copies = enumerate_copies(host, budget)
-    code = {v: encode_element(v) for v in host.group.elements()}
+    m = host.positions
+    copies = _copy_solutions(host, budget)
+    code = {v: encode_element(v) for v in host.group.elements()}.__getitem__
     payload["count"] = len(copies)
     payload["copies"] = [
-        {
-            "assignment": [code[v] for v in c.assignment],
-            "labels": [code[v] for v in c.labels],
-        }
-        for c in copies
+        {"assignment": row[:m], "labels": row[m:]}
+        for row in (list(map(code, s)) for s in copies)
     ]
     return payload
 

@@ -151,18 +151,27 @@ def enumerate_copies(
     assignments first.  Without a check row (a row left with no unit mod a
     composite exponent) the walk takes at most |G|^m candidates; with one,
     the walk's own budget check still bounds it.
+
+    The walk and the budget check live in ``_copy_solutions``; this wraps
+    its (x, y) tuples in ``HCopy``.  The CLI's ``copies --full`` reads the
+    tuples themselves, so both listings are the same walk.
     """
     m = host.positions
-    group = host.group
-    total = group.order**m
+    return [
+        HCopy(assignment=s[:m], labels=s[m:])
+        for s in _copy_solutions(host, budget)
+    ]
+
+
+def _copy_solutions(host: HostHypergraph, budget: int) -> list[tuple[Element, ...]]:
+    """The copies as the lifted walk's sorted 2m-tuples (x, y), assignment
+    first, after checking all |G|^m assignments against the budget."""
+    total = host.group.order**host.positions
     if total > budget:
         raise BudgetExceededError(
             f"{total} assignments exceed the budget of {budget}"
         )
-    return [
-        HCopy(assignment=s[:m], labels=s[m:])
-        for s in enumerate_solutions(_lifted_system(host), budget)
-    ]
+    return enumerate_solutions(_lifted_system(host), budget)
 
 
 def _lifted_system(host: HostHypergraph) -> RestrictedSystem:

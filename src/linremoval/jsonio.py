@@ -161,6 +161,10 @@ def load_file(path: str):
 
 
 def dump(obj, human: bool = False) -> str:
+    # a report is a fresh tree whose shared code-table lists never form a
+    # cycle, so the per-container cycle check is skipped: same bytes
     if human:
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    return json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n"
+        return json.dumps(obj, indent=2, sort_keys=True, check_circular=False) + "\n"
+    return json.dumps(
+        obj, separators=(",", ":"), sort_keys=True, check_circular=False
+    ) + "\n"

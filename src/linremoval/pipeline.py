@@ -51,6 +51,7 @@ from .system import (
     _thin_witness,
     _verify_extension,
     compose_extensions,
+    count_solutions,
     enumerate_solutions,
 )
 
@@ -529,12 +530,13 @@ def full_extension(
     or when the search uses up the budget, the identity form is padded by
     circularize into the paper's general target.
 
-    Every distinct system of the chain is enumerated once: the input's
+    Only the input and the final target are listed, once each: the input's
     solutions serve its stage count, the thinness test, the translation
     witness, the translate stage when the input is already homogeneous, and
     the source side of the verification; the final target's serve its
     stage count and the target side.  The translate and identity-form
-    counts are enumerations of their own, and all stage counts must agree.
+    stages are counted by ``count_solutions``, which lists nothing, and all
+    stage counts must agree.
     The final system is built into a CircularSystem, whose kernel
     construction checks that the target is circular, and the composed
     extension is verified exhaustively (``verification``).
@@ -563,7 +565,7 @@ def full_extension(
     if translated.target is system:
         translated_count = len(source_sols)
     else:
-        translated_count = len(enumerate_solutions(translated.target, budget))
+        translated_count = count_solutions(translated.target, budget)
     stages.append(
         {
             "stage": "translate",
@@ -593,7 +595,7 @@ def full_extension(
                 "stage": "identity-form",
                 "equations": step.target.equations,
                 "variables": step.target.variables,
-                "solutions": len(enumerate_solutions(step.target, budget)),
+                "solutions": count_solutions(step.target, budget),
                 "row_divisors": list(divisors),
             }
         )

@@ -506,6 +506,8 @@ def cli_runs():
         ("copies", "--full", "--budget", "100", fx("sys_z5_full.json")),
         ("copies", fx("sys_z6_full.json")),
         ("verify", fx("sys_z6_full.json")),
+        ("copies", "--full", "--human", fx("sys_z3z5_1x4.json")),
+        ("copies", "--full", "--human", fx("sys_z7_2x4.json")),
     ]
 
 

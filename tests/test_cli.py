@@ -208,24 +208,30 @@ def shape(sys_, budget=None):
 @pytest.mark.parametrize(
     "name, stages",
     [
-        # homogeneous: the input's solutions are the translate stage's too
-        ("sys_z5_restricted.json", [(1, 3, True), (1, 3, True)]),
-        ("sys_z3z5_restricted.json", [(1, 3, False), (1, 3, True), (1, 3, True)]),
-        ("sys_z11_2x4.json", [(2, 4, False), (2, 4, True), (2, 4, True)]),
+        # (listed, counted); homogeneous: the input's solutions are the
+        # translate stage's too
+        ("sys_z5_restricted.json", ([(1, 3, True), (1, 3, True)], [])),
+        (
+            "sys_z3z5_restricted.json",
+            ([(1, 3, False), (1, 3, True)], [(1, 3, True)]),
+        ),
+        ("sys_z11_2x4.json", ([(2, 4, False), (2, 4, True)], [(2, 4, True)])),
         # no circular column order: identity form, then the padded target
         (
             "sys_z6_full.json",
-            [(2, 5, False), (2, 5, True), (5, 8, True), (93, 96, True)],
+            ([(2, 5, False), (93, 96, True)], [(2, 5, True), (5, 8, True)]),
         ),
     ],
 )
 def test_pipeline_enumerates_each_system_once(count_calls, name, stages):
-    # the thinness test, the translation and the verification reuse the
-    # input's and the circular target's solution lists
+    # only the input and the final target are listed, once each: the
+    # thinness test, the translation and the verification reuse those
+    # lists; the translate and identity-form stages are counted, not listed
     enumerated = count_calls(system, "enumerate_solutions", shape)
+    counted = count_calls(system, "count_solutions", shape)
     out = main_json(["pipeline", fixture(name)])
     assert out["verification"]["ok"]
-    assert enumerated == stages
+    assert (enumerated, counted) == stages
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,12 @@
 """Colored hypergraph encoding: templates, hosts, copy counting."""
 
+import contextlib
+import io
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +28,9 @@ from linremoval import (
     verify_copy_classes,
     verify_copy_labels,
 )
+from linremoval import cli
 from linremoval.hypergraph import HCopy, _lifted_system
+from linremoval.jsonio import decode_system, encode_element, encode_system, load_file
 from linremoval.system import _unit_pivots
 
 
@@ -296,6 +302,61 @@ def test_class_structure_matches_listing_on_sweep():
 
 
 FORGED_GROUPS = ([3], [4], [5], [6], [7], [2, 2], [2, 4])
+
+
+def run_main(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_listing_matches_library_listing(tmp_path):
+    # copies --full reads the lifted walk's tuples without HCopy; its rows
+    # are enumerate_copies encoded element by element, in the same order
+    rng = random.Random(1811)
+    listed = 0
+    for moduli in FORGED_GROUPS:
+        g = AbelianGroup(moduli)
+        els = g.elements()
+        for k, m in [(k, m) for k in (1, 2) for m in range(k + 2, k + 4)]:
+            if g.order**m > 2000:
+                continue
+            circ = random_circular(rng, g.order, k, m)
+            sets = [
+                tuple(rng.sample(els, rng.randrange(1, g.order + 1)))
+                for _ in range(m)
+            ]
+            sys_ = RestrictedSystem(g, circ.matrix, (g.zero,) * k, sets)
+            path = tmp_path / f"{'x'.join(map(str, moduli))}_{k}_{m}.json"
+            path.write_text(json.dumps(encode_system(sys_)))
+            code, out, err = run_main(["copies", "--full", str(path)])
+            assert (code, err) == (0, ""), path
+            report = json.loads(out)
+            decoded = decode_system(load_file(str(path)))
+            host = build_host(g, circ, decoded.restrictions)
+            copies = enumerate_copies(host)
+            assert report["route"] == "direct", path
+            assert report["count"] == len(copies), path
+            assert report["copies"] == [
+                {
+                    "assignment": [encode_element(v) for v in c.assignment],
+                    "labels": [encode_element(v) for v in c.labels],
+                }
+                for c in copies
+            ], path
+            listed += len(copies)
+    assert listed
+    # the |G|^m budget pre-check still guards the CLI's listing
+    fixture = Path(__file__).parent / "fixtures" / "sys_z5_full.json"
+    code, out, err = run_main(["copies", "--full", "--budget", "100", str(fixture)])
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {
+        "error": {
+            "kind": "budget",
+            "message": "125 assignments exceed the budget of 100",
+        }
+    }
 
 
 def forged_hosts(count):

@@ -1,5 +1,7 @@
 """Wire format: 53-bit integer boundary, schema errors, round trips."""
 
+import json
+
 import pytest
 
 from linremoval import AbelianGroup, IntMatrix, SchemaError
@@ -118,3 +120,21 @@ def test_dump_formats():
     human = dump({"b": 1, "a": [1, 2]}, human=True)
     assert human.startswith('{\n  "a"')
     assert human.endswith("\n")
+
+
+def test_dump_matches_checked_encoding_on_shared_lists():
+    # reports share one encoded list per group element across many rows, as
+    # the copies code table does; the dump skips the cycle check and must
+    # give the bytes the checked encoder gives
+    code = {v: [v, -v, str(BIG + v)] for v in range(4)}
+    rows = [
+        {"assignment": [code[(i + j) % 4] for j in range(3)], "labels": [code[i % 4]]}
+        for i in range(50)
+    ]
+    obj = {"count": len(rows), "copies": rows, "table": code[0]}
+    assert dump(obj) == json.dumps(
+        obj, separators=(",", ":"), sort_keys=True, check_circular=True
+    ) + "\n"
+    assert dump(obj, human=True) == json.dumps(
+        obj, indent=2, sort_keys=True, check_circular=True
+    ) + "\n"

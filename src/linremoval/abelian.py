@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import PreconditionError
-from .intmat import IntMatrix, adjugate, det
+from .intmat import IntMatrix, smith_normal_form
 
 Element = tuple[int, ...]
 
@@ -106,17 +106,21 @@ def scalar_inverse(d: int, group: AbelianGroup) -> int:
 def linear_map_inverse(matrix: IntMatrix, group: AbelianGroup) -> IntMatrix:
     """Inverse of an integer matrix acting on G^k, entries in [0, exponent).
 
-    Built as scalar_inverse(det) times the adjugate, reduced modulo the
-    exponent; valid whenever gcd(det, |G|) == 1.
+    V S^-1 U from the Smith form U M V = S, each invariant factor inverted
+    modulo the exponent; valid whenever gcd(det, |G|) == 1.
     """
     if matrix.rows != matrix.cols:
         raise PreconditionError("only square maps can be inverted")
-    d = det(matrix)
+    snf = smith_normal_form(matrix)
+    factors = [snf.S.data[i][i] for i in range(matrix.rows)]
+    d = math.prod(factors)
     if math.gcd(d, group.order) != 1:
         raise PreconditionError(
-            f"determinant {d} shares a factor with the group order {group.order}"
+            f"|determinant| {d} shares a factor with the group order {group.order}"
         )
-    return adjugate(matrix).scale(scalar_inverse(d, group)).mod(group.exponent)
+    inverses = [scalar_inverse(s, group) for s in factors]
+    scaled = IntMatrix([[v * c for v, c in zip(row, inverses)] for row in snf.V.data])
+    return (scaled @ snf.U).mod(group.exponent)
 
 
 def scaling_image(s: int, group: AbelianGroup) -> tuple[Element, ...]:

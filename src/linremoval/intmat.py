@@ -1,14 +1,14 @@
 """Exact integer matrices and the normal forms used by the reduction pipeline.
 
 Everything here is plain Python integer arithmetic: determinants are computed
-fraction-free, Smith forms track their unimodular transforms (the Smith
-invariants modulo q, ``smith_invariants_mod``, need none), and the two
-completion constructions (square completion, window-coprime padding) verify
-their own postconditions before returning.  The determinantal divisors are
-read off the Smith form (``determinantal_divisors``); the minor enumeration
-``determinantal_divisor`` is kept only as an independent oracle, as is
-``pipeline.is_circular``, whose per-window ``_det_rows`` determinants are on
-no command path.
+fraction-free, Smith forms track U, V and V^-1 (the Smith invariants modulo
+q, ``smith_invariants_mod``, need none), from which completions, kernels and
+inverses are read with no adjugate, and the two completion constructions
+(square completion, window-coprime padding) verify their own postconditions
+before returning.  The determinantal divisors are read off the Smith form
+(``determinantal_divisors``); the minor enumeration ``determinantal_divisor``
+is kept only as an independent oracle, as is ``pipeline.is_circular``, whose
+per-window ``_det_rows`` determinants are on no command path.
 """
 
 from __future__ import annotations
@@ -150,34 +150,14 @@ def det(matrix: IntMatrix) -> int:
     return _det_rows(matrix.to_lists())
 
 
-def adjugate(matrix: IntMatrix) -> IntMatrix:
-    """Classical adjugate: matrix @ adjugate(matrix) == det(matrix) * I."""
-    if matrix.rows != matrix.cols:
-        raise PreconditionError("adjugate needs a square matrix")
-    n = matrix.rows
-    if n == 1:
-        return IntMatrix([[1]])
-    data = matrix.data
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [data[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            cof = _det_rows(minor)
-            out[i][j] = -cof if (i + j) % 2 else cof
-    return IntMatrix(out)
-
-
 @dataclass(frozen=True)
 class SnfResult:
-    """Smith form S together with unimodular U, V satisfying U @ A @ V == S."""
+    """Smith form S, unimodular U, V with U @ A @ V == S, and V_inv = V^-1."""
 
     U: IntMatrix
     S: IntMatrix
     V: IntMatrix
+    V_inv: IntMatrix
 
 
 def _swap_cols(m: list[list[int]], a: int, b: int) -> None:
@@ -197,7 +177,9 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
     followed by the rows of I_cols: a row operation on one of the first
     ``rows`` rows updates S and U together, and a column operation on one
     of the first ``cols`` columns updates S and V together.  The pivot
-    search and the divisibility check read only the A block.
+    search and the divisibility check read only the A block.  V^-1 is kept
+    in the same pass: each column operation's inverse is applied to its
+    rows as a row operation.
     """
     rows, cols = matrix.rows, matrix.cols
     w = [
@@ -205,6 +187,7 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
         for i, row in enumerate(matrix.data)
     ]
     w += [[1 if c == i else 0 for c in range(cols)] for i in range(cols)]
+    vi = [[1 if c == i else 0 for c in range(cols)] for i in range(cols)]
 
     for t in range(min(rows, cols)):
         best = None
@@ -220,6 +203,7 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
             w[t], w[bi] = w[bi], w[t]
         if bj != t:
             _swap_cols(w, t, bj)
+            vi[t], vi[bj] = vi[bj], vi[t]
 
         while True:
             # reduce the cross at (t, t) until both arms vanish
@@ -244,8 +228,10 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
                         if q:
                             for row in w:
                                 row[j] -= q * row[t]
+                            vi[t] = [a + q * b for a, b in zip(vi[t], vi[j])]
                         if w[t][j]:
                             _swap_cols(w, t, j)
+                            vi[t], vi[j] = vi[j], vi[t]
                             restart = True
                             break
                 if restart:
@@ -269,6 +255,7 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
         IntMatrix([row[cols:] for row in w[:rows]]),
         IntMatrix([row[:cols] for row in w[:rows]]),
         IntMatrix(w[rows:]),
+        IntMatrix(vi),
     )
 
 
@@ -376,12 +363,17 @@ def determinantal_divisor(matrix: IntMatrix, k: int) -> int:
     return g
 
 
-def _unimodular_inverse(matrix: IntMatrix) -> IntMatrix:
-    d = det(matrix)
-    if d not in (1, -1):
-        raise PreconditionError("matrix is not unimodular")
-    adj = adjugate(matrix)
-    return adj if d == 1 else adj.scale(-1)
+def _full_rank_smith(matrix: IntMatrix) -> tuple[SnfResult, int]:
+    """The Smith form of a k x m matrix with k <= m, and d_k, the product of
+    its k invariant factors; PreconditionError when d_k is 0."""
+    k, m = matrix.rows, matrix.cols
+    if k > m:
+        raise PreconditionError("completion needs at least as many columns as rows")
+    snf = smith_normal_form(matrix)
+    dk = math.prod(snf.S.data[i][i] for i in range(k))
+    if dk == 0:
+        raise PreconditionError("matrix has a zero invariant factor (rank deficient)")
+    return snf, dk
 
 
 def complete_to_square(matrix: IntMatrix) -> IntMatrix:
@@ -395,24 +387,12 @@ def complete_to_square(matrix: IntMatrix) -> IntMatrix:
     its own completion (there the determinant keeps its sign, since no added
     row is available to flip it).
     """
-    return _complete_with_divisor(matrix)[0]
+    snf, dk = _full_rank_smith(matrix)
+    k = matrix.rows
+    if k == matrix.cols:
+        return IntMatrix(matrix.data)
 
-
-def _complete_with_divisor(matrix: IntMatrix) -> tuple[IntMatrix, int]:
-    """complete_to_square's completion together with d_k, read off the
-    Smith form; for k < m that is the completion's determinant, computed
-    once (a row flip only negates it)."""
-    k, m = matrix.rows, matrix.cols
-    if k > m:
-        raise PreconditionError("completion needs at least as many columns as rows")
-    snf = smith_normal_form(matrix)
-    dk = math.prod(snf.S.data[i][i] for i in range(k))
-    if dk == 0:
-        raise PreconditionError("matrix has a zero invariant factor (rank deficient)")
-    if k == m:
-        return IntMatrix(matrix.data), dk
-
-    result = IntMatrix(matrix.data + _unimodular_inverse(snf.V).data[k:])
+    result = IntMatrix(matrix.data + snf.V_inv.data[k:])
     d = det(result)
     if d != dk:
         # determinant can only be off by sign; flip the first added row
@@ -425,7 +405,7 @@ def _complete_with_divisor(matrix: IntMatrix) -> tuple[IntMatrix, int]:
         raise AssertionError("completion displaced the original rows")
     if d != dk:
         raise AssertionError("completion missed the target determinant")
-    return result, dk
+    return result
 
 
 def is_n_good(matrix: IntMatrix, n: int) -> bool:

@@ -29,15 +29,15 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .abelian import AbelianGroup, scalar_inverse
+from .abelian import AbelianGroup, scalar_inverse, scaling_preimage
 from .errors import PreconditionError
 from .intmat import (
     IntMatrix,
-    _complete_with_divisor,
     _det_rows,
+    _full_rank_smith,
     _xgcd,
-    adjugate,
     complete_to_square,
+    det,
     n_good_padding,
 )
 from .system import (
@@ -46,6 +46,7 @@ from .system import (
     ExtensionReport,
     RestrictedSystem,
     ThinWitness,
+    _check_budget,
     _homogenize,
     _identity_prefix,
     _thin_witness,
@@ -275,18 +276,21 @@ def _identity_form_details(system: RestrictedSystem):
         raise PreconditionError("identity-form step needs a homogeneous system")
     group = system.group
     k, m = system.equations, system.variables
-    # the d_k gate on every path: the completion refuses a rank-deficient A,
-    # and d = d_k, which is det(completed) when k < m, has an inverse only
-    # when coprime to |G|
-    completed, d = _complete_with_divisor(system.matrix)
+    # the d_k gate on every path: the Smith form refuses a rank-deficient
+    # A, and d = d_k has an inverse only when coprime to |G|
+    snf, d = _full_rank_smith(system.matrix)
     d_inv = scalar_inverse(d, group)
     if k == m:
         return ThinWitness(coordinate=0, value=group.zero), ()
 
     free = m - k
-    # A adj(completed) = (d I_k | 0), so columns k.. of the adjugate solve
-    # A x = 0
-    slopes = [row[k:] for row in adjugate(completed).data]
+    # complete_to_square's C (A over the last m - k rows of V^-1, the
+    # first of those negated when det U det V = -1) has det C = d and
+    # C^-1 = V diag(D^-1 U, I) with column k negated likewise, so columns
+    # k.. of adj(C) = d C^-1, which solve A x = 0, are d V[:, k:] with the
+    # first times det U det V
+    sign = det(snf.U) * det(snf.V)
+    slopes = [[d * v for v in (sign * row[k], *row[k + 1 :])] for row in snf.V.data]
 
     divisors = [math.gcd(*row) for row in slopes]
     for i, g in enumerate(divisors):
@@ -304,20 +308,20 @@ def _identity_form_details(system: RestrictedSystem):
         ]
     )
 
-    full = group.elements()
     new_sets: list[tuple] = []
     value_maps: dict[int, dict] = {}
     for i in range(m):
         s = divisors[i]
         scaled_source = {group.scale(d, x) for x in system.restrictions[i]}
+        # the preimages of distinct x are disjoint
         ys = tuple(
-            y for y in full if group.scale(s, y) in scaled_source
+            sorted(y for x in scaled_source for y in scaling_preimage(s, x, group))
         )
         new_sets.append(ys)
         value_maps[i] = {
             y: group.scale(d_inv, group.scale(s, y)) for y in ys
         }
-    new_sets.extend([full] * free)
+    new_sets.extend([group.elements()] * free)
 
     zero_rhs = tuple(group.zero for _ in range(m))
     target = RestrictedSystem(group, target_matrix, zero_rhs, tuple(new_sets))
@@ -586,6 +590,9 @@ def full_extension(
         chain = [translated, last]
         record = {"stage": "standard", "column_order": order}
     else:
+        # the m - k whole-group columns the identity form and the padded
+        # target walk meet the budget before G is listed for them
+        _check_budget(n ** (system.variables - system.equations), budget)
         # never a ThinWitness here: with gcd(d_k, |G|) = 1 a coordinate the
         # identity form pins is constant across the input's solutions, so
         # the thinness test above has already returned

@@ -204,6 +204,14 @@ def count_solutions(system: RestrictedSystem, budget: int = DEFAULT_BUDGET) -> i
     return _walk(system, budget, count=True)
 
 
+def _check_budget(candidates: int, budget: int) -> None:
+    """The walk's budget pre-check: BudgetExceededError past the budget."""
+    if candidates > budget:
+        raise BudgetExceededError(
+            f"{candidates} candidates exceed the budget of {budget}"
+        )
+
+
 def _walk(system: RestrictedSystem, budget: int, count: bool):
     """The set-up and budget pre-check the listing and the count share,
     then their pivot walk."""
@@ -216,11 +224,7 @@ def _walk(system: RestrictedSystem, budget: int, count: bool):
         (j for j in range(system.variables) if j not in taken),
         key=lambda j: len(sets[j]),
     )
-    free_total = math.prod(len(sets[j]) for j in free)
-    if free_total > budget:
-        raise BudgetExceededError(
-            f"{free_total} candidates exceed the budget of {budget}"
-        )
+    _check_budget(math.prod(len(sets[j]) for j in free), budget)
     return _pivot_walk(system.group, sets, pivots, rows, rhs, free, count)
 
 

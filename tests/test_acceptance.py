@@ -508,6 +508,7 @@ def cli_runs():
         ("verify", fx("sys_z6_full.json")),
         ("copies", "--full", "--human", fx("sys_z3z5_1x4.json")),
         ("copies", "--full", "--human", fx("sys_z7_2x4.json")),
+        ("pipeline", "--trace", fx("sys_z6_full.json")),
     ]
 
 

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -263,15 +264,17 @@ def test_pipeline_gates_divisor_with_two_smith_forms(count_calls, name):
 
 
 def test_pipeline_padded_route_takes_one_determinant_per_completion(count_calls):
-    # sys_z6_full pads: the identity form completes the 2 x 5 matrix to
-    # 5 x 5 (the Smith V inverse and the completion's own determinant), and
-    # circularize completes each of the 5 free rows to 3 x 3 (the V inverse,
-    # the completion, n_good_padding's gate); d_k is never recomputed from a
-    # completion whose determinant it is by contract
+    # sys_z6_full pads: the identity form reads its kernel off the 2 x 5
+    # matrix's Smith transforms, whose only determinants are det U (2 x 2)
+    # and det V (5 x 5), the sign of the completion it stands for; and
+    # circularize completes each of the 5 free rows to 3 x 3 (the
+    # completion's own determinant, n_good_padding's gate), with V^-1 kept
+    # by the Smith form; d_k is never recomputed from a completion whose
+    # determinant it is by contract
     dets = count_calls(intmat, "det", lambda a: a.rows)
     out = main_json(["pipeline", fixture("sys_z6_full.json")])
     assert out["target"]["equations"] == 93
-    assert sorted(dets) == [3] * 15 + [5] * 2
+    assert sorted(dets) == [2] + [3] * 10 + [5]
 
 
 def test_circular_command_scans_windows_once(count_calls):
@@ -725,6 +728,44 @@ def test_remove_cover_search_budget_exit(tmp_path):
     assert run_json("remove", "--greedy", "--budget", "10000", str(path))["post_count"] == 0
 
 
+def main_result(args):
+    """cli.main run in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("bits", [20, 64])
+def test_padded_route_budget_precedes_listing_the_group(tmp_path, bits):
+    # 2x1 + x2 + x3 = 0 has no circular column order over Z_{2^bits} (2 is
+    # no unit), so it takes the padded route, whose identity form has
+    # m - k = 2 whole-group columns: the 2^(2 bits) candidates meet the
+    # budget before G is listed, with the walk's own message
+    n = 2**bits
+    path = tmp_path / f"z2_{bits}.json"
+    path.write_text(
+        json.dumps(
+            {
+                "group": {"moduli": [str(n)]},
+                "A": {"rows": 1, "cols": 3, "data": [[2, 1, 1]]},
+                "b": [[0]],
+                "X": [[[0], [1]], [[0], [1], [2]], [[0], [-1], [-2], [-3], [-4]]],
+            }
+        )
+    )
+    start = time.process_time()
+    code, out, err = main_result(["pipeline", "--budget", "1000", str(path)])
+    assert time.process_time() - start < 2
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {
+        "error": {
+            "kind": "budget",
+            "message": f"{n * n} candidates exceed the budget of 1000",
+        }
+    }
+
+
 def test_pipeline_checks_survive_optimized_mode():
     # python -O strips assert statements; the pipeline's stacked-size and
     # stage-count checks are explicit raises, so they still fire
@@ -923,3 +964,90 @@ def test_repeated_runs_are_identical(args):
     second = run_cli(*args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+# ---------------------------------------------------------------------- fuzz
+
+
+FUZZ_MODULI = [[n] for n in range(1, 13)] + [[2, 2], [2, 4], [2, 6], [3, 3]]
+
+
+def fuzz_system(rng):
+    """A random system over one of FUZZ_MODULI, k <= 3 and m <= 6, in the
+    wire format; k may exceed m."""
+    moduli = rng.choice(FUZZ_MODULI)
+    elements = AbelianGroup(moduli).elements()
+    k, m = rng.randint(1, 3), rng.randint(1, 6)
+    return {
+        "group": {"moduli": list(moduli)},
+        "A": {
+            "rows": k,
+            "cols": m,
+            "data": [[rng.randint(-4, 4) for _ in range(m)] for _ in range(k)],
+        },
+        "b": [list(rng.choice(elements)) for _ in range(k)],
+        "X": [
+            [list(x) for x in rng.sample(elements, rng.randint(1, len(elements)))]
+            for _ in range(m)
+        ],
+    }
+
+
+def mutate(obj, rng):
+    """One of: a dropped key, a boolean for an integer, a bad modulus, a
+    short X; or the system unchanged."""
+    kind = rng.choice(["drop", "bool", "modulus", "short", "none"])
+    if kind == "drop":
+        holder = rng.choice([obj, obj["A"], obj["group"]])
+        del holder[rng.choice(sorted(holder))]
+    elif kind == "bool":
+        row = rng.choice(obj["A"]["data"] + obj["X"][0] + [obj["group"]["moduli"]])
+        row[rng.randrange(len(row))] = rng.choice([True, False])
+    elif kind == "modulus":
+        obj["group"]["moduli"] = rng.choice([[0], [-3], [], "6", [2, "x"], [6, 0]])
+    elif kind == "short":
+        obj["X"] = obj["X"][:-1]
+    return obj
+
+
+def fuzz_argvs(matrix_path, system_path, n):
+    n = str(n)
+    return [
+        ["snf", matrix_path],
+        ["dk", matrix_path],
+        ["complete", matrix_path],
+        ["ngood", "--n", n, matrix_path],
+        ["circular", "--n", n, matrix_path],
+        ["cmatrix", "--n", n, matrix_path],
+        ["solve", system_path],
+        ["pipeline", "--trace", system_path],
+        ["copies", system_path],
+        ["copies", "--full", system_path],
+        ["verify", system_path],
+        ["remove", system_path],
+        ["remove", "--greedy", system_path],
+    ]
+
+
+def test_cli_fuzz_ends_with_documented_exit_codes(tmp_path):
+    # seeded random and mutated systems through every subcommand: each run
+    # ends with a documented exit code, a JSON report on success and a JSON
+    # error on stderr otherwise, never an uncaught exception
+    rng = random.Random(2011)
+    matrix_path, system_path = tmp_path / "matrix.json", tmp_path / "system.json"
+    codes = set()
+    for _ in range(60):
+        obj = mutate(fuzz_system(rng), rng)
+        matrix_path.write_text(json.dumps(obj.get("A", obj)))
+        system_path.write_text(json.dumps(obj))
+        n = rng.randint(1, 12)
+        for args in fuzz_argvs(str(matrix_path), str(system_path), n):
+            code, out, err = main_result([*args, "--budget", "20000"])
+            assert code in {0, 2, 3, 4, 5}, (args, obj)
+            if code:
+                assert out == ""
+                assert set(json.loads(err)["error"]) == {"kind", "message"}
+            else:
+                json.loads(out)
+            codes.add(code)
+    assert {0, 2, 3} <= codes

@@ -23,7 +23,7 @@ from linremoval import (
     smith_invariants_mod,
     smith_normal_form,
 )
-from linremoval.intmat import _xgcd, adjugate, det
+from linremoval.intmat import _xgcd, det
 
 
 def cofactor_det(rows):
@@ -37,6 +37,24 @@ def cofactor_det(rows):
         term = rows[0][j] * cofactor_det(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def adjugate(matrix):
+    # oracle: the classical adjugate, one cofactor determinant per entry,
+    # so that matrix @ adjugate(matrix) == det(matrix) * I
+    n = matrix.rows
+    if n == 1:
+        return IntMatrix([[1]])
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [matrix.data[r][c] for c in range(n) if c != i]
+                for r in range(n)
+                if r != j
+            ]
+            out[i][j] = (-1) ** (i + j) * det(IntMatrix(minor))
+    return IntMatrix(out)
 
 
 def minor_gcd(matrix, k):
@@ -129,14 +147,6 @@ def test_det_matches_cofactor_expansion(m):
     assert det(m) == cofactor_det([list(r) for r in m.data])
 
 
-@given(matrices(max_rows=3, max_cols=3).filter(lambda m: m.rows == m.cols))
-@settings(max_examples=60, deadline=None)
-def test_adjugate_identity(m):
-    d = det(m)
-    assert (m @ adjugate(m)) == IntMatrix.identity(m.rows).scale(d)
-    assert (adjugate(m) @ m) == IntMatrix.identity(m.rows).scale(d)
-
-
 # -------------------------------------------------------------- Smith form
 
 
@@ -153,6 +163,7 @@ def check_smith(matrix):
     assert abs(cofactor_det([list(r) for r in u.data])) == 1
     assert abs(cofactor_det([list(r) for r in v.data])) == 1
     assert (u @ matrix) @ v == s
+    assert v @ res.V_inv == IntMatrix.identity(v.rows)
     diag = [s.data[i][i] for i in range(min(s.rows, s.cols))]
     for i in range(s.rows):
         for j in range(s.cols):

@@ -18,6 +18,8 @@ from linremoval import (
     ThinWitness,
     build_kernel_matrix,
     circularize,
+    complete_to_square,
+    determinantal_divisor,
     enumerate_solutions,
     extend_to_identity_form,
     full_extension,
@@ -27,12 +29,14 @@ from linremoval import (
     verify_extension,
 )
 from linremoval import pipeline
+from linremoval.intmat import det
 from linremoval.pipeline import (
     _circular_order,
     _identity_form_details,
     _solve_window_mod,
     _standard_form,
 )
+from test_intmat import adjugate
 
 
 def full_sets(group, m):
@@ -458,6 +462,68 @@ def test_identity_form_restricted_sets():
     report = verify_extension(ext)
     assert report.ok, report.problems
     assert report.source_count == len(enumerate_solutions(sys_))
+
+
+def adjugate_identity_form(sys_):
+    # oracle: the earlier construction.  Columns k.. of adj(C), for the
+    # completion C of A, are the slopes; each set is scanned over all of G
+    group, a = sys_.group, sys_.matrix
+    k, m = a.rows, a.cols
+    completed = complete_to_square(a)
+    d = det(completed)
+    slopes = [row[k:] for row in adjugate(completed).data]
+    divisors = tuple(math.gcd(*row) for row in slopes)
+    if 0 in divisors:
+        return divisors.index(0), divisors
+    matrix = [
+        [int(c == i) for c in range(m)] + [v // g for v in row]
+        for i, (row, g) in enumerate(zip(slopes, divisors))
+    ]
+    sets = [
+        tuple(
+            y
+            for y in group.elements()
+            if group.scale(s, y) in {group.scale(d, x) for x in xs}
+        )
+        for s, xs in zip(divisors, sys_.restrictions)
+    ]
+    return (IntMatrix(matrix), tuple(sets) + (group.elements(),) * (m - k)), divisors
+
+
+def test_identity_form_matches_adjugate_oracle():
+    # the kernel read off the Smith transforms gives the same target matrix,
+    # row divisors and sets as the adjugate of the completion, or pins the
+    # same coordinate, on a seeded sweep over six groups
+    rng = random.Random(19)
+    groups = [[4], [5], [6], [12], [2, 4], [3, 5]]
+    kinds = {"target": 0, "thin": 0, "refused": 0}
+    for _ in range(400):
+        group = AbelianGroup(rng.choice(groups))
+        k = rng.randint(1, 3)
+        m = rng.randint(k + 1, 6)
+        rows = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(k)]
+        elements = group.elements()
+        sets = tuple(
+            tuple(sorted(rng.sample(elements, rng.randint(1, len(elements)))))
+            for _ in range(m)
+        )
+        sys_ = RestrictedSystem(group, IntMatrix(rows), (group.zero,) * k, sets)
+        dk = determinantal_divisor(sys_.matrix, k)
+        if math.gcd(dk, group.order) != 1:
+            with pytest.raises(PreconditionError):
+                _identity_form_details(sys_)
+            kinds["refused"] += 1
+            continue
+        got, divisors = _identity_form_details(sys_)
+        want, want_divisors = adjugate_identity_form(sys_)
+        assert divisors == want_divisors
+        if isinstance(got, ThinWitness):
+            assert got == ThinWitness(want, group.zero)
+            kinds["thin"] += 1
+        else:
+            assert (got.target.matrix, got.target.restrictions) == want
+            kinds["target"] += 1
+    assert all(kinds.values()), kinds
 
 
 def test_identity_form_preconditions():

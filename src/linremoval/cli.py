@@ -41,6 +41,7 @@ from .jsonio import (
     encode_element,
     encode_int,
     encode_matrix,
+    is_decimal,
     load_file,
 )
 from .pipeline import (
@@ -211,7 +212,7 @@ def _route_host(system, budget):
     k, m = system.equations, system.variables
     if system.is_homogeneous() and m >= k + 2:
         try:
-            circ = CircularSystem.from_matrix(system.matrix.mod(n), n)
+            circ = CircularSystem(system.matrix.mod(n), n)
         except PreconditionError:
             pass  # not standard circular: the full reduction handles it
         else:
@@ -297,7 +298,7 @@ def _parse_protect(raw, variables) -> frozenset[int]:
         tok = tok.strip()
         if not tok:
             continue
-        if not tok.isdigit() or int(tok) < 1:
+        if not is_decimal(tok) or int(tok) < 1:
             raise SchemaError(
                 f"--protect expects 1-based coordinates, got {tok!r}"
             )
@@ -337,7 +338,7 @@ def _resolve_budget(args) -> int:
         raw = os.environ.get(BUDGET_ENV)
         if raw is None:
             return DEFAULT_BUDGET
-        if not raw.lstrip("-").isdigit():
+        if not is_decimal(raw):
             raise SchemaError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
         value = int(raw)
     if value < 1:

@@ -8,12 +8,12 @@ restriction set.  The host is never materialized: edge membership is a
 predicate, and copies of the template are the solutions of a lifted
 linear system, enumerated by the pruned pivot walk of ``system``.
 
-Copies group into classes by label vector: the copies with labels y are
-the fibre K_w x = y, a coset of ker K_w, where K_w is the kernel cut to its
-windows.  So the counting facts the encoding stands on (label vectors are
+A host's kernel K is zero outside the windows, so the labels of x are K x
+and the copies with labels y, a class, are the fibre K x = y, a coset of
+ker K.  So the counting facts the encoding stands on (label vectors are
 exactly the solutions of the restricted system, every class has exactly
 |G|^k pairwise edge-disjoint copies, and every copy's labels solve the
-system) follow from the Smith invariants of A, K_w and its column blocks
+system) follow from the Smith invariants of A, K and its column blocks
 modulo each cyclic factor of the group and from the number of solutions,
 which ``copy_class_structure`` reads off without listing a copy.
 ``verify_copy_classes`` and ``verify_copy_labels`` check the same facts on
@@ -63,7 +63,8 @@ class HostHypergraph:
 
     Held as raw matrices on purpose, so deliberately corrupted kernels can
     be fed to the verifiers; build from a validated CircularSystem via
-    build_host for the honest path.
+    build_host for the honest path.  Row i of any kernel must be zero
+    outside its window {i, ..., i+k}, as every built kernel is.
     """
 
     group: AbelianGroup
@@ -80,6 +81,11 @@ class HostHypergraph:
             raise PreconditionError("restriction count does not match positions")
         if m < k + 2:
             raise PreconditionError("need m >= k + 2 positions")
+        for i, row in enumerate(self.kernel_matrix.data):
+            if any(row[(i + t) % m] for t in range(k + 1, m)):
+                raise PreconditionError(
+                    f"kernel row {i} has a nonzero entry outside its window"
+                )
 
     @property
     def positions(self) -> int:
@@ -116,7 +122,7 @@ def host_edge_label(
 
     The window carries the k+1 values at positions i, ..., i+k; the label
     is ``group.combine`` of kernel row i, read on those positions only, with
-    them.  Kernel entries outside the window never enter a label.
+    them, which is all of row i a host holds.
     """
     k, m = host.arity_base, host.positions
     if not 0 <= color < m:
@@ -141,8 +147,8 @@ def enumerate_copies(
 
     A copy is an assignment x in G^m whose every color label lands in that
     color's restriction set; label i is ``group.combine`` of kernel row i,
-    cut to its window {i, ..., i+k}, with x.  So the copies are the
-    solutions (x, y) of the lifted system [-K_w | I_m] (x, y) = 0, with x
+    zero outside its window {i, ..., i+k}, with x.  So the copies are the
+    solutions (x, y) of the lifted system [-K | I_m] (x, y) = 0, with x
     over the whole group and y_i in color i's set, and the solution order
     of ``enumerate_solutions`` is already assignment order.  Its unit-pivot
     reduction solves for the whole-group x columns and walks the small
@@ -175,14 +181,14 @@ def _copy_solutions(host: HostHypergraph, budget: int) -> list[tuple[Element, ..
 
 
 def _lifted_system(host: HostHypergraph) -> RestrictedSystem:
-    """[-K_w | I_m] (x, y) = 0 with x over the whole group and y_i in color
+    """[-K | I_m] (x, y) = 0 with x over the whole group and y_i in color
     i's set: its solutions are the copies, assignment first."""
     m = host.positions
     group = host.group
     lifted = IntMatrix(
         [
             [-c for c in row] + [int(i == j) for j in range(m)]
-            for i, row in enumerate(_windowed_kernel(host).data)
+            for i, row in enumerate(host.kernel_matrix.data)
         ]
     )
     return RestrictedSystem(
@@ -190,18 +196,6 @@ def _lifted_system(host: HostHypergraph) -> RestrictedSystem:
         lifted,
         (group.zero,) * m,
         [group.elements()] * m + list(host.restrictions),
-    )
-
-
-def _windowed_kernel(host: HostHypergraph) -> IntMatrix:
-    """K_w: kernel row i with every entry outside its window {i, ..., i+k}
-    zeroed, the matrix the labels y = K_w x read."""
-    k, m = host.arity_base, host.positions
-    return IntMatrix(
-        [
-            [c if (j - i) % m <= k else 0 for j, c in enumerate(row)]
-            for i, row in enumerate(host.kernel_matrix.data)
-        ]
     )
 
 
@@ -244,27 +238,27 @@ def copy_class_structure(
 ) -> tuple[ClassReport, LabelReport]:
     """The class and label facts of the copy set, without listing a copy.
 
-    The copies labelled y are the fibre K_w x = y, a coset of ker K_w
-    whenever y is in the image, so over G = Z_q1 x ... x Z_qr:
+    The copies labelled y are the fibre K x = y, a coset of ker K whenever
+    y is in the image, so over G = Z_q1 x ... x Z_qr:
 
-    - labels: A K_w == 0 modulo every q (the group exponent, not |G|) puts
+    - labels: A K == 0 modulo every q (the group exponent, not |G|) puts
       every label vector in ker A, so every copy's labels solve the system;
-      |G|^m / |ker K_w| == |ker A| then makes im K_w = ker A, and the
-      classes are exactly the solutions of the host's circular system in
-      its restriction sets.
-    - class sizes: every class has |ker K_w| members, which must be |G|^k.
-    - edge-disjointness: two members of a class differ by some d in
-      ker K_w and share their color-i edge iff d vanishes on window i, so
-      K_w cut to the m - k - 1 columns outside window i must have trivial
-      kernel.
+      |G|^m / |ker K| == |ker A| then makes im K = ker A, and the classes
+      are exactly the solutions of the host's circular system in its
+      restriction sets.
+    - class sizes: every class has |ker K| members, which must be |G|^k.
+    - edge-disjointness: two members of a class differ by some d in ker K
+      and share their color-i edge iff d vanishes on window i, so K cut to
+      the m - k - 1 columns outside window i must have trivial kernel.
 
     Kernel orders come from ``kernel_order``, and the solutions are
     counted by ``count_solutions`` under the budget.  Every class is a
     coset of the same kernel, so a size or edge problem names the least
     solution, the class a listing reports first; only then are the
     solutions listed.  With no solutions there is no class and both facts
-    hold, as in the listing.  The kernel product A K == 0 mod n is
-    re-checked as in ``verify_copy_classes``.  Unless labels_match holds
+    hold, as in the listing.  The one product A K is checked modulo n, as
+    in ``verify_copy_classes``, and modulo the exponent for the labels, so
+    a forged kernel is reported, not trusted.  Unless labels_match holds
     the classes are not the solutions, and the counts are None: only a
     listing could count them.
     """
@@ -273,14 +267,12 @@ def copy_class_structure(
     n, e, moduli = group.order, group.exponent, group.moduli
     k, m = host.arity_base, host.positions
 
-    windowed = _windowed_kernel(host)
+    kernel = host.kernel_matrix.data
     product = host.matrix @ host.kernel_matrix
     kernel_ok = all(v % host.modulus == 0 for row in product.data for v in row)
     if not kernel_ok:
         problems.append("kernel matrix does not annihilate the system matrix")
 
-    if windowed != host.kernel_matrix:
-        product = host.matrix @ windowed
     bad = next(
         (j for j in range(m) if any(row[j] % e for row in product.data)), None
     )
@@ -290,7 +282,7 @@ def copy_class_structure(
             f"labels from windowed kernel column {bad} fail the system"
         )
     problems += label_problems
-    class_size = kernel_order(windowed.data, moduli)
+    class_size = kernel_order(kernel, moduli)
     image = n**m // class_size
     solved = kernel_order(host.matrix.data, moduli)
     if image != solved:
@@ -311,7 +303,7 @@ def copy_class_structure(
         class_sizes_ok = class_size == expected
         for i in range(m):
             outside = [(i + t) % m for t in range(k + 1, m)]
-            block = [[row[j] for j in outside] for row in windowed.data]
+            block = [[row[j] for j in outside] for row in kernel]
             if kernel_order(block, moduli) != 1:
                 disjoint_ok = False
                 break

@@ -22,14 +22,19 @@ def encode_int(v: int):
     return v if abs(v) < _SAFE else str(v)
 
 
+def is_decimal(text: str) -> bool:
+    """Whether text is decimal digits after at most one leading '-', the
+    test int() applies to them: isdigit() would also pass superscripts."""
+    return text.removeprefix("-").isdecimal()
+
+
 def decode_int(v, where: str) -> int:
     if isinstance(v, bool):
         raise SchemaError(f"{where}: expected an integer, got a boolean")
     if isinstance(v, int):
         return v
     if isinstance(v, str):
-        body = v[1:] if v.startswith("-") else v
-        if body.isdigit():
+        if is_decimal(v):
             return int(v)
         raise SchemaError(f"{where}: {v!r} is not a decimal integer string")
     raise SchemaError(f"{where}: expected an integer, got {type(v).__name__}")

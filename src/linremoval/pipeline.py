@@ -6,8 +6,8 @@ the standard stage permutes the columns and row-reduces to (I_k | B): the
 target keeps the input's k x m shape.  Otherwise identity form ->
 circular form pads the system into the paper's general target.  Every
 stage is an Extension, so solutions biject end to end and counting any
-stage counts them all.  The circular target additionally gets a kernel
-matrix, one column per coordinate, supported on a short circular interval;
+stage counts them all.  CircularSystem, the one place a kernel is built,
+gives the target a kernel matrix with row i on the window {i, ..., i+k};
 the hypergraph encoding is built from exactly that matrix.
 
 Circularity here always means: every window of k consecutive columns, taken
@@ -15,7 +15,7 @@ cyclically, has determinant coprime to the modulus.  For a standard matrix
 (I_k | B) the kernel construction is the circularity check: each window's
 determinant is that of an at most (m-k) x (m-k) core of B, and the core
 solve raises exactly when it is not a unit.  That is the only route by which
-a command decides circularity: CircularSystem checks a target by rebuilding
+a command decides circularity: CircularSystem checks a target by building
 its kernel, standardize its output the same way, and the steps that build a
 target check their own inputs only.  The column-order search picks its
 order with the same mod-n elimination, and its target is still checked by
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .abelian import AbelianGroup, scalar_inverse, scaling_preimage
 from .errors import PreconditionError
@@ -194,36 +194,35 @@ def _standard_kernel(reduced: IntMatrix, n: int) -> IntMatrix:
 
 
 def build_kernel_matrix(matrix: IntMatrix, modulus: int) -> IntMatrix:
-    """Kernel matrix of a standard circular system.
+    """CircularSystem's kernel matrix of the input reduced mod n.
 
     Column j expresses column j of the system matrix through its k
     predecessor columns (the window right before j, cyclically); entry
     (j, j) is set to -1 mod n, so the matrix annihilates the system matrix
-    column by column.  Entries outside the interval [j-k, j] stay zero.
-    The input is reduced mod n and validated by CircularSystem, whose kernel
-    construction is the circularity check: a non-circular matrix raises
-    PreconditionError from the window that is not a unit.
+    column by column.  Entries outside the interval [j-k, j] stay zero, so
+    row i is zero outside the window {i, ..., i+k}.  The construction is
+    the circularity check: a non-circular matrix raises PreconditionError
+    from the window that is not a unit.
     """
     if modulus < 2:
         raise PreconditionError("modulus must be at least 2")
-    return CircularSystem.from_matrix(matrix.mod(modulus), modulus).kernel_matrix
+    return CircularSystem(matrix.mod(modulus), modulus).kernel_matrix
 
 
 @dataclass(frozen=True)
 class CircularSystem:
     """Standard circular matrix together with its kernel matrix, mod n.
 
-    Construction is the single validation point for a circular target: it
-    checks the identity prefix and reduced entries, then rebuilds the
-    kernel, which raises unless every window is a unit.  A circular matrix
-    has exactly one kernel with support [j-k, j], diagonal -1 and A K = 0,
-    so a kernel handed in must equal the rebuilt one.  Pass None (or use
-    from_matrix) to keep the rebuilt kernel.
+    Construction is the single validation point for a circular target and
+    the one place a kernel is built: it checks the identity prefix and
+    reduced entries, then builds the kernel, which raises unless every
+    window is a unit.  Row i of the kernel is supported on the window
+    {i, ..., i+k}, the coordinates colour i's edge reads.
     """
 
     matrix: IntMatrix
-    kernel_matrix: IntMatrix | None
     modulus: int
+    kernel_matrix: IntMatrix = field(init=False)
 
     def __post_init__(self):
         n = self.modulus
@@ -236,21 +235,7 @@ class CircularSystem:
             raise PreconditionError("matrix entries must be reduced mod n")
         if not _identity_prefix(self.matrix):
             raise PreconditionError("matrix is not in standard form")
-        given = self.kernel_matrix
-        if given is not None and (given.rows != m or given.cols != m):
-            raise PreconditionError("kernel matrix must be square of size m")
-        kernel = _standard_kernel(self.matrix, n)
-        if given is None:
-            object.__setattr__(self, "kernel_matrix", kernel)
-        elif given != kernel:
-            raise PreconditionError(
-                "kernel matrix is not the circular kernel of the matrix"
-            )
-
-    @classmethod
-    def from_matrix(cls, matrix: IntMatrix, modulus: int) -> "CircularSystem":
-        """Validate a reduced standard matrix and build its kernel, once."""
-        return cls(matrix, None, modulus)
+        object.__setattr__(self, "kernel_matrix", _standard_kernel(self.matrix, n))
 
     @property
     def equations(self) -> int:
@@ -415,8 +400,10 @@ def _circular_order(matrix: IntMatrix, n: int, budget: int) -> list[int] | None:
     0, in which every window of k consecutive columns is a unit mod n.
 
     None when no order has that property, or when the search tries more
-    than ``budget`` columns.  For k = 1 every column is a window, so the
-    given order works exactly when every entry is a unit.  For k >= 2 a
+    than ``budget`` columns.  A column whose entries share a factor with n
+    vanishes mod a prime of n, so no window holding it is a unit: then
+    there is no order, and no search is made.  For k = 1 every column is a
+    window, so that test decides and the given order works.  For k >= 2 a
     depth-first search extends the order one column at a time and rejects
     a prefix as soon as a closed window fails; the wrapping windows are
     tested once the order is complete.  A window is tested by the mod-n
@@ -426,9 +413,10 @@ def _circular_order(matrix: IntMatrix, n: int, budget: int) -> list[int] | None:
     """
     k, m = matrix.rows, matrix.cols
     data = matrix.data
+    if any(math.gcd(n, *col) != 1 for col in zip(*data)):
+        return None
     if k == 1:
-        units = all(math.gcd(v, n) == 1 for v in data[0])
-        return list(range(m)) if units else None
+        return list(range(m))
     known: dict[tuple[int, ...], bool] = {}
 
     def unit(window) -> bool:
@@ -623,7 +611,7 @@ def full_extension(
         raise AssertionError(f"stage solution counts diverged: {counts}")
 
     composed = functools.reduce(compose_extensions, chain)
-    circular = CircularSystem.from_matrix(last.target.matrix, n)
+    circular = CircularSystem(last.target.matrix, n)
     verification = _verify_extension(composed, lambda: (source_sols, target_sols))
     return PipelineResult(
         "circular", stages, None, chain, composed, circular, verification

@@ -384,16 +384,15 @@ def _homogenize(system: RestrictedSystem, sols: list[Solution]) -> Extension:
     witness = sols[0]
     group = system.group
     zero_rhs = tuple(group.zero for _ in range(system.equations))
-    shifted = tuple(
-        tuple(sorted(group.subtract(v, witness[j]) for v in xs))
-        for j, xs in enumerate(system.restrictions)
-    )
-    target = RestrictedSystem(group, system.matrix, zero_rhs, shifted)
     coords = tuple(range(system.variables))
     value_maps = {
-        j: {group.subtract(v, witness[j]): v for v in system.restrictions[j]}
-        for j in coords
+        j: {group.subtract(v, witness[j]): v for v in xs}
+        for j, xs in enumerate(system.restrictions)
     }
+    # RestrictedSystem sorts each shifted set
+    target = RestrictedSystem(
+        group, system.matrix, zero_rhs, [tuple(value_maps[j]) for j in coords]
+    )
     return Extension(
         source=system,
         target=target,

@@ -27,7 +27,6 @@ from linremoval import (
     IntMatrix,
     RestrictedSystem,
     build_host,
-    build_kernel_matrix,
     CircularSystem,
     complete_to_square,
     count_solutions,
@@ -307,7 +306,7 @@ def test_criterion_4_pipeline_conservation():
 def host_for(group, matrix, sets):
     n = group.order
     reduced = matrix.mod(n)
-    circ = CircularSystem(reduced, build_kernel_matrix(reduced, n), n)
+    circ = CircularSystem(reduced, n)
     return build_host(group, circ, sets)
 
 

@@ -399,7 +399,7 @@ def test_verify_restricted():
 
 
 def test_copies_walk_the_lifted_system(count_calls):
-    # listed copies are solutions of [-K_w | I_m] (x, y) = 0: one listing
+    # listed copies are solutions of [-K | I_m] (x, y) = 0: one listing
     # pivot walk with m pivots (assignment columns first, then labels) and
     # m free coordinates, and no per-assignment combine.  The count and
     # verify read the class facts off Smith invariants mod q and count the
@@ -438,11 +438,11 @@ def test_copies_walk_the_lifted_system(count_calls):
 
 
 def test_direct_route_scans_windows_once(count_calls, tmp_path):
-    # CircularSystem.from_matrix decides the direct route: one core solve
-    # per window and no dense scan.  The class check of copies and verify
-    # re-forms the host's A K on purpose (a host can carry a corrupted
-    # kernel), once, since the kernel is already cut to its windows;
-    # copies --full forms no product at all
+    # CircularSystem decides the direct route: one core solve per window
+    # and no dense scan.  The class check of copies and verify re-forms the
+    # host's A K on purpose (a host can carry a corrupted kernel), once,
+    # since a host's kernel is held on its windows; copies --full forms no
+    # product at all
     work = count_window_work(count_calls)
     for args, products in (
         (["copies", "--full", fixture("sys_z5_full.json")], 0),
@@ -884,6 +884,34 @@ def test_budget_env_validation():
     assert proc2.returncode == 2
 
 
+def test_non_decimal_digits_exit_with_a_schema_error(tmp_path):
+    # int() refuses a superscript digit, which str.isdigit() passes, and a
+    # doubled minus: each is a JSON schema error with exit 2, no traceback
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"rows": 1, "cols": 2, "data": [[1, "\u00b2"]]}))
+    system = fixture("sys_z5_full.json")
+    cases = [
+        (["dk", str(matrix)], None, "matrix.data[0][1]: '\u00b2' is not a decimal integer string"),
+        (
+            ["remove", "--protect", "1,\u00b2", system],
+            None,
+            "--protect expects 1-based coordinates, got '\u00b2'",
+        ),
+        (["solve", system], "\u00b2", "LINREMOVAL_BUDGET must be an integer, got '\u00b2'"),
+        (["solve", system], "--5", "LINREMOVAL_BUDGET must be an integer, got '--5'"),
+    ]
+    for args, budget, message in cases:
+        env = None if budget is None else {"LINREMOVAL_BUDGET": budget}
+        proc = run_cli(*args, env_extra=env)
+        assert (proc.returncode, proc.stdout) == (2, ""), args
+        assert json.loads(proc.stderr) == {
+            "error": {"kind": "schema", "message": message}
+        }, args
+    # a single minus before decimal digits is still an integer string
+    matrix.write_text(json.dumps({"rows": 1, "cols": 2, "data": [[1, "-5"]]}))
+    assert run_json("dk", str(matrix)) == {"divisors": [1]}
+
+
 def test_usage_error_exit():
     assert run_cli().returncode == 2
     assert run_cli("snf").returncode == 2
@@ -993,10 +1021,15 @@ def fuzz_system(rng):
     }
 
 
+# strings str.isdigit() passes or a "-" strip let through, which int()
+# refuses, and one it reads (an Arabic-Indic 3)
+FUZZ_DIGIT_STRINGS = ["\u00b2", "-\u00b2", "1\u00b2", "--5", "\u0663"]
+
+
 def mutate(obj, rng):
     """One of: a dropped key, a boolean for an integer, a bad modulus, a
-    short X; or the system unchanged."""
-    kind = rng.choice(["drop", "bool", "modulus", "short", "none"])
+    short X, a digit string for an integer; or the system unchanged."""
+    kind = rng.choice(["drop", "bool", "modulus", "short", "digits", "none"])
     if kind == "drop":
         holder = rng.choice([obj, obj["A"], obj["group"]])
         del holder[rng.choice(sorted(holder))]
@@ -1007,6 +1040,9 @@ def mutate(obj, rng):
         obj["group"]["moduli"] = rng.choice([[0], [-3], [], "6", [2, "x"], [6, 0]])
     elif kind == "short":
         obj["X"] = obj["X"][:-1]
+    elif kind == "digits":
+        row = rng.choice(obj["A"]["data"] + [obj["group"]["moduli"]])
+        row[rng.randrange(len(row))] = rng.choice(FUZZ_DIGIT_STRINGS)
     return obj
 
 
@@ -1026,6 +1062,7 @@ def fuzz_argvs(matrix_path, system_path, n):
         ["verify", system_path],
         ["remove", system_path],
         ["remove", "--greedy", system_path],
+        ["remove", "--protect", "1,\u00b2", system_path],
     ]
 
 

@@ -18,7 +18,6 @@ from linremoval import (
     PreconditionError,
     RestrictedSystem,
     build_host,
-    build_kernel_matrix,
     build_template,
     CircularSystem,
     copy_class_structure,
@@ -45,7 +44,7 @@ def full_sets(group, m):
 def circulant_host(n, m, restrictions=None):
     g = z(n)
     a = IntMatrix([[1] * m])
-    cs = CircularSystem(a.mod(n), build_kernel_matrix(a.mod(n), n), n)
+    cs = CircularSystem(a.mod(n), n)
     sets = restrictions if restrictions is not None else full_sets(g, m)
     return g, a, build_host(g, cs, sets)
 
@@ -166,7 +165,7 @@ def random_circular(rng, n, k, m):
             for i in range(k)
         ]
         try:
-            return CircularSystem.from_matrix(IntMatrix(rows), modulus)
+            return CircularSystem(IntMatrix(rows), modulus)
         except PreconditionError:
             continue
 
@@ -422,7 +421,7 @@ def forged_sum_host(rows, moduli):
     """x1 + x2 + x3 = 0 with full sets and the given kernel rows."""
     g = AbelianGroup(moduli)
     n = g.order
-    circ = CircularSystem.from_matrix(IntMatrix([[1, 1, 1]]), n)
+    circ = CircularSystem(IntMatrix([[1, 1, 1]]), n)
     return raw_host(build_host(g, circ, full_sets(g, 3)), rows)
 
 
@@ -497,25 +496,49 @@ def test_host_edge_label_frozen():
 
 
 def test_labels_read_only_the_window():
-    # a raw host takes any kernel; label i reads kernel row i on its window
-    # {i, ..., i+k} only, so an entry outside it changes no label
+    # label i reads kernel row i on its window {i, ..., i+k} only, so a
+    # host holds no entry outside it: a raw kernel with one is refused,
+    # even a multiple of n
     g = z(5)
     sets = (g.elements(), ((0,), (1,)), g.elements(), g.elements())
     _, _, host = circulant_host(5, 4, sets)
     rows = [list(r) for r in host.kernel_matrix.data]
     assert rows[1][3] == 0  # color 1 has window {1, 2}
-    rows[1][3] = 2
-    raw = HostHypergraph(
-        group=host.group,
-        matrix=host.matrix,
-        kernel_matrix=IntMatrix(rows),
-        modulus=host.modulus,
-        restrictions=host.restrictions,
-    )
+    for v in (2, 5):
+        rows[1][3] = v
+        with pytest.raises(PreconditionError) as err:
+            raw_host(host, rows)
+        assert str(err.value) == "kernel row 1 has a nonzero entry outside its window"
+    # inside the window a raw entry is taken, and read mod n
+    rows[1][3] = 0
+    rows[1][2] += 5
+    raw = raw_host(host, rows)
     for color in range(4):
         for w in itertools.product(g.elements(), repeat=2):
             assert host_edge_label(raw, color, w) == host_edge_label(host, color, w)
     assert enumerate_copies(raw) == enumerate_copies(host)
+
+
+def test_built_kernels_pass_the_window_rule():
+    # every kernel CircularSystem builds on the sweep is zero outside row
+    # i's window {i, ..., i+k}, so the honest path meets the host's rule;
+    # one entry moved outside a window is refused
+    rng = random.Random(4243)
+    built = 0
+    for _, k, variant, host in sweep_hosts():
+        if variant != "proper":
+            continue
+        m = host.positions
+        rows = [list(r) for r in host.kernel_matrix.data]
+        outside = [(i, j) for i in range(m) for j in range(m) if (j - i) % m > k]
+        assert all(rows[i][j] == 0 for i, j in outside)
+        assert raw_host(host, rows) == host
+        i, j = rng.choice(outside)
+        rows[i][j] = rng.randrange(1, 4 * host.modulus)
+        with pytest.raises(PreconditionError):
+            raw_host(host, rows)
+        built += 1
+    assert built == 42
 
 
 def test_per_color_edge_counts():
@@ -691,9 +714,7 @@ def test_pipeline_host_round_trip():
     # far beyond any budget; check the guard trips
     mid = extend_to_identity_form(homogenize(sys_).target)
     padded = circularize(mid.target, 5).target
-    host = build_host(
-        g, CircularSystem.from_matrix(padded.matrix, 5), padded.restrictions
-    )
+    host = build_host(g, CircularSystem(padded.matrix, 5), padded.restrictions)
     assert len(enumerate_solutions(padded)) == 25
     with pytest.raises(BudgetExceededError):
         enumerate_copies(host)

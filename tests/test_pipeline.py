@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -307,13 +308,12 @@ def test_kernel_window_solves_reject_exactly_non_circular():
             with pytest.raises(PreconditionError):
                 whole_window_kernel(a, n)
             with pytest.raises(PreconditionError):
-                CircularSystem.from_matrix(a, n)
+                CircularSystem(a, n)
             continue
         kernel = build_kernel_matrix(a, n)
         assert kernel == whole_window_kernel(a, n)
         mod_kernel_check(a, kernel, n)
-        CircularSystem(a, kernel, n)  # accepts every kernel it is handed
-        assert CircularSystem.from_matrix(a, n).kernel_matrix == kernel
+        assert CircularSystem(a, n).kernel_matrix == kernel
         # unreduced entries are reduced once, up front
         shifted = IntMatrix(
             [[v + n * rng.randint(-2, 2) for v in row] for row in a.data]
@@ -323,7 +323,7 @@ def test_kernel_window_solves_reject_exactly_non_circular():
     # one large input: the 164 x 168 target of x1 + ... + x5 = 1 over Z5
     g = z(5)
     sys_ = RestrictedSystem(g, IntMatrix([[1] * 5]), ((1,),), full_sets(g, 5))
-    circ = CircularSystem.from_matrix(padded_target(sys_).matrix, 5)
+    circ = CircularSystem(padded_target(sys_).matrix, 5)
     a, kernel = circ.matrix, circ.kernel_matrix
     assert (a.rows, a.cols) == (164, 168)
     assert kernel == build_kernel_matrix(a, 5) == whole_window_kernel(a, 5)
@@ -335,7 +335,7 @@ def test_kernel_window_solves_reject_exactly_non_circular():
 
 def valid_circular():
     a = IntMatrix([[1, 1, 1]])
-    return CircularSystem(a, build_kernel_matrix(a, 5), 5)
+    return CircularSystem(a, 5)
 
 
 def test_circular_system_accepts_valid():
@@ -346,8 +346,8 @@ def test_circular_system_accepts_valid():
 
 
 def composite_kernel_predicate(a, kernel, n):
-    # the checks CircularSystem made one by one before it compared against
-    # a rebuilt kernel: reduced entries, support, diagonal, annihilation
+    # reduced entries, support, diagonal, annihilation: one kernel of a
+    # circular matrix has them all
     k, m = a.rows, a.cols
     for j in range(m):
         support = {(j - k + t) % m for t in range(k + 1)}
@@ -361,28 +361,20 @@ def composite_kernel_predicate(a, kernel, n):
 
 
 def test_circular_system_rejects_corruption():
-    a = IntMatrix([[1, 1, 1]])
-    good = build_kernel_matrix(a, 5)
+    with pytest.raises(PreconditionError):
+        CircularSystem(IntMatrix([[2, 1, 1]]), 5)
+    # 2 is a window unit mod 5, not mod 4
+    assert CircularSystem(IntMatrix([[1, 1, 2]]), 5).variables == 3
+    with pytest.raises(PreconditionError):
+        CircularSystem(IntMatrix([[1, 1, 2]]), 4)
 
-    def mutate(i, j, v):
+    def mutate(good, i, j, v):
         rows = [list(r) for r in good.data]
         rows[i][j] = v
         return IntMatrix(rows)
 
-    with pytest.raises(PreconditionError):
-        CircularSystem(a, mutate(0, 0, 3), 5)  # diagonal must be n - 1
-    with pytest.raises(PreconditionError):
-        CircularSystem(a, mutate(2, 1, 1), 5)  # outside the support window
-    with pytest.raises(PreconditionError):
-        CircularSystem(a, mutate(1, 0, 2), 5)  # breaks annihilation
-    with pytest.raises(PreconditionError):
-        CircularSystem(a, mutate(0, 1, 7), 5)  # entry not reduced
-    with pytest.raises(PreconditionError):
-        CircularSystem(IntMatrix([[2, 1, 1]]), good, 5)
-    with pytest.raises(PreconditionError):
-        CircularSystem(a, good, 4)
-    # every one-entry mutation of a valid kernel is rejected, as the
-    # composite predicate says it must be
+    # the built kernel is the one matrix the composite predicate accepts:
+    # every one-entry mutation of it fails the predicate
     rng = random.Random(20113)
     cases = 0
     while cases < 25:
@@ -399,17 +391,13 @@ def test_circular_system_rejects_corruption():
         if not is_circular(a, n):
             continue
         cases += 1
-        good = build_kernel_matrix(a, n)
+        good = CircularSystem(a, n).kernel_matrix
         assert composite_kernel_predicate(a, good, n)
         for i, j in itertools.product(range(m), repeat=2):
             old = good.data[i][j]
             for v in [*range(n), old + n, old - n]:
-                if v == old:
-                    continue
-                bad = mutate(i, j, v)
-                assert not composite_kernel_predicate(a, bad, n)
-                with pytest.raises(PreconditionError):
-                    CircularSystem(a, bad, n)
+                if v != old:
+                    assert not composite_kernel_predicate(a, mutate(good, i, j, v), n)
 
 
 # ------------------------------------------------------------ identity form
@@ -769,6 +757,25 @@ def test_circular_order_k1_needs_unit_entries():
     assert _circular_order(IntMatrix([[1, 2, 3, 4]]), 5, 1) == [0, 1, 2, 3]
     assert _circular_order(IntMatrix([[1, 2, 3, 5]]), 5, 10**6) is None
     assert _circular_order(IntMatrix([[1, 2, 3, 4]]), 6, 10**6) is None
+
+
+def test_circular_order_refuses_a_column_no_window_can_hold():
+    # a column whose entries share a factor with n vanishes mod a prime of
+    # n, so no window holding it is a unit: no order exists, and the
+    # search says so before it walks (a 2 x 12 search over Z5 took seconds)
+    rng = random.Random(1106)
+    a = IntMatrix([[rng.randrange(1, 5) for _ in range(11)] + [0] for _ in range(2)])
+    start = time.process_time()
+    assert _circular_order(a, 5, 10**8) is None
+    assert _circular_order(IntMatrix([[1, 0, 2, 1], [0, 1, 4, 1]]), 6, 10**8) is None
+    assert time.process_time() - start < 0.2
+    # the system still takes the padded route, as the brute force agrees
+    g = z(5)
+    a = IntMatrix([[1, 0, 1, 2, 0], [0, 1, 3, 1, 0]])
+    assert brute_circular_order(a, 5) is None
+    res = full_extension(RestrictedSystem(g, a, ((0,), (0,)), full_sets(g, 5)))
+    assert [s["stage"] for s in res.stages][2:] == ["identity-form", "circular"]
+    assert res.verification.ok, res.verification.problems
 
 
 def test_full_extension_inhomogeneous_translates_first():

@@ -8,9 +8,7 @@ biject with solutions, and exact minimum removal sets.
 from .abelian import (
     AbelianGroup,
     Element,
-    linear_map_inverse,
     scalar_inverse,
-    scaling_image,
     scaling_preimage,
 )
 from .errors import (
@@ -23,12 +21,9 @@ from .errors import (
 from .hypergraph import (
     HCopy,
     HostHypergraph,
-    TemplateHypergraph,
     build_host,
-    build_template,
     copy_class_structure,
     enumerate_copies,
-    host_edge_label,
     kernel_order,
     verify_copy_classes,
     verify_copy_labels,
@@ -49,10 +44,8 @@ from .pipeline import (
     PipelineResult,
     build_kernel_matrix,
     circularize,
-    extend_to_identity_form,
     full_extension,
     is_circular,
-    standardize,
 )
 from .removal import (
     RemovalSolution,
@@ -68,9 +61,7 @@ from .system import (
     compose_extensions,
     count_solutions,
     enumerate_solutions,
-    homogenize,
     identity_extension,
-    is_thin,
     pull_back_removal,
     remove_elements,
     verify_extension,
@@ -97,11 +88,9 @@ __all__ = [
     "RestrictedSystem",
     "SchemaError",
     "SnfResult",
-    "TemplateHypergraph",
     "ThinWitness",
     "build_host",
     "build_kernel_matrix",
-    "build_template",
     "circularize",
     "complete_to_square",
     "compose_extensions",
@@ -111,27 +100,20 @@ __all__ = [
     "determinantal_divisors",
     "enumerate_copies",
     "enumerate_solutions",
-    "extend_to_identity_form",
     "full_extension",
     "greedy_removal",
-    "homogenize",
     "identity_extension",
-    "host_edge_label",
     "is_circular",
     "is_n_good",
-    "is_thin",
     "kernel_order",
-    "linear_map_inverse",
     "min_removal_exact",
     "n_good_padding",
     "pull_back_removal",
     "remove_elements",
     "scalar_inverse",
-    "scaling_image",
     "scaling_preimage",
     "smith_invariants_mod",
     "smith_normal_form",
-    "standardize",
     "verify_copy_classes",
     "verify_copy_labels",
     "verify_extension",

@@ -3,7 +3,7 @@
 Elements are plain tuples of residues, one per factor.  The group object
 carries the arithmetic; everything reduces componentwise, so integer matrices
 act on element vectors through ordinary modular sums: ``combine`` is the one
-routine for a row times a vector, behind A x, copy labels and label checks.
+routine for a row times a vector, behind the copy label check.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import PreconditionError
-from .intmat import IntMatrix, smith_normal_form
 
 Element = tuple[int, ...]
 
@@ -52,18 +51,6 @@ class AbelianGroup:
             )
         return tuple(int(v) % m for v, m in zip(vec, self.moduli))
 
-    def contains(self, vec) -> bool:
-        return (
-            len(vec) == len(self.moduli)
-            and all(0 <= v < m for v, m in zip(vec, self.moduli))
-        )
-
-    def add(self, x: Element, y: Element) -> Element:
-        return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
-
-    def negate(self, x: Element) -> Element:
-        return tuple((-a) % m for a, m in zip(x, self.moduli))
-
     def subtract(self, x: Element, y: Element) -> Element:
         return tuple((a - b) % m for a, b, m in zip(x, y, self.moduli))
 
@@ -101,38 +88,6 @@ def scalar_inverse(d: int, group: AbelianGroup) -> int:
     if e == 1:
         return 1
     return pow(d % e, -1, e)
-
-
-def linear_map_inverse(matrix: IntMatrix, group: AbelianGroup) -> IntMatrix:
-    """Inverse of an integer matrix acting on G^k, entries in [0, exponent).
-
-    V S^-1 U from the Smith form U M V = S, each invariant factor inverted
-    modulo the exponent; valid whenever gcd(det, |G|) == 1.
-    """
-    if matrix.rows != matrix.cols:
-        raise PreconditionError("only square maps can be inverted")
-    snf = smith_normal_form(matrix)
-    factors = [snf.S.data[i][i] for i in range(matrix.rows)]
-    d = math.prod(factors)
-    if math.gcd(d, group.order) != 1:
-        raise PreconditionError(
-            f"|determinant| {d} shares a factor with the group order {group.order}"
-        )
-    inverses = [scalar_inverse(s, group) for s in factors]
-    scaled = IntMatrix([[v * c for v, c in zip(row, inverses)] for row in snf.V.data])
-    return (scaled @ snf.U).mod(group.exponent)
-
-
-def scaling_image(s: int, group: AbelianGroup) -> tuple[Element, ...]:
-    """The subgroup s*G as a sorted tuple of elements.
-
-    Componentwise, s * Z_m is the set of multiples of gcd(s, m).
-    """
-    axes = []
-    for m in group.moduli:
-        g = math.gcd(s, m)
-        axes.append(range(0, m, g))
-    return tuple(product(*axes))
 
 
 def scaling_preimage(s: int, x: Element, group: AbelianGroup) -> tuple[Element, ...]:

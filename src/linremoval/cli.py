@@ -41,8 +41,8 @@ from .jsonio import (
     encode_element,
     encode_int,
     encode_matrix,
-    is_decimal,
     load_file,
+    parse_decimal,
 )
 from .pipeline import (
     CircularSystem,
@@ -59,10 +59,6 @@ from .system import (
 )
 
 BUDGET_ENV = "LINREMOVAL_BUDGET"
-
-
-def _encode_sets(sets) -> list:
-    return [[encode_element(v) for v in xs] for xs in sets]
 
 
 def cmd_snf(args, budget) -> dict:
@@ -298,16 +294,16 @@ def _parse_protect(raw, variables) -> frozenset[int]:
         tok = tok.strip()
         if not tok:
             continue
-        if not is_decimal(tok) or int(tok) < 1:
+        j = parse_decimal(tok, "--protect")
+        if j is None or j < 1:
             raise SchemaError(
                 f"--protect expects 1-based coordinates, got {tok!r}"
             )
-        j = int(tok) - 1
-        if j >= variables:
+        if j > variables:
             raise PreconditionError(
                 f"protected coordinate {tok} exceeds the variable count"
             )
-        out.add(j)
+        out.add(j - 1)
     return frozenset(out)
 
 
@@ -324,7 +320,7 @@ def cmd_remove(args, budget) -> dict:
     if post != 0:
         raise AssertionError("reported removal leaves solutions alive")
     return {
-        "removed": _encode_sets(sol.removed),
+        "removed": [[encode_element(v) for v in xs] for xs in sol.removed],
         "total_size": sol.total_size,
         "certificate": {"optimal": sol.optimal, "lower_bound": sol.lower_bound},
         "post_count": post,
@@ -338,9 +334,9 @@ def _resolve_budget(args) -> int:
         raw = os.environ.get(BUDGET_ENV)
         if raw is None:
             return DEFAULT_BUDGET
-        if not is_decimal(raw):
+        value = parse_decimal(raw, BUDGET_ENV)
+        if value is None:
             raise SchemaError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
-        value = int(raw)
     if value < 1:
         raise SchemaError("budget must be at least 1")
     return value
@@ -434,7 +430,7 @@ def main(argv=None) -> int:
 
     try:
         budget = _resolve_budget(args)
-        payload = args.handler(args, budget)
+        text = dump(args.handler(args, budget), human=args.human)
     except SchemaError as e:
         _emit_error("schema", e)
         return 2
@@ -448,7 +444,6 @@ def main(argv=None) -> int:
         _emit_error("infeasible", e)
         return 5
 
-    text = dump(payload, human=args.human)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

@@ -1,12 +1,12 @@
 """Colored-hypergraph encoding of a circular homogeneous system.
 
 The template has m vertices and one edge per color i: the cyclic window
-{i, ..., i+k}.  The host puts a copy of the group at every position; a
-window of group values forms the color-i edge exactly when its label,
-computed from row i of the kernel matrix, lies in that coordinate's
-restriction set.  The host is never materialized: edge membership is a
-predicate, and copies of the template are the solutions of a lifted
-linear system, enumerated by the pruned pivot walk of ``system``.
+{i, ..., i+k}.  It is never built, and neither is the host, which puts a
+copy of the group at every position: a window of group values forms the
+color-i edge exactly when its label, kernel row i read on the window,
+lies in that coordinate's restriction set.  Copies of the template are
+the solutions of a lifted linear system, enumerated by the pruned pivot
+walk of ``system``.
 
 A host's kernel K is zero outside the windows, so the labels of x are K x
 and the copies with labels y, a class, are the fibre K x = y, a coset of
@@ -27,34 +27,16 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .abelian import AbelianGroup, Element
-from .errors import BudgetExceededError, PreconditionError
+from .errors import PreconditionError
 from .intmat import IntMatrix, smith_invariants_mod
 from .pipeline import CircularSystem
 from .system import (
     DEFAULT_BUDGET,
     RestrictedSystem,
+    _check_budget,
     count_solutions,
     enumerate_solutions,
 )
-
-
-@dataclass(frozen=True)
-class TemplateHypergraph:
-    m: int
-    k: int
-    edges: tuple[tuple[int, ...], ...]
-
-
-def build_template(m: int, k: int) -> TemplateHypergraph:
-    """The m cyclic windows of k+1 consecutive positions, one per color."""
-    if k < 1:
-        raise PreconditionError("edge arity needs k >= 1")
-    if m < k + 2:
-        raise PreconditionError("need m >= k + 2 positions")
-    edges = tuple(
-        tuple((i + t) % m for t in range(k + 1)) for i in range(m)
-    )
-    return TemplateHypergraph(m=m, k=k, edges=edges)
 
 
 @dataclass(frozen=True)
@@ -95,9 +77,6 @@ class HostHypergraph:
     def arity_base(self) -> int:
         return self.matrix.rows
 
-    def template(self) -> TemplateHypergraph:
-        return build_template(self.positions, self.arity_base)
-
 
 def build_host(
     group: AbelianGroup,
@@ -113,25 +92,6 @@ def build_host(
         modulus=circular.modulus,
         restrictions=tuple(restrictions),
     )
-
-
-def host_edge_label(
-    host: HostHypergraph, color: int, window: tuple[Element, ...]
-) -> tuple[Element, bool]:
-    """Label of the color-i window, and whether it forms an edge.
-
-    The window carries the k+1 values at positions i, ..., i+k; the label
-    is ``group.combine`` of kernel row i, read on those positions only, with
-    them, which is all of row i a host holds.
-    """
-    k, m = host.arity_base, host.positions
-    if not 0 <= color < m:
-        raise PreconditionError("color out of range")
-    if len(window) != k + 1:
-        raise PreconditionError("window must hold k + 1 values")
-    row = host.kernel_matrix.data[color]
-    label = host.group.combine([row[(color + t) % m] for t in range(k + 1)], window)
-    return label, label in host.restrictions[color]
 
 
 @dataclass(frozen=True)
@@ -172,11 +132,7 @@ def enumerate_copies(
 def _copy_solutions(host: HostHypergraph, budget: int) -> list[tuple[Element, ...]]:
     """The copies as the lifted walk's sorted 2m-tuples (x, y), assignment
     first, after checking all |G|^m assignments against the budget."""
-    total = host.group.order**host.positions
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} assignments exceed the budget of {budget}"
-        )
+    _check_budget(host.group.order**host.positions, budget, "assignments")
     return enumerate_solutions(_lifted_system(host), budget)
 
 

@@ -2,13 +2,16 @@
 
 Everything here is plain Python integer arithmetic: determinants are computed
 fraction-free, Smith forms track U, V and V^-1 (the Smith invariants modulo
-q, ``smith_invariants_mod``, need none), from which completions, kernels and
-inverses are read with no adjugate, and the two completion constructions
-(square completion, window-coprime padding) verify their own postconditions
-before returning.  The determinantal divisors are read off the Smith form
-(``determinantal_divisors``); the minor enumeration ``determinantal_divisor``
-is kept only as an independent oracle, as is ``pipeline.is_circular``, whose
-per-window ``_det_rows`` determinants are on no command path.
+q, ``smith_invariants_mod``, need none), from which completions and the
+identity form's kernel are read with no adjugate, and the two completion
+constructions (square completion, window-coprime padding) verify their own
+postconditions before returning.  The determinantal divisors are read off
+the Smith form (``determinantal_divisors``); the minor enumeration
+``determinantal_divisor`` is kept only as an independent oracle, as is
+``pipeline.is_circular``, whose per-window ``_det_rows`` determinants are on
+no command path.  ``IntMatrix`` keeps only what the library uses: the
+identity, reduction mod n, the product, ``to_lists``, equality and
+hashing; slices and stacks are built inline from ``data``.
 """
 
 from __future__ import annotations
@@ -48,37 +51,8 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.data)
-
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.data]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix([self.column(j) for j in range(self.cols)])
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise PreconditionError("hstack needs matching row counts")
-        return IntMatrix([a + b for a, b in zip(self.data, other.data)])
-
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise PreconditionError("vstack needs matching column counts")
-        return IntMatrix(self.data + other.data)
-
-    def submatrix(self, row_ids, col_ids) -> "IntMatrix":
-        return IntMatrix([[self.data[i][j] for j in col_ids] for i in row_ids])
-
-    def scale(self, factor: int) -> "IntMatrix":
-        return IntMatrix([[factor * v for v in row] for row in self.data])
 
     def mod(self, n: int) -> "IntMatrix":
         if n < 1:

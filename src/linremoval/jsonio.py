@@ -9,23 +9,45 @@ rejected wherever an integer is expected.
 from __future__ import annotations
 
 import json
+import sys
 
 from .abelian import AbelianGroup
-from .errors import SchemaError
+from .errors import PreconditionError, SchemaError
 from .intmat import IntMatrix
 from .system import RestrictedSystem
 
 _SAFE = 1 << 53
 
 
+def _too_long() -> PreconditionError:
+    return PreconditionError(
+        "a result integer is longer than Python's limit of "
+        f"{sys.get_int_max_str_digits()} digits for a decimal string"
+    )
+
+
 def encode_int(v: int):
-    return v if abs(v) < _SAFE else str(v)
+    try:
+        return v if abs(v) < _SAFE else str(v)
+    except ValueError:
+        raise _too_long() from None
 
 
-def is_decimal(text: str) -> bool:
-    """Whether text is decimal digits after at most one leading '-', the
-    test int() applies to them: isdigit() would also pass superscripts."""
-    return text.removeprefix("-").isdecimal()
+def parse_decimal(text: str, where: str) -> int | None:
+    """The integer a decimal string spells, or None when it is not one:
+    decimal digits after at most one leading '-', the test int() applies
+    to them (isdigit() would also pass superscripts).  SchemaError when
+    the digits run past Python's limit for reading a decimal string."""
+    digits = text.removeprefix("-")
+    if not digits.isdecimal():
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise SchemaError(
+            f"{where}: {len(digits)} digits exceed Python's limit of "
+            f"{sys.get_int_max_str_digits()} for a decimal integer string"
+        ) from None
 
 
 def decode_int(v, where: str) -> int:
@@ -34,9 +56,10 @@ def decode_int(v, where: str) -> int:
     if isinstance(v, int):
         return v
     if isinstance(v, str):
-        if is_decimal(v):
-            return int(v)
-        raise SchemaError(f"{where}: {v!r} is not a decimal integer string")
+        value = parse_decimal(v, where)
+        if value is None:
+            raise SchemaError(f"{where}: {v!r} is not a decimal integer string")
+        return value
     raise SchemaError(f"{where}: expected an integer, got {type(v).__name__}")
 
 
@@ -154,6 +177,13 @@ def load_text(text: str, where: str = "input"):
         raise SchemaError(
             f"{where}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
+    except ValueError:
+        # the one other ValueError json raises: a number literal past
+        # Python's limit for reading a decimal string
+        raise SchemaError(
+            f"{where}: a number has more digits than Python's limit of "
+            f"{sys.get_int_max_str_digits()}"
+        ) from None
 
 
 def load_file(path: str):
@@ -168,8 +198,10 @@ def load_file(path: str):
 def dump(obj, human: bool = False) -> str:
     # a report is a fresh tree whose shared code-table lists never form a
     # cycle, so the per-container cycle check is skipped: same bytes
-    if human:
-        return json.dumps(obj, indent=2, sort_keys=True, check_circular=False) + "\n"
-    return json.dumps(
-        obj, separators=(",", ":"), sort_keys=True, check_circular=False
-    ) + "\n"
+    layout = {"indent": 2} if human else {"separators": (",", ":")}
+    try:
+        return json.dumps(obj, sort_keys=True, check_circular=False, **layout) + "\n"
+    except ValueError:
+        # an integer past the digit limit, such as a copy count, which
+        # reports write as a JSON number
+        raise _too_long() from None

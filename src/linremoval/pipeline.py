@@ -16,11 +16,12 @@ cyclically, has determinant coprime to the modulus.  For a standard matrix
 determinant is that of an at most (m-k) x (m-k) core of B, and the core
 solve raises exactly when it is not a unit.  That is the only route by which
 a command decides circularity: CircularSystem checks a target by building
-its kernel, standardize its output the same way, and the steps that build a
-target check their own inputs only.  The column-order search picks its
-order with the same mod-n elimination, and its target is still checked by
-CircularSystem.  is_circular, a dense determinant per window, is the
-independent oracle and is on no command path.
+its kernel, _standard_form (the circular command) its result the same way,
+and the steps that build a target check their own inputs only.  The
+column-order search picks its order with the same mod-n elimination, and
+its target is still checked by CircularSystem.  is_circular, a dense
+determinant per window, is the independent oracle and is on no command
+path.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .abelian import AbelianGroup, scalar_inverse, scaling_preimage
+from .abelian import scalar_inverse, scaling_preimage
 from .errors import PreconditionError
 from .intmat import (
     IntMatrix,
@@ -125,21 +126,9 @@ def _solve_window_mod(rows, rhs, n: int) -> list[int]:
     return [row[-1] for row in _eliminate_mod(aug, len(aug), n)]
 
 
-def standardize(matrix: IntMatrix, modulus: int) -> IntMatrix:
-    """Row-reduce a circular matrix mod n until the left block is exactly
-    the identity; entries land in [0, n).
-
-    PreconditionError when the matrix is not circular; see _standard_form,
-    which decides that by building the kernel of the result.
-    """
-    standard = _standard_form(matrix, modulus)
-    if standard is None:
-        raise PreconditionError("matrix is not circular for this modulus")
-    return standard
-
-
 def _standard_form(matrix: IntMatrix, modulus: int) -> IntMatrix | None:
-    """standardize's result, or None exactly when the matrix is not circular.
+    """Row-reduce a matrix mod n until the left block is exactly the
+    identity, entries in [0, n); None exactly when it is not circular.
 
     The result L^-1 A has the windows of A times the unit det L^-1, so it is
     circular exactly when A is: a non-unit left block L fails its own
@@ -246,17 +235,13 @@ class CircularSystem:
         return self.matrix.cols
 
 
-def extend_to_identity_form(system: RestrictedSystem):
-    """Extension onto a homogeneous system (I_m|B) whose rows all have gcd 1.
+def _identity_form(system: RestrictedSystem) -> tuple[Extension, tuple[int, ...]]:
+    """Extension of a homogeneous system onto (I_m | B) whose rows all
+    have gcd 1, and the divisors taken out of those rows.
 
-    Returns a ThinWitness instead when the construction pins a coordinate
-    (a vanished kernel row forces that coordinate to zero), or when there
-    are no free columns at all.
+    full_extension calls it only for m - k >= 2 on an input that is not
+    thin, so no row vanishes (see the comment there).
     """
-    return _identity_form_details(system)[0]
-
-
-def _identity_form_details(system: RestrictedSystem):
     if not system.is_homogeneous():
         raise PreconditionError("identity-form step needs a homogeneous system")
     group = system.group
@@ -265,10 +250,6 @@ def _identity_form_details(system: RestrictedSystem):
     # A, and d = d_k has an inverse only when coprime to |G|
     snf, d = _full_rank_smith(system.matrix)
     d_inv = scalar_inverse(d, group)
-    if k == m:
-        return ThinWitness(coordinate=0, value=group.zero), ()
-
-    free = m - k
     # complete_to_square's C (A over the last m - k rows of V^-1, the
     # first of those negated when det U det V = -1) has det C = d and
     # C^-1 = V diag(D^-1 U, I) with column k negated likewise, so columns
@@ -278,10 +259,9 @@ def _identity_form_details(system: RestrictedSystem):
     slopes = [[d * v for v in (sign * row[k], *row[k + 1 :])] for row in snf.V.data]
 
     divisors = [math.gcd(*row) for row in slopes]
-    for i, g in enumerate(divisors):
-        if g == 0:
-            # coordinate i is zero in every solution
-            return ThinWitness(coordinate=i, value=group.zero), tuple(divisors)
+    if 0 in divisors:
+        # a zero row pins its coordinate to zero in every solution
+        raise AssertionError(f"identity form row {divisors.index(0)} vanished")
 
     reduced_rows = [
         [v // divisors[i] for v in slopes[i]] for i in range(m)
@@ -306,7 +286,7 @@ def _identity_form_details(system: RestrictedSystem):
         value_maps[i] = {
             y: group.scale(d_inv, group.scale(s, y)) for y in ys
         }
-    new_sets.extend([group.elements()] * free)
+    new_sets.extend([group.elements()] * (m - k))
 
     zero_rhs = tuple(group.zero for _ in range(m))
     target = RestrictedSystem(group, target_matrix, zero_rhs, tuple(new_sets))
@@ -581,10 +561,10 @@ def full_extension(
         # the m - k whole-group columns the identity form and the padded
         # target walk meet the budget before G is listed for them
         _check_budget(n ** (system.variables - system.equations), budget)
-        # never a ThinWitness here: with gcd(d_k, |G|) = 1 a coordinate the
-        # identity form pins is constant across the input's solutions, so
-        # the thinness test above has already returned
-        step, divisors = _identity_form_details(translated.target)
+        # no identity-form row vanishes here: with gcd(d_k, |G|) = 1 a
+        # coordinate such a row pins is constant across the input's
+        # solutions, so the thinness test above has already returned
+        step, divisors = _identity_form(translated.target)
         stages.append(
             {
                 "stage": "identity-form",

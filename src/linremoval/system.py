@@ -4,7 +4,9 @@ between them.
 A system is A x = b with each coordinate x_i confined to a finite restriction
 set X_i.  An extension wraps a second system whose solutions biject with the
 original's through per-coordinate value maps; the pipeline composes several
-of these, so composition and exhaustive verification live here too.
+of these, so composition and exhaustive verification live here too.  The
+thinness test and the translation take the solution list the pipeline has
+already listed, so neither lists a system again.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import (
     BudgetExceededError,
     PreconditionError,
 )
-from .intmat import IntMatrix, determinantal_divisors, smith_invariants_mod
+from .intmat import IntMatrix, smith_invariants_mod
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -31,9 +33,8 @@ Solution = tuple[Element, ...]
 class RestrictedSystem:
     """A x = b over ``group``, each x_i confined to ``restrictions[i]``.
 
-    ``coprime`` is read off the Smith form of A over Z/|G| on first access,
-    and d_k (``determinantal``), which no command path reads, off the
-    integer Smith form; a system never asked for them computes neither.
+    ``coprime`` is read off the Smith form of A over Z/|G| on first
+    access; a system never asked for it computes none.
     """
 
     group: AbelianGroup
@@ -58,11 +59,6 @@ class RestrictedSystem:
         object.__setattr__(self, "restrictions", clean_sets)
 
     @cached_property
-    def determinantal(self) -> int:
-        """d_k, the gcd of the k x k minors of A (0 when A is rank deficient)."""
-        return determinantal_divisors(self.matrix)[-1]
-
-    @cached_property
     def coprime(self) -> bool:
         """Whether d_k is coprime to the group order, the paper's hypothesis:
         d_k is the product of the first k Smith invariants, so this holds
@@ -82,10 +78,6 @@ class RestrictedSystem:
     def is_homogeneous(self) -> bool:
         zero = self.group.zero
         return all(v == zero for v in self.rhs)
-
-    def apply(self, x: Solution) -> tuple[Element, ...]:
-        """Evaluate A x over the group, one ``combine`` per row."""
-        return tuple(self.group.combine(row, x) for row in self.matrix.data)
 
 
 @dataclass(frozen=True)
@@ -204,12 +196,15 @@ def count_solutions(system: RestrictedSystem, budget: int = DEFAULT_BUDGET) -> i
     return _walk(system, budget, count=True)
 
 
-def _check_budget(candidates: int, budget: int) -> None:
-    """The walk's budget pre-check: BudgetExceededError past the budget."""
+def _check_budget(candidates: int, budget: int, what: str = "candidates") -> None:
+    """The budget pre-check: BudgetExceededError past the budget.  A count
+    past Python's digit limit for a decimal string is given as a power of 2."""
     if candidates > budget:
-        raise BudgetExceededError(
-            f"{candidates} candidates exceed the budget of {budget}"
-        )
+        try:
+            count = str(candidates)
+        except ValueError:
+            count = f"over 2^{candidates.bit_length() - 1}"
+        raise BudgetExceededError(f"{count} {what} exceed the budget of {budget}")
 
 
 def _walk(system: RestrictedSystem, budget: int, count: bool):
@@ -331,22 +326,14 @@ def _pivot_walk(group, sets, pivots, rows, rhs, free, count):
     return total if count else sols
 
 
-
-
-def is_thin(
-    system: RestrictedSystem, budget: int = DEFAULT_BUDGET
-) -> ThinWitness | None:
-    """Find a coordinate constant across all solutions, if any.
-
-    Systems with at most one solution are thin by convention: the report
-    names the first coordinate, with a None value when no solution exists.
-    """
-    return _thin_witness(system, enumerate_solutions(system, budget))
-
-
 def _thin_witness(
     system: RestrictedSystem, sols: list[Solution]
 ) -> ThinWitness | None:
+    """A coordinate constant across the given solutions, if any.
+
+    Systems with at most one solution are thin by convention: the witness
+    names the first coordinate, with a None value when no solution exists.
+    """
     if not sols:
         return ThinWitness(coordinate=0, value=None, vacuous=True)
     if len(sols) == 1:
@@ -358,25 +345,12 @@ def _thin_witness(
     return None
 
 
-def homogenize(
-    system: RestrictedSystem, budget: int = DEFAULT_BUDGET
-) -> Extension:
-    """Translate by the least solution so the right-hand side becomes zero.
-
-    The witness is the smallest solution in enumeration order; each
-    restriction set shifts by its coordinate and the value maps undo the
-    shift.  A homogeneous system gets the identity extension, without
-    enumerating.  Raises AlreadySolutionFree when there is nothing to
-    translate by.
-    """
-    if system.is_homogeneous():
-        return identity_extension(system)
-    return _homogenize(system, enumerate_solutions(system, budget))
-
-
 def _homogenize(system: RestrictedSystem, sols: list[Solution]) -> Extension:
-    """homogenize, given the solutions of the system; the identity
-    extension, whose target is the system itself, when it is homogeneous."""
+    """Translate by the least of the given solutions, sorted, so the
+    right-hand side becomes zero: each restriction set shifts by its
+    coordinate and the value maps undo the shift.  A homogeneous system
+    gets the identity extension, whose target is the system itself.
+    Raises AlreadySolutionFree when there is nothing to translate by."""
     if system.is_homogeneous():
         return identity_extension(system)
     if not sols:

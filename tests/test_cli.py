@@ -30,6 +30,8 @@ from test_acceptance import cli_runs
 from test_removal import brute_min_size
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# Python's limit on the digits of an integer read from or written as text
+LIMIT = sys.get_int_max_str_digits()
 
 
 def run_cli(*args, env_extra=None, timeout=None):
@@ -912,6 +914,67 @@ def test_non_decimal_digits_exit_with_a_schema_error(tmp_path):
     assert run_json("dk", str(matrix)) == {"divisors": [1]}
 
 
+@pytest.mark.skipif(LIMIT == 0, reason="no int-string digit limit")
+def test_digit_limit_failures_end_with_documented_exit_codes(tmp_path, monkeypatch):
+    # Python reads and writes decimal integer text only up to LIMIT digits:
+    # a longer input integer is a schema error (exit 2) and a longer result
+    # integer a precondition error (exit 3), each with a JSON error
+    too_long = "9" * (LIMIT + 1)
+    read = f"{LIMIT + 1} digits exceed Python's limit of {LIMIT} for a decimal integer string"
+    written = f"a result integer is longer than Python's limit of {LIMIT} digits for a decimal string"
+    path = tmp_path / "input.json"
+
+    def outcome(text, *args):
+        path.write_text(text)
+        code, out, err = main_result([*args, str(path)])
+        assert out == "", args
+        error = json.loads(err)["error"]
+        return code, error["kind"], error["message"]
+
+    matrix = json.dumps({"rows": 1, "cols": 2, "data": [[too_long, 1]]})
+    assert outcome(matrix, "dk") == (2, "schema", f"matrix.data[0][0]: {read}")
+    literal = '{"rows": 1, "cols": 2, "data": [[' + too_long + ", 1]]}"
+    assert outcome(literal, "dk") == (
+        2,
+        "schema",
+        f"{path}: a number has more digits than Python's limit of {LIMIT}",
+    )
+    # two coprime integers of about 2/3 LIMIT digits: their product, the
+    # second Smith invariant, has more than LIMIT
+    a = 10 ** (2 * LIMIT // 3)
+    diag = json.dumps({"rows": 2, "cols": 2, "data": [[str(a + 1), 0], [0, str(a + 3)]]})
+    assert outcome(diag, "snf") == (3, "precondition", written)
+
+    system = Path(fixture("sys_z5_full.json")).read_text()
+    assert outcome(system, "remove", "--protect", too_long) == (
+        2,
+        "schema",
+        f"--protect: {read}",
+    )
+    monkeypatch.setenv("LINREMOVAL_BUDGET", too_long)
+    assert outcome(system, "solve") == (2, "schema", f"LINREMOVAL_BUDGET: {read}")
+    monkeypatch.delenv("LINREMOVAL_BUDGET")
+
+    # a circular system over Z_N, N odd with over LIMIT / 2 digits, and one
+    # solution: its copy count N^2 has over LIMIT digits, and its N^4
+    # assignments exceed any budget
+    n = 10 ** (LIMIT // 2 + 10) + 1
+    big = json.dumps(
+        {
+            "group": {"moduli": [str(n)]},
+            "A": {"rows": 2, "cols": 4, "data": [[1, 0, 1, 1], [0, 1, 1, 2]]},
+            "b": [[0], [0]],
+            "X": [[[0]]] * 4,
+        }
+    )
+    assert outcome(big, "copies") == (3, "precondition", written)
+    assert outcome(big, "verify") == (3, "precondition", written)
+    code, kind, message = outcome(big, "copies", "--full")
+    assert (code, kind) == (4, "budget")
+    bits = (n**4).bit_length() - 1
+    assert message == f"over 2^{bits} assignments exceed the budget of {cli.DEFAULT_BUDGET}"
+
+
 def test_usage_error_exit():
     assert run_cli().returncode == 2
     assert run_cli("snf").returncode == 2
@@ -1028,8 +1091,9 @@ FUZZ_DIGIT_STRINGS = ["\u00b2", "-\u00b2", "1\u00b2", "--5", "\u0663"]
 
 def mutate(obj, rng):
     """One of: a dropped key, a boolean for an integer, a bad modulus, a
-    short X, a digit string for an integer; or the system unchanged."""
-    kind = rng.choice(["drop", "bool", "modulus", "short", "digits", "none"])
+    short X, a digit string for an integer, a digit string past Python's
+    int-string digit limit; or the system unchanged."""
+    kind = rng.choice(["drop", "bool", "modulus", "short", "digits", "long", "none"])
     if kind == "drop":
         holder = rng.choice([obj, obj["A"], obj["group"]])
         del holder[rng.choice(sorted(holder))]
@@ -1043,6 +1107,9 @@ def mutate(obj, rng):
     elif kind == "digits":
         row = rng.choice(obj["A"]["data"] + [obj["group"]["moduli"]])
         row[rng.randrange(len(row))] = rng.choice(FUZZ_DIGIT_STRINGS)
+    elif kind == "long":
+        row = rng.choice(obj["A"]["data"] + obj["b"] + [obj["group"]["moduli"]])
+        row[rng.randrange(len(row))] = rng.choice(["", "-"]) + "9" * (LIMIT + 1)
     return obj
 
 
@@ -1063,6 +1130,7 @@ def fuzz_argvs(matrix_path, system_path, n):
         ["remove", system_path],
         ["remove", "--greedy", system_path],
         ["remove", "--protect", "1,\u00b2", system_path],
+        ["remove", "--protect", "9" * (LIMIT + 1), system_path],
     ]
 
 

@@ -1,4 +1,4 @@
-"""Colored hypergraph encoding: templates, hosts, copy counting."""
+"""Colored hypergraph encoding: hosts, edge labels, copy counting."""
 
 import contextlib
 import io
@@ -18,12 +18,10 @@ from linremoval import (
     PreconditionError,
     RestrictedSystem,
     build_host,
-    build_template,
     CircularSystem,
     copy_class_structure,
     enumerate_copies,
     enumerate_solutions,
-    host_edge_label,
     verify_copy_classes,
     verify_copy_labels,
 )
@@ -54,27 +52,6 @@ def solutions_of(group, matrix, sets):
         group, matrix, tuple(group.zero for _ in range(matrix.rows)), sets
     )
     return enumerate_solutions(sys_)
-
-
-# ---------------------------------------------------------------- template
-
-
-def test_build_template_cyclic_windows():
-    t = build_template(3, 1)
-    assert t.m == 3
-    assert t.k == 1
-    assert t.edges == ((0, 1), (1, 2), (2, 0))
-    t2 = build_template(5, 2)
-    assert t2.edges[0] == (0, 1, 2)
-    assert t2.edges[-1] == (4, 0, 1)
-    assert len(t2.edges) == 5
-
-
-def test_build_template_preconditions():
-    with pytest.raises(PreconditionError):
-        build_template(3, 2)  # needs m >= k + 2
-    with pytest.raises(PreconditionError):
-        build_template(2, 0)
 
 
 # ------------------------------------------------------------- copy counts
@@ -483,16 +460,24 @@ def test_class_structure_problem_texts():
 # ------------------------------------------------------------- edge labels
 
 
+def edge_label(host, color, window):
+    # the label of the values at positions color, ..., color + k: kernel
+    # row `color` read on those positions, and whether it forms an edge
+    k, m = host.arity_base, host.positions
+    row = host.kernel_matrix.data[color]
+    label = host.group.combine([row[(color + t) % m] for t in range(k + 1)], window)
+    return label, label in host.restrictions[color]
+
+
 def test_host_edge_label_frozen():
     g, _, host = circulant_host(5, 3)
     # kernel row 0 is (4, 1, 0): label of ((1,), (2,)) is 4*1 + 1*2 = 6 = 1
-    label, ok = host_edge_label(host, 0, ((1,), (2,)))
-    assert label == (1,)
-    assert ok
-    with pytest.raises(PreconditionError):
-        host_edge_label(host, 3, ((0,), (0,)))
-    with pytest.raises(PreconditionError):
-        host_edge_label(host, 0, ((0,),))
+    assert host.kernel_matrix.data[0] == (4, 1, 0)
+    assert edge_label(host, 0, ((1,), (2,))) == ((1,), True)
+    # and every copy through that color-0 window carries that label
+    through = [c for c in enumerate_copies(host) if c.assignment[:2] == ((1,), (2,))]
+    assert len(through) == 5
+    assert {c.labels[0] for c in through} == {(1,)}
 
 
 def test_labels_read_only_the_window():
@@ -515,7 +500,7 @@ def test_labels_read_only_the_window():
     raw = raw_host(host, rows)
     for color in range(4):
         for w in itertools.product(g.elements(), repeat=2):
-            assert host_edge_label(raw, color, w) == host_edge_label(host, color, w)
+            assert edge_label(raw, color, w) == edge_label(host, color, w)
     assert enumerate_copies(raw) == enumerate_copies(host)
 
 
@@ -551,7 +536,7 @@ def test_per_color_edge_counts():
         edges = {
             w
             for w in itertools.product(g.elements(), repeat=2)
-            if host_edge_label(host, color, w)[1]
+            if edge_label(host, color, w)[1]
         }
         assert len(edges) == len(sets[color]) * n
 
@@ -696,12 +681,9 @@ def test_verify_catches_missing_copies():
 
 def test_pipeline_host_round_trip():
     # a host built on a pipeline target keeps the source solution count
-    from linremoval import (
-        circularize,
-        extend_to_identity_form,
-        full_extension,
-        homogenize,
-    )
+    from linremoval import circularize, full_extension
+    from linremoval.pipeline import _identity_form
+    from linremoval.system import _homogenize
 
     g = z(5)
     sys_ = RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), full_sets(g, 3))
@@ -712,7 +694,7 @@ def test_pipeline_host_round_trip():
     assert len(enumerate_copies(host)) == 25 * 5
     # the padded target of the same system is 26 x 28: 5^28 assignments is
     # far beyond any budget; check the guard trips
-    mid = extend_to_identity_form(homogenize(sys_).target)
+    mid, _ = _identity_form(_homogenize(sys_, enumerate_solutions(sys_)).target)
     padded = circularize(mid.target, 5).target
     host = build_host(g, CircularSystem(padded.matrix, 5), padded.restrictions)
     assert len(enumerate_solutions(padded)) == 25

@@ -104,15 +104,9 @@ def test_matrix_shape_validation():
 
 def test_matrix_basic_ops():
     m = IntMatrix([[1, 2], [3, 4]])
-    assert m.transpose().data == ((1, 3), (2, 4))
-    assert m.row(1) == (3, 4)
-    assert m.column(0) == (1, 3)
     assert (m @ IntMatrix.identity(2)) == m
     assert (IntMatrix.identity(2) @ m) == m
-    assert m.hstack(IntMatrix.identity(2)).data == ((1, 2, 1, 0), (3, 4, 0, 1))
-    assert m.vstack(IntMatrix.zero(1, 2)).data == ((1, 2), (3, 4), (0, 0))
-    assert m.submatrix([1], [0, 1]).data == ((3, 4),)
-    assert m.scale(-2).data == ((-2, -4), (-6, -8))
+    assert m.to_lists() == [[1, 2], [3, 4]]
     assert m.mod(3).data == ((1, 2), (0, 1))
 
 
@@ -304,7 +298,9 @@ divisor_inputs = st.one_of(
     matrices(max_rows=4, max_cols=5),
     matrices(max_rows=6, max_cols=3),  # mostly tall
     matrices(max_rows=4, max_cols=4, entries=st.integers(-30, -1)),
-    st.tuples(st.integers(1, 4), st.integers(1, 5)).map(lambda rc: IntMatrix.zero(*rc)),
+    st.tuples(st.integers(1, 4), st.integers(1, 5)).map(
+        lambda rc: IntMatrix([[0] * rc[1]] * rc[0])
+    ),
     rank_deficient(),
 )
 
@@ -313,7 +309,7 @@ def test_determinantal_divisors_frozen_values():
     assert determinantal_divisors(IntMatrix([[2, 4], [0, 6]])) == [2, 12]
     assert determinantal_divisors(IntMatrix([[2, 4], [1, 2], [-3, -6]])) == [1, 0]
     assert determinantal_divisors(IntMatrix([[2, 4, 6], [1, 2, 3]])) == [1, 0]
-    assert determinantal_divisors(IntMatrix.zero(2, 3)) == [0, 0]
+    assert determinantal_divisors(IntMatrix([[0, 0, 0], [0, 0, 0]])) == [0, 0]
     assert determinantal_divisors(IntMatrix([[-4], [6]])) == [2]
 
 
@@ -351,7 +347,7 @@ def test_complete_to_square_frozen_example():
 
 def test_complete_to_square_postconditions():
     cases = [
-        IntMatrix([[2, 4], [0, 6]]).submatrix([0], [0, 1]),
+        IntMatrix([[2, 4]]),
         IntMatrix([[3, 1, 0], [1, 2, 5]]),
         IntMatrix([[0, 2, 0, 4]]),
         IntMatrix([[1, 0, 0], [0, 2, 0]]),
@@ -396,7 +392,8 @@ def bordered_completion(matrix):
         return IntMatrix(matrix.data)
 
     def inverse(u):
-        return adjugate(u).scale(det(u))  # det(u) is +-1
+        d = det(u)  # +-1
+        return IntMatrix([[d * v for v in row] for row in adjugate(u).data])
 
     u_inv, v_inv = inverse(snf.U), inverse(snf.V)
     bordered_u = [[0] * m for _ in range(m)]

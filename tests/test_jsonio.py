@@ -1,10 +1,11 @@
 """Wire format: 53-bit integer boundary, schema errors, round trips."""
 
 import json
+import sys
 
 import pytest
 
-from linremoval import AbelianGroup, IntMatrix, SchemaError
+from linremoval import AbelianGroup, IntMatrix, PreconditionError, SchemaError
 from linremoval.jsonio import (
     decode_element,
     decode_group,
@@ -16,10 +17,14 @@ from linremoval.jsonio import (
     encode_matrix,
     encode_system,
     load_text,
+    parse_decimal,
 )
 from linremoval import RestrictedSystem
 
 BIG = 1 << 53
+# Python's limit on the digits of an integer read from or written as text
+LIMIT = sys.get_int_max_str_digits()
+needs_limit = pytest.mark.skipif(LIMIT == 0, reason="no int-string digit limit")
 
 
 def test_int_boundary():
@@ -45,6 +50,51 @@ def test_int_decoding_rejects_garbage():
         decode_int("1.5", "x")
     with pytest.raises(SchemaError):
         decode_int("--3", "x")
+
+
+def test_parse_decimal_reads_what_int_reads():
+    assert parse_decimal("-12", "x") == -12
+    assert parse_decimal("\u0663", "x") == 3
+    for text in ("\u00b2", "-\u00b2", "--5", "+5", " 5", "", "-"):
+        assert parse_decimal(text, "x") is None, text
+
+
+@needs_limit
+def test_digits_past_the_limit_are_a_schema_error():
+    assert decode_int("9" * LIMIT, "x") == 10**LIMIT - 1
+    assert decode_int("-" + "9" * LIMIT, "x") == 1 - 10**LIMIT
+    message = (
+        f"m.data[0][0]: {LIMIT + 1} digits exceed Python's limit of {LIMIT}"
+        " for a decimal integer string"
+    )
+    for text in ("9" * (LIMIT + 1), "-" + "9" * (LIMIT + 1)):
+        with pytest.raises(SchemaError) as exc:
+            decode_matrix({"rows": 1, "cols": 1, "data": [[text]]}, "m")
+        assert str(exc.value) == message
+    # a JSON number literal past the limit fails inside the JSON parser
+    with pytest.raises(SchemaError) as exc:
+        load_text("[" + "9" * (LIMIT + 1) + "]", "in.json")
+    assert str(exc.value) == (
+        f"in.json: a number has more digits than Python's limit of {LIMIT}"
+    )
+
+
+@needs_limit
+def test_results_past_the_limit_are_a_precondition_error():
+    message = (
+        f"a result integer is longer than Python's limit of {LIMIT} digits"
+        " for a decimal string"
+    )
+    assert encode_int(10**LIMIT - 1) == "9" * LIMIT
+    for v in (10**LIMIT, -(10**LIMIT)):
+        with pytest.raises(PreconditionError) as exc:
+            encode_int(v)
+        assert str(exc.value) == message
+        # a report writes some counts as plain JSON numbers
+        for human in (False, True):
+            with pytest.raises(PreconditionError) as exc:
+                dump({"count": v}, human=human)
+            assert str(exc.value) == message
 
 
 def test_matrix_round_trip_with_big_entries():

@@ -22,21 +22,19 @@ from linremoval import (
     complete_to_square,
     determinantal_divisor,
     enumerate_solutions,
-    extend_to_identity_form,
     full_extension,
-    homogenize,
     is_circular,
-    standardize,
     verify_extension,
 )
 from linremoval import pipeline
 from linremoval.intmat import det
 from linremoval.pipeline import (
     _circular_order,
-    _identity_form_details,
+    _identity_form,
     _solve_window_mod,
     _standard_form,
 )
+from linremoval.system import _homogenize
 from test_intmat import adjugate
 
 
@@ -48,10 +46,15 @@ def z(n):
     return AbelianGroup([n])
 
 
+def translate(system):
+    # the translate stage, on the solution list full_extension hands it
+    return _homogenize(system, enumerate_solutions(system))
+
+
 def padded_target(source):
     # the paper's general route, step by step: full_extension skips the
     # padding for a system that has a circular column order
-    mid = extend_to_identity_form(homogenize(source).target)
+    mid, _ = _identity_form(translate(source).target)
     return circularize(mid.target, source.group.order).target
 
 
@@ -116,21 +119,21 @@ def test_solve_window_inconsistent():
         _solve_window_mod([[1, 0], [2, 0]], [1, 1], 5)
 
 
-# -------------------------------------------------------------- standardize
+# ------------------------------------------------------------ standard form
 
 
 def test_standardize_frozen_row():
-    assert standardize(IntMatrix([[2, 1, 1]]), 5).data == ((1, 3, 3),)
+    assert _standard_form(IntMatrix([[2, 1, 1]]), 5).data == ((1, 3, 3),)
 
 
 def test_standardize_permutation_block():
-    out = standardize(IntMatrix([[0, 1, 2], [1, 0, 1]]), 5)
+    out = _standard_form(IntMatrix([[0, 1, 2], [1, 0, 1]]), 5)
     assert out.data == ((1, 0, 1), (0, 1, 2))
 
 
 def test_standardize_fixes_standard_input():
     m = IntMatrix([[1, 3, 3]])
-    assert standardize(m, 5) == m
+    assert _standard_form(m, 5) == m
 
 
 def test_standardize_preserves_solution_set():
@@ -140,7 +143,7 @@ def test_standardize_preserves_solution_set():
         (IntMatrix([[2, 3, 1], [1, 1, 4]]), 5),
     ]
     for a, n in cases:
-        s = standardize(a, n)
+        s = _standard_form(a, n)
         assert is_circular(s, n)
         for i in range(s.rows):
             for j in range(s.rows):
@@ -159,11 +162,10 @@ def test_standardize_preserves_solution_set():
 
 
 def test_standardize_rejects_non_circular():
-    with pytest.raises(PreconditionError):
-        standardize(IntMatrix([[2, 1]]), 4)
-    # standardize has no dense scan: its elimination and the kernel built on
-    # its output must reject precisely the matrices is_circular rejects, and
-    # the circular command reads the same decision as _standard_form's None
+    assert _standard_form(IntMatrix([[2, 1]]), 4) is None
+    # _standard_form has no dense scan: its elimination and the kernel built
+    # on its output must reject precisely the matrices is_circular rejects,
+    # and the circular command reads that decision as its None
     rng = random.Random(20112)
     seen = {True: 0, False: 0}
     for _ in range(1500):
@@ -173,12 +175,10 @@ def test_standardize_rejects_non_circular():
         a = IntMatrix([[rng.randrange(-n, 2 * n) for _ in range(m)] for _ in range(k)])
         circular = is_circular(a, n)
         seen[circular] += 1
-        assert (_standard_form(a, n) is not None) == circular
+        s = _standard_form(a, n)
+        assert (s is not None) == circular
         if not circular:
-            with pytest.raises(PreconditionError, match="not circular"):
-                standardize(a, n)
             continue
-        s = standardize(a, n)
         assert is_circular(s, n)
         assert all(0 <= v < n for row in s.data for v in row)
         assert all(s.data[i][j] == int(i == j) for i in range(k) for j in range(k))
@@ -406,7 +406,7 @@ def test_circular_system_rejects_corruption():
 def test_identity_form_frozen_target():
     g = z(5)
     sys_ = RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), full_sets(g, 3))
-    ext, divisors = _identity_form_details(sys_)
+    ext, divisors = _identity_form(sys_)
     assert divisors == (1, 1, 1)
     assert ext.target.matrix.data == (
         (1, 0, 0, -1, -1),
@@ -420,22 +420,17 @@ def test_identity_form_frozen_target():
     assert report.source_count == report.target_count == 25
 
 
-def test_identity_form_public_wrapper():
-    g = z(5)
-    sys_ = RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), full_sets(g, 3))
-    ext = extend_to_identity_form(sys_)
-    assert ext.target.variables == 5
-
-
 def test_identity_form_zero_row_short_circuit():
-    # a pivot decoupled from every free column pins that coordinate
+    # a pivot decoupled from every free column pins that coordinate, so its
+    # identity-form row vanishes; full_extension never gets there, since
+    # its thinness test reports the pinned coordinate first
     g = z(5)
     sys_ = RestrictedSystem(g, IntMatrix([[1, 0, 0]]), ((0,),), full_sets(g, 3))
-    wit, divisors = _identity_form_details(sys_)
-    assert isinstance(wit, ThinWitness)
-    assert wit.coordinate == 0
-    assert wit.value == (0,)
-    assert divisors == (0, 1, 1)
+    with pytest.raises(AssertionError, match="^identity form row 0 vanished$"):
+        _identity_form(sys_)
+    res = full_extension(sys_)
+    assert res.outcome == "thin"
+    assert res.thin == ThinWitness(coordinate=0, value=(0,))
 
 
 def test_identity_form_restricted_sets():
@@ -446,7 +441,7 @@ def test_identity_form_restricted_sets():
         ((0,),),
         (((0,), (1,)), ((0,), (2,), (3,)), g.elements()),
     )
-    ext, _ = _identity_form_details(sys_)
+    ext, _ = _identity_form(sys_)
     report = verify_extension(ext)
     assert report.ok, report.problems
     assert report.source_count == len(enumerate_solutions(sys_))
@@ -480,8 +475,9 @@ def adjugate_identity_form(sys_):
 
 def test_identity_form_matches_adjugate_oracle():
     # the kernel read off the Smith transforms gives the same target matrix,
-    # row divisors and sets as the adjugate of the completion, or pins the
-    # same coordinate, on a seeded sweep over six groups
+    # row divisors and sets as the adjugate of the completion, or refuses a
+    # vanished row where the adjugate pins a coordinate, on a seeded sweep
+    # over six groups
     rng = random.Random(19)
     groups = [[4], [5], [6], [12], [2, 4], [3, 5]]
     kinds = {"target": 0, "thin": 0, "refused": 0}
@@ -499,18 +495,19 @@ def test_identity_form_matches_adjugate_oracle():
         dk = determinantal_divisor(sys_.matrix, k)
         if math.gcd(dk, group.order) != 1:
             with pytest.raises(PreconditionError):
-                _identity_form_details(sys_)
+                _identity_form(sys_)
             kinds["refused"] += 1
             continue
-        got, divisors = _identity_form_details(sys_)
         want, want_divisors = adjugate_identity_form(sys_)
-        assert divisors == want_divisors
-        if isinstance(got, ThinWitness):
-            assert got == ThinWitness(want, group.zero)
+        if isinstance(want, int):
+            with pytest.raises(AssertionError, match=f"^identity form row {want} vanished$"):
+                _identity_form(sys_)
             kinds["thin"] += 1
-        else:
-            assert (got.target.matrix, got.target.restrictions) == want
-            kinds["target"] += 1
+            continue
+        got, divisors = _identity_form(sys_)
+        assert divisors == want_divisors
+        assert (got.target.matrix, got.target.restrictions) == want
+        kinds["target"] += 1
     assert all(kinds.values()), kinds
 
 
@@ -518,13 +515,13 @@ def test_identity_form_preconditions():
     g = z(5)
     inhom = RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((1,),), full_sets(g, 3))
     with pytest.raises(PreconditionError):
-        extend_to_identity_form(inhom)
+        _identity_form(inhom)
     g4 = z(4)
     shared = RestrictedSystem(g4, IntMatrix([[2, 2, 2]]), ((0,),), full_sets(g4, 3))
     with pytest.raises(PreconditionError):
-        extend_to_identity_form(shared)
-    # the d_k gate holds before the square and the pinned-coordinate returns,
-    # and on a rank-deficient matrix
+        _identity_form(shared)
+    # the d_k gate holds before the vanished-row check, also on a square
+    # matrix, and on a rank-deficient one
     for group, rows in (
         (g4, [[2]]),
         (g4, [[1, 2], [3, 2]]),
@@ -537,7 +534,7 @@ def test_identity_form_preconditions():
             group, IntMatrix(rows), (group.zero,) * k, full_sets(group, m)
         )
         with pytest.raises(PreconditionError):
-            _identity_form_details(bad)
+            _identity_form(bad)
 
 
 # -------------------------------------------------------------- circularize
@@ -551,7 +548,7 @@ def test_circularize_r1_dimensions():
     ext = circularize(src, 5)
     assert ext.target.equations == 5  # 2 * 2 * 1 + 1
     assert ext.target.variables == 6
-    assert is_circular(ext.target.matrix.submatrix(range(5), range(6)), 5)
+    assert is_circular(ext.target.matrix, 5)
     report = verify_extension(ext)
     assert report.ok, report.problems
     # pivots land on the centers of their padded blocks, values unchanged
@@ -564,7 +561,7 @@ def test_circularize_r1_dimensions():
 def test_circularize_r2_dimensions():
     g = z(5)
     sys_ = RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), full_sets(g, 3))
-    mid = extend_to_identity_form(sys_)
+    mid, _ = _identity_form(sys_)
     ext = circularize(mid.target, 5)
     assert ext.target.equations == 26  # 2 * 3 * 4 + 2
     assert ext.target.variables == 28
@@ -671,7 +668,7 @@ def brute_circular_order(a, n):
     # order, each tested by the dense is_circular scan
     for rest in itertools.permutations(range(1, a.cols)):
         order = [0, *rest]
-        if is_circular(a.submatrix(range(a.rows), order), n):
+        if is_circular(IntMatrix([[row[c] for c in order] for row in a.data]), n):
             return order
     return None
 
@@ -706,7 +703,8 @@ def test_circular_order_search_matches_brute_force(sys_):
     # the first order the search finds is the lexicographically first one
     assert order == brute_circular_order(sys_.matrix, n)
     if order is not None:
-        assert is_circular(sys_.matrix.submatrix(range(sys_.equations), order), n)
+        permuted = [[row[c] for c in order] for row in sys_.matrix.data]
+        assert is_circular(IntMatrix(permuted), n)
     if not sys_.coprime:
         return
     res = full_extension(sys_)
@@ -821,8 +819,6 @@ def test_full_extension_thin_before_identity_form_pins():
     assert res.outcome == "thin"
     assert res.thin == ThinWitness(coordinate=0, value=(2,))
     assert [st["stage"] for st in res.stages] == ["input"]
-    homogeneous = RestrictedSystem(g, a, ((0,), (0,)), full_sets(g, 4))
-    assert extend_to_identity_form(homogeneous) == ThinWitness(0, (0,))
 
 
 def test_full_extension_vacuous_route():

@@ -19,21 +19,30 @@ from linremoval import (
     compose_extensions,
     count_solutions,
     determinantal_divisor,
+    determinantal_divisors,
     circularize,
     enumerate_solutions,
-    extend_to_identity_form,
-    homogenize,
     identity_extension,
     intmat,
-    is_thin,
     pull_back_removal,
     remove_elements,
     verify_extension,
 )
 from linremoval.jsonio import decode_system, load_file
-from linremoval.system import _identity_prefix, _unit_pivots
+from linremoval.pipeline import _identity_form
+from linremoval.system import (
+    _homogenize,
+    _identity_prefix,
+    _thin_witness,
+    _unit_pivots,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def apply(system, x):
+    # A x over the group, one combine per row
+    return tuple(system.group.combine(row, x) for row in system.matrix.data)
 
 
 def brute_solutions(system):
@@ -41,7 +50,7 @@ def brute_solutions(system):
     out = [
         x
         for x in itertools.product(*system.restrictions)
-        if system.apply(x) == system.rhs
+        if apply(system, x) == system.rhs
     ]
     out.sort()
     return out
@@ -55,10 +64,20 @@ def z(n):
     return AbelianGroup([n])
 
 
+def translate(system):
+    # the translate stage, on the solution list full_extension hands it
+    return _homogenize(system, enumerate_solutions(system))
+
+
+def thin(system):
+    # the thinness test, on the solution list full_extension hands it
+    return _thin_witness(system, enumerate_solutions(system))
+
+
 def padded_target(source):
     # the paper's general route, step by step: full_extension skips the
     # padding for a system that has a circular column order
-    mid = extend_to_identity_form(homogenize(source).target)
+    mid, _ = _identity_form(translate(source).target)
     return circularize(mid.target, source.group.order).target
 
 
@@ -92,10 +111,10 @@ def test_system_normalizes_restrictions():
 def test_system_divisor_fields():
     g = z(10)
     sys_ = RestrictedSystem(g, IntMatrix([[2, 4], [0, 6]]), ((0,), (0,)), full_sets(g, 2))
-    assert sys_.determinantal == 12
+    assert determinantal_divisors(sys_.matrix)[-1] == 12
     assert not sys_.coprime  # gcd(12, 10) == 2
     sys2 = RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), full_sets(g, 3))
-    assert sys2.determinantal == 1
+    assert determinantal_divisors(sys2.matrix)[-1] == 1
     assert sys2.coprime
 
 
@@ -117,14 +136,14 @@ def test_identity_prefix_divisor_matches_minors():
     for a in matrices:
         rhs = tuple(g.zero for _ in range(a.rows))
         sys_ = RestrictedSystem(g, a, rhs, full_sets(g, a.cols))
-        assert sys_.determinantal == determinantal_divisor(a, a.rows) == 1
+        assert determinantal_divisors(a)[-1] == determinantal_divisor(a, a.rows) == 1
         assert sys_.coprime
 
 
 def count_divisor_work(count_calls):
     return {
-        name: count_calls(intmat, name, lambda *args: args[0].rows)
-        for name in ("smith_normal_form", "determinantal_divisor")
+        name: count_calls(intmat, name, lambda a, *rest: len(getattr(a, "data", a)))
+        for name in ("smith_normal_form", "smith_invariants_mod", "determinantal_divisor")
     }
 
 
@@ -140,7 +159,11 @@ def test_construction_computes_no_divisor(count_calls):
     built = [decode_system(load_file(path)) for path in sorted(FIXTURES.glob("sys_*.json"))]
     built.append(RestrictedSystem(g, target.matrix, target.rhs, target.restrictions))
     assert len(built) == 11
-    assert work == {"smith_normal_form": [], "determinantal_divisor": []}
+    assert work == {
+        "smith_normal_form": [],
+        "smith_invariants_mod": [],
+        "determinantal_divisor": [],
+    }
 
 
 def test_divisor_is_read_off_one_smith_form(count_calls):
@@ -149,15 +172,20 @@ def test_divisor_is_read_off_one_smith_form(count_calls):
     work = count_divisor_work(count_calls)
     assert not sys_.coprime
     assert not sys_.coprime
-    assert sys_.determinantal == 6
-    assert work == {"smith_normal_form": [2], "determinantal_divisor": []}
+    # one elimination over Z/|G| of A's two rows, cached, and no integer
+    # Smith form or minor
+    assert work == {
+        "smith_normal_form": [],
+        "smith_invariants_mod": [2],
+        "determinantal_divisor": [],
+    }
 
 
 def test_apply_and_homogeneous():
     g = z(4)
     sys_ = RestrictedSystem(g, IntMatrix([[1, 2]]), ((3,),), full_sets(g, 2))
-    assert sys_.apply(((1,), (1,))) == ((3,),)
-    assert sys_.apply(((1,), (3,))) == ((3,),)
+    assert apply(sys_, ((1,), (1,))) == ((3,),)
+    assert apply(sys_, ((1,), (3,))) == ((3,),)
     assert not sys_.is_homogeneous()
     zero = RestrictedSystem(g, IntMatrix([[1, 2]]), ((0,),), full_sets(g, 2))
     assert zero.is_homogeneous()
@@ -406,7 +434,8 @@ def test_coprime_matches_divisor_gcd(moduli, data):
         )
     )
     sys_ = RestrictedSystem(g, IntMatrix(rows), (g.zero,) * k, ((g.zero,),) * m)
-    assert sys_.coprime == (math.gcd(sys_.determinantal, g.order) == 1)
+    dk = determinantal_divisors(sys_.matrix)[-1]
+    assert sys_.coprime == (math.gcd(dk, g.order) == 1)
 
 
 def pivot_loop_solutions(system):
@@ -591,7 +620,7 @@ def test_identity_prefix_matches_double_loop():
 def test_is_thin_fat_system():
     g = z(5)
     sys_ = RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), full_sets(g, 3))
-    assert is_thin(sys_) is None
+    assert thin(sys_) is None
 
 
 def test_is_thin_single_solution():
@@ -599,7 +628,7 @@ def test_is_thin_single_solution():
     sys_ = RestrictedSystem(
         g, IntMatrix([[1, 1, 1]]), ((0,),), (((0,),), ((1,),), ((3,),))
     )
-    wit = is_thin(sys_)
+    wit = thin(sys_)
     assert wit is not None
     assert wit.coordinate == 0
     assert wit.value == (0,)
@@ -609,7 +638,7 @@ def test_is_thin_single_solution():
 def test_is_thin_vacuous():
     g = z(3)
     sys_ = RestrictedSystem(g, IntMatrix([[1, 1]]), ((1,),), (((0,),), ((0,),)))
-    wit = is_thin(sys_)
+    wit = thin(sys_)
     assert wit is not None
     assert wit.vacuous
     assert wit.coordinate == 0
@@ -627,7 +656,7 @@ def test_is_thin_constant_coordinate():
     )
     sols = enumerate_solutions(sys_)
     assert len(sols) == 2
-    wit = is_thin(sys_)
+    wit = thin(sys_)
     assert wit is not None
     assert wit.coordinate == 1
     assert wit.value == (2,)
@@ -644,7 +673,7 @@ def test_homogenize_frozen_example():
         ((2,),),
         (((0,), (1,)), ((1,), (2,))),
     )
-    ext = homogenize(sys_)
+    ext = translate(sys_)
     assert ext.target.is_homogeneous()
     assert ext.target.restrictions == (((0,), (1,)), ((0,), (2,)))
     assert enumerate_solutions(ext.target) == [((0,), (0,)), ((1,), (2,))]
@@ -658,7 +687,7 @@ def test_homogenize_frozen_example():
 def test_homogenize_identity_when_homogeneous():
     g = z(5)
     sys_ = RestrictedSystem(g, IntMatrix([[1, 1]]), ((0,),), full_sets(g, 2))
-    ext = homogenize(sys_)
+    ext = translate(sys_)
     assert ext.target == sys_
     assert verify_extension(ext).ok
 
@@ -667,7 +696,7 @@ def test_homogenize_without_solutions():
     g = z(3)
     sys_ = RestrictedSystem(g, IntMatrix([[1, 1]]), ((1,),), (((0,),), ((0,),)))
     with pytest.raises(AlreadySolutionFree):
-        homogenize(sys_)
+        translate(sys_)
 
 
 def test_homogenize_projection_bijection():
@@ -678,7 +707,7 @@ def test_homogenize_projection_bijection():
         ((3,),),
         (((0,), (1,), (3,)), ((0,), (1,), (3,), (4,))),
     )
-    ext = homogenize(sys_)
+    ext = translate(sys_)
     src = enumerate_solutions(sys_)
     report = verify_extension(ext)
     # the report projects every target solution through the value maps and
@@ -812,7 +841,7 @@ def test_compose_extensions():
         ((3,),),
         (((0,), (1,), (3,)), ((0,), (1,), (3,), (4,))),
     )
-    first = homogenize(sys_)
+    first = translate(sys_)
     second = identity_extension(first.target)
     comp = compose_extensions(first, second)
     assert comp.source == sys_
@@ -853,7 +882,7 @@ def test_pull_back_removal_translation():
         ((2,),),
         (((0,), (1,)), ((1,), (2,))),
     )
-    ext = homogenize(sys_)
+    ext = translate(sys_)
     # killing every first-coordinate value on the target empties both sides
     gone = (tuple(ext.target.restrictions[0]), ())
     pulled = pull_back_removal(ext, gone)
@@ -881,6 +910,6 @@ def test_pull_back_rejects_value_outside_restriction():
     sys_ = RestrictedSystem(
         g, IntMatrix([[1, 1]]), ((2,),), (((0,), (1,)), ((1,), (2,)))
     )
-    ext = homogenize(sys_)
+    ext = translate(sys_)
     with pytest.raises(PreconditionError):
         pull_back_removal(ext, (((2,),), ()))

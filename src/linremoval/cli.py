@@ -41,6 +41,7 @@ from .jsonio import (
     encode_element,
     encode_int,
     encode_matrix,
+    encode_rows,
     load_file,
     parse_decimal,
 )
@@ -93,7 +94,7 @@ def cmd_ngood(args, budget) -> dict:
     return {
         "padded": encode_matrix(padded),
         "rows": padded.rows,
-        "n": args.n,
+        "n": encode_int(args.n),
         "n_good": is_n_good(padded, args.n),
     }
 
@@ -103,7 +104,7 @@ def cmd_circular(args, budget) -> dict:
     standard = _standard_form(matrix, args.n)
     return {
         "circular": standard is not None,
-        "n": args.n,
+        "n": encode_int(args.n),
         "standard": None if standard is None else encode_matrix(standard),
     }
 
@@ -111,7 +112,7 @@ def cmd_circular(args, budget) -> dict:
 def cmd_cmatrix(args, budget) -> dict:
     matrix = decode_matrix(load_file(args.input))
     kernel = build_kernel_matrix(matrix, args.n)
-    return {"kernel": encode_matrix(kernel), "n": args.n}
+    return {"kernel": encode_matrix(kernel), "n": encode_int(args.n)}
 
 
 def cmd_solve(args, budget) -> dict:
@@ -119,7 +120,7 @@ def cmd_solve(args, budget) -> dict:
     sols = enumerate_solutions(system, budget)
     return {
         "count": len(sols),
-        "solutions": [[encode_element(v) for v in x] for x in sols],
+        "solutions": encode_rows(sols, system.group),
     }
 
 
@@ -152,6 +153,8 @@ def _encode_stages(stages) -> list:
             enc["row_divisors"] = [encode_int(v) for v in enc["row_divisors"]]
         if "column_order" in enc:
             enc["column_order"] = [j + 1 for j in enc["column_order"]]
+        if "modulus" in enc:
+            enc["modulus"] = encode_int(enc["modulus"])
         out.append(enc)
     return out
 
@@ -175,7 +178,7 @@ def cmd_pipeline(args, budget) -> dict:
     payload["target"] = {
         "equations": res.circular.equations,
         "variables": res.circular.variables,
-        "modulus": res.circular.modulus,
+        "modulus": encode_int(res.circular.modulus),
     }
     payload["mapped_coords"] = [j + 1 for j in res.composed.mapped_coords]
     # res.circular is a CircularSystem, whose construction checked circularity
@@ -241,17 +244,18 @@ def cmd_copies(args, budget) -> dict:
             raise AssertionError(
                 "copy class structure fails: " + "; ".join(classes.problems)
             )
-        payload["count"] = classes.copy_count
+        payload["count"] = encode_int(classes.copy_count)
         return payload
     m = host.positions
-    copies = _copy_solutions(host, budget)
-    code = {v: encode_element(v) for v in host.group.elements()}.__getitem__
+    copies = encode_rows(_copy_solutions(host, budget), host.group)
     payload["count"] = len(copies)
-    payload["copies"] = [
-        {"assignment": row[:m], "labels": row[m:]}
-        for row in (list(map(code, s)) for s in copies)
-    ]
+    payload["copies"] = [{"assignment": s[:m], "labels": s[m:]} for s in copies]
     return payload
+
+
+def _count(v):
+    """A count in wire form, or None where only a listing could count."""
+    return None if v is None else encode_int(v)
 
 
 def cmd_verify(args, budget) -> dict:
@@ -266,10 +270,10 @@ def cmd_verify(args, budget) -> dict:
     classes, labels = copy_class_structure(host, budget)
     return {
         "route": route,
-        "copies": classes.copy_count,
-        "classes": classes.class_count,
-        "expected_class_size": classes.expected_class_size,
-        "solutions": classes.solution_count,
+        "copies": _count(classes.copy_count),
+        "classes": _count(classes.class_count),
+        "expected_class_size": encode_int(classes.expected_class_size),
+        "solutions": encode_int(classes.solution_count),
         "class_report": {
             "ok": classes.ok,
             "kernel": classes.kernel_ok,
@@ -320,7 +324,7 @@ def cmd_remove(args, budget) -> dict:
     if post != 0:
         raise AssertionError("reported removal leaves solutions alive")
     return {
-        "removed": [[encode_element(v) for v in xs] for xs in sol.removed],
+        "removed": encode_rows(sol.removed, system.group),
         "total_size": sol.total_size,
         "certificate": {"optimal": sol.optimal, "lower_bound": sol.lower_bound},
         "post_count": post,

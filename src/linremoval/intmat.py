@@ -502,7 +502,9 @@ def n_good_padding(matrix: IntMatrix, n: int) -> IntMatrix:
     r = matrix.rows
     d = det(matrix)
     if math.gcd(d, n) != 1:
-        raise PreconditionError(f"determinant {d} shares a factor with {n}")
+        # neither number is printed: either may be past Python's digit
+        # limit for a decimal string
+        raise PreconditionError("the determinant shares a factor with the modulus")
 
     if n == 1:
         # every determinant is coprime to 1; zero filler keeps the shape

@@ -112,8 +112,24 @@ def encode_element(elem) -> list:
     return [encode_int(v) for v in elem]
 
 
-def _residues(obj, group: AbelianGroup, where: str) -> tuple[int, ...]:
-    """The integers of one element, checked but not reduced."""
+def encode_rows(rows, group: AbelianGroup):
+    """Rows of elements of ``group`` in wire form, for a report to dump.
+    A reduced residue is below its modulus, so while every modulus is at
+    most 2^53 each residue is its own wire form, and a tuple dumps as a
+    list: the rows go out as they are.  Only a larger modulus maps each
+    element through ``encode_element``."""
+    if max(group.moduli) <= _SAFE:
+        return rows
+    return [[encode_element(v) for v in row] for row in rows]
+
+
+def _residues(obj, group: AbelianGroup, where: str, *index: int) -> tuple[int, ...]:
+    """The integers of one element, checked but not reduced.  A list of
+    ``rank`` plain ints passes one test; the element's label, ``where``
+    followed by ``[i]`` per index, is built only when that test fails."""
+    if type(obj) is list and [*map(type, obj)] == [int] * group.rank:
+        return tuple(obj)
+    where += "".join(f"[{i}]" for i in index)
     if not isinstance(obj, list):
         raise SchemaError(f"{where}: expected an array of residues")
     if len(obj) != group.rank:
@@ -151,21 +167,17 @@ def decode_system(obj, where: str = "system") -> RestrictedSystem:
     b = obj["b"]
     if not isinstance(b, list) or len(b) != matrix.rows:
         raise SchemaError(f"{where}.b: expected {matrix.rows} elements")
-    rhs = tuple(
-        _residues(v, group, f"{where}.b[{i}]") for i, v in enumerate(b)
-    )
+    rhs = tuple([_residues(v, group, f"{where}.b", i) for i, v in enumerate(b)])
     xs = obj["X"]
     if not isinstance(xs, list) or len(xs) != matrix.cols:
         raise SchemaError(f"{where}.X: expected {matrix.cols} restriction sets")
     sets = []
+    label = f"{where}.X"
     for i, raw in enumerate(xs):
         if not isinstance(raw, list):
-            raise SchemaError(f"{where}.X[{i}]: expected an array of elements")
+            raise SchemaError(f"{label}[{i}]: expected an array of elements")
         sets.append(
-            tuple(
-                _residues(v, group, f"{where}.X[{i}][{j}]")
-                for j, v in enumerate(raw)
-            )
+            tuple([_residues(v, group, label, i, j) for j, v in enumerate(raw)])
         )
     return RestrictedSystem(group, matrix, rhs, tuple(sets))
 
@@ -196,12 +208,13 @@ def load_file(path: str):
 
 
 def dump(obj, human: bool = False) -> str:
-    # a report is a fresh tree whose shared code-table lists never form a
-    # cycle, so the per-container cycle check is skipped: same bytes
+    # a report is a fresh tree of dicts, lists and tuples; its element
+    # tuples are shared between rows but never form a cycle, so the
+    # per-container cycle check is skipped: same bytes
     layout = {"indent": 2} if human else {"separators": (",", ":")}
     try:
         return json.dumps(obj, sort_keys=True, check_circular=False, **layout) + "\n"
     except ValueError:
-        # an integer past the digit limit, such as a copy count, which
-        # reports write as a JSON number
+        # an integer past the digit limit that a report writes as a bare
+        # JSON number
         raise _too_long() from None

@@ -426,11 +426,13 @@ def _verify_extension(ext: Extension, solutions) -> ExtensionReport:
             f"({tgt.equations},{tgt.variables}) break the offset rule"
         )
 
-    full = tgt.group.elements()
+    # a restriction set is reduced and deduplicated, so it is all of G
+    # exactly when it has |G| elements: G itself is never listed
+    order = tgt.group.order
     mapped = set(ext.mapped_coords)
     full_group_ok = True
     for j in range(tgt.variables):
-        if j not in mapped and tgt.restrictions[j] != full:
+        if j not in mapped and len(tgt.restrictions[j]) != order:
             full_group_ok = False
             problems.append(f"unmapped coordinate {j} is restricted")
 

@@ -117,6 +117,46 @@ def test_solve_command():
     assert out["solutions"][0] == [[0], [0], [0]]
 
 
+def sum_system(path, n, sets):
+    """Write x1 + x2 + x3 = 0 over Z_n with residue sets ``sets``."""
+    path.write_text(
+        json.dumps(
+            {
+                "group": {"moduli": [str(n)]},
+                "A": {"rows": 1, "cols": 3, "data": [[1, 1, 1]]},
+                "b": [[0]],
+                "X": [[[v] for v in xs] for xs in sets],
+            }
+        )
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("n", [2**53, 2**53 + 1])
+def test_report_elements_follow_the_53_bit_wire_rule(tmp_path, n):
+    # a residue below 2^53 is a JSON number and a larger one a decimal
+    # string: over Z_{2^53} every residue is a number, over Z_{2^53 + 1}
+    # the residue 2^53 = -1 is "9007199254740992"; the four solutions carry
+    # the residues n - 1, n - 2 and n - 3
+    path = sum_system(tmp_path / "sum.json", n, [[-1, 1, 5], [1, -2], [0, 3, -2, -3]])
+
+    def wire(r):
+        return r if r < 2**53 else str(r)
+
+    solutions = [(1, 1, n - 2), (5, n - 2, n - 3), (n - 1, 1, 0), (n - 1, n - 2, 3)]
+    code, out, _ = main_result(["solve", path])
+    assert code == 0
+    assert json.loads(out) == {
+        "count": 4,
+        "solutions": [[[wire(r)] for r in x] for x in solutions],
+    }
+    # greedy takes the value killing two solutions, then the lowest ones
+    code, out, _ = main_result(["remove", "--greedy", path])
+    assert code == 0
+    assert json.loads(out)["removed"] == [[[1], [5], [wire(n - 1)]], [], []]
+    assert ('"9007199254740992"' in out) == (n > 2**53)
+
+
 def test_pipeline_command():
     # circular as given: the standard stage keeps the order, no padding
     out = run_json("pipeline", fixture("sys_z5_full.json"))
@@ -884,6 +924,49 @@ def test_budget_env_validation():
     assert proc.returncode == 2
     proc2 = run_cli("solve", "--budget", "0", fixture("sys_z5_full.json"))
     assert proc2.returncode == 2
+
+
+def test_large_modulus_reports_write_counts_as_strings(tmp_path):
+    # x1 + x2 + x3 = 0 over Z_p, p = 2^61 - 1, with three small sets: the
+    # pipeline tests its target's unmapped coordinates by set size, so G is
+    # never listed, and every count and modulus past 2^53 is a string
+    p = 2**61 - 1
+    path = sum_system(tmp_path / "z61.json", p, [[0, 1, 2], [0, 1, 2], [0, -1, -2, -3]])
+    out = main_json(["pipeline", path])
+    assert out["outcome"] == "circular"
+    assert out["target"]["modulus"] == out["stages"][-1]["modulus"] == str(p)
+    assert out["verification"]["ok"] is True
+    assert out["solutions"] == 8
+    out = main_json(["verify", path])
+    assert out["verdict"] == "PASS"
+    assert (out["copies"], out["expected_class_size"]) == (str(8 * p), str(p))
+    assert (out["classes"], out["solutions"]) == (8, 8)
+    assert main_json(["copies", path])["count"] == str(8 * p)
+    # the commands that take --n echo it by the same rule
+    for command, name in [
+        ("ngood", "matrix_square.json"),
+        ("circular", "matrix_row.json"),
+        ("cmatrix", "matrix_row.json"),
+    ]:
+        assert main_json([command, "--n", str(p), fixture(name)])["n"] == str(p)
+
+
+@pytest.mark.skipif(LIMIT == 0, reason="no int-string digit limit")
+def test_padding_precondition_past_the_digit_limit(tmp_path):
+    # diag(a, a) with a of about LIMIT / 2 digits reads fine, but its
+    # determinant a^2 shares the factor 2 with n and has more than LIMIT
+    # digits: the precondition names neither number
+    a = str(10 ** (LIMIT // 2 + 50))
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "data": [[a, 0], [0, a]]}))
+    code, out, err = main_result(["ngood", "--n", "2", str(path)])
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": {
+            "kind": "precondition",
+            "message": "the determinant shares a factor with the modulus",
+        }
+    }
 
 
 def test_non_decimal_digits_exit_with_a_schema_error(tmp_path):

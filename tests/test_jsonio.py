@@ -15,6 +15,7 @@ from linremoval.jsonio import (
     dump,
     encode_int,
     encode_matrix,
+    encode_rows,
     encode_system,
     load_text,
     parse_decimal,
@@ -138,6 +139,42 @@ def test_element_schema():
         decode_element("nope", g, "e")
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([True, 0], "[0]: expected an integer, got a boolean"),
+        ([1, 0.5], "[1]: expected an integer, got float"),
+        ([1, "1.5"], "[1]: '1.5' is not a decimal integer string"),
+        ([1, "²"], "[1]: '²' is not a decimal integer string"),
+        ([1], ": expected 2 residues, got 1"),
+        ([1, 2, 3], ": expected 2 residues, got 3"),
+        ("nope", ": expected an array of residues"),
+        ({"0": 1}, ": expected an array of residues"),
+    ],
+)
+def test_malformed_system_elements_name_their_place(bad, message):
+    # every element of b and of each X[i] is checked, and its message names
+    # the element and, for a bad residue, the residue
+    def wire():
+        return {
+            "group": {"moduli": [5, 3]},
+            "A": {"rows": 1, "cols": 2, "data": [[1, 1]]},
+            "b": [[0, 0]],
+            "X": [[[0, 0], [1, 2]], [[0, 0], [4, 1], [2, 2]]],
+        }
+
+    obj = wire()
+    obj["b"][0] = bad
+    with pytest.raises(SchemaError) as exc:
+        decode_system(obj)
+    assert str(exc.value) == "system.b[0]" + message
+    obj = wire()
+    obj["X"][1][2] = bad
+    with pytest.raises(SchemaError) as exc:
+        decode_system(obj, "in")
+    assert str(exc.value) == "in.X[1][2]" + message
+
+
 def test_system_round_trip():
     g = AbelianGroup([5])
     sys_ = RestrictedSystem(
@@ -173,18 +210,32 @@ def test_dump_formats():
 
 
 def test_dump_matches_checked_encoding_on_shared_lists():
-    # reports share one encoded list per group element across many rows, as
-    # the copies code table does; the dump skips the cycle check and must
-    # give the bytes the checked encoder gives
-    code = {v: [v, -v, str(BIG + v)] for v in range(4)}
+    # reports share one element tuple across many rows, as the walk's
+    # solution and copy tuples do, and may share a list; the dump skips the
+    # cycle check and must give the bytes the checked encoder gives, and a
+    # tuple the bytes of a list
+    code = {v: (v, -v, BIG - v) for v in range(4)}
     rows = [
-        {"assignment": [code[(i + j) % 4] for j in range(3)], "labels": [code[i % 4]]}
+        {
+            "assignment": tuple(code[(i + j) % 4] for j in range(3)),
+            "labels": (code[i % 4],),
+        }
         for i in range(50)
     ]
-    obj = {"count": len(rows), "copies": rows, "table": code[0]}
-    assert dump(obj) == json.dumps(
-        obj, separators=(",", ":"), sort_keys=True, check_circular=True
-    ) + "\n"
-    assert dump(obj, human=True) == json.dumps(
-        obj, indent=2, sort_keys=True, check_circular=True
-    ) + "\n"
+    listed = [{k: [list(v) for v in row[k]] for k in row} for row in rows]
+    shared = [str(BIG)]
+    obj = {"count": len(rows), "copies": rows, "table": [shared] * 3}
+    for human in (False, True):
+        layout = {"indent": 2} if human else {"separators": (",", ":")}
+        expected = json.dumps(obj, sort_keys=True, check_circular=True, **layout)
+        assert dump(obj, human=human) == expected + "\n"
+        assert dump({**obj, "copies": listed}, human=human) == expected + "\n"
+
+
+def test_encode_rows_passes_rows_while_every_modulus_fits():
+    rows = [((1,), (BIG - 1,)), ((0,), (3,))]
+    assert encode_rows(rows, AbelianGroup([BIG])) is rows
+    assert encode_rows(rows, AbelianGroup([2, BIG])) is rows
+    assert encode_rows([((BIG,), (1,))], AbelianGroup([BIG + 1])) == [
+        [[str(BIG)], [1]]
+    ]

@@ -12,7 +12,6 @@ from .abelian import (
     scaling_preimage,
 )
 from .errors import (
-    AlreadySolutionFree,
     BudgetExceededError,
     InfeasibleRemovalError,
     PreconditionError,
@@ -71,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianGroup",
-    "AlreadySolutionFree",
     "BudgetExceededError",
     "CircularSystem",
     "DEFAULT_BUDGET",

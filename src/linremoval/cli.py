@@ -30,7 +30,6 @@ from .intmat import (
     complete_to_square,
     det,
     determinantal_divisors,
-    is_n_good,
     n_good_padding,
     smith_normal_form,
 )
@@ -95,7 +94,8 @@ def cmd_ngood(args, budget) -> dict:
         "padded": encode_matrix(padded),
         "rows": padded.rows,
         "n": encode_int(args.n),
-        "n_good": is_n_good(padded, args.n),
+        # n_good_padding returns only a padding it has checked n-good
+        "n_good": True,
     }
 
 
@@ -128,7 +128,7 @@ def _thin_payload(witness) -> dict:
     return {
         "coordinate": witness.coordinate + 1,
         "value": None if witness.value is None else encode_element(witness.value),
-        "vacuous": witness.vacuous,
+        "vacuous": witness.value is None,
     }
 
 
@@ -180,7 +180,7 @@ def cmd_pipeline(args, budget) -> dict:
         "variables": res.circular.variables,
         "modulus": encode_int(res.circular.modulus),
     }
-    payload["mapped_coords"] = [j + 1 for j in res.composed.mapped_coords]
+    payload["mapped_coords"] = [j + 1 for j in sorted(res.composed.coord_map)]
     # res.circular is a CircularSystem, whose construction checked circularity
     payload["target_circular"] = True
     payload["verification"] = _report_payload(res.verification)
@@ -208,8 +208,7 @@ def _route_host(system, budget):
     decides: it raises exactly on input that is not standard circular."""
     group = system.group
     n = group.order
-    k, m = system.equations, system.variables
-    if system.is_homogeneous() and m >= k + 2:
+    if system.is_homogeneous():
         try:
             circ = CircularSystem(system.matrix.mod(n), n)
         except PreconditionError:
@@ -410,11 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("remove", parents=[common], help="minimum removal sets")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--exact", action="store_true", help="exact minimum (default)"
+    p.add_argument(
+        "--greedy", action="store_true", help="greedy heuristic instead of the exact minimum"
     )
-    mode.add_argument("--greedy", action="store_true", help="greedy heuristic")
     p.add_argument(
         "--protect",
         default=None,

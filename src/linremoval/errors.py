@@ -1,8 +1,9 @@
 """Shared exception types.
 
-Every error the library raises deliberately is one of these, so the CLI can
-map failures to stable exit codes and tests can assert on the exact failure
-mode instead of a bare ValueError.
+Every error the library raises deliberately is one of these, and the CLI
+maps each to its own exit code: SchemaError 2, PreconditionError 3,
+BudgetExceededError 4, InfeasibleRemovalError 5.  Tests can assert on the
+exact failure mode instead of a bare ValueError.
 """
 
 
@@ -23,7 +24,3 @@ class BudgetExceededError(RuntimeError):
 
 class InfeasibleRemovalError(ValueError):
     """No removal set exists under the requested coordinate protection."""
-
-
-class AlreadySolutionFree(Exception):
-    """Signal that a system has no solutions, so there is nothing to remove."""

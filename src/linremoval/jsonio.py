@@ -139,10 +139,6 @@ def _residues(obj, group: AbelianGroup, where: str, *index: int) -> tuple[int, .
     return tuple(decode_int(v, f"{where}[{i}]") for i, v in enumerate(obj))
 
 
-def decode_element(obj, group: AbelianGroup, where: str = "element"):
-    return group.reduce(_residues(obj, group, where))
-
-
 def encode_system(system: RestrictedSystem) -> dict:
     return {
         "group": encode_group(system.group),

@@ -80,14 +80,15 @@ def is_circular(matrix: IntMatrix, modulus: int) -> bool:
     return True
 
 
-def _eliminate_mod(rows, s: int, n: int) -> list[list[int]]:
-    """Row-reduce rows mod n until their first s columns are the identity.
+def _eliminate_mod(rows, n: int) -> list[list[int]]:
+    """Row-reduce s rows mod n until their first s columns are the identity.
 
     Rows are combined by extended gcd, so each pivot is the gcd of its
     column and is a unit exactly when the leading s x s block has unit
     determinant; PreconditionError otherwise.  Entries land in [0, n).
     """
     dense = [[v % n for v in row] for row in rows]
+    s = len(dense)
     for c in range(s):
         p = None
         for q in range(c, s):
@@ -123,7 +124,7 @@ def _eliminate_mod(rows, s: int, n: int) -> list[list[int]]:
 def _solve_window_mod(rows, rhs, n: int) -> list[int]:
     """Solve M c = rhs mod n for a square M whose determinant is a unit."""
     aug = [list(row) + [v] for row, v in zip(rows, rhs)]
-    return [row[-1] for row in _eliminate_mod(aug, len(aug), n)]
+    return [row[-1] for row in _eliminate_mod(aug, n)]
 
 
 def _standard_form(matrix: IntMatrix, modulus: int) -> IntMatrix | None:
@@ -141,7 +142,7 @@ def _standard_form(matrix: IntMatrix, modulus: int) -> IntMatrix | None:
     if modulus < 2:
         raise PreconditionError("modulus must be at least 2")
     try:
-        standard = IntMatrix(_eliminate_mod(matrix.data, k, modulus))
+        standard = IntMatrix(_eliminate_mod(matrix.data, modulus))
         _standard_kernel(standard, modulus)
     except PreconditionError:
         return None
@@ -290,12 +291,10 @@ def _identity_form(system: RestrictedSystem) -> tuple[Extension, tuple[int, ...]
 
     zero_rhs = tuple(group.zero for _ in range(m))
     target = RestrictedSystem(group, target_matrix, zero_rhs, tuple(new_sets))
-    coords = tuple(range(m))
     ext = Extension(
         source=system,
         target=target,
-        mapped_coords=coords,
-        coord_map={i: i for i in coords},
+        coord_map={i: i for i in range(m)},
         value_maps=value_maps,
     )
     return ext, tuple(divisors)
@@ -359,17 +358,15 @@ def circularize(system: RestrictedSystem, modulus: int) -> Extension:
     for j in range(r):
         new_sets[tall + j] = system.restrictions[k + j]
         coord_map[tall + j] = k + j
-    mapped = tuple(sorted(coord_map))
 
     zero_rhs = tuple(group.zero for _ in range(tall))
     target = RestrictedSystem(group, tmat, zero_rhs, tuple(new_sets))
     value_maps = {
-        j: {v: v for v in target.restrictions[j]} for j in mapped
+        j: {v: v for v in target.restrictions[j]} for j in coord_map
     }
     return Extension(
         source=system,
         target=target,
-        mapped_coords=mapped,
         coord_map=coord_map,
         value_maps=value_maps,
     )
@@ -403,7 +400,7 @@ def _circular_order(matrix: IntMatrix, n: int, budget: int) -> list[int] | None:
         key = tuple(sorted(window))
         if key not in known:
             try:
-                _eliminate_mod([[row[c] for c in key] for row in data], k, n)
+                _eliminate_mod([[row[c] for c in key] for row in data], n)
                 known[key] = True
             except PreconditionError:
                 known[key] = False
@@ -451,19 +448,16 @@ def _standard_extension(
     The order must make the leading window a unit; CircularSystem checks
     the rest.
     """
-    k = system.equations
     permuted = [[row[c] for c in order] for row in system.matrix.data]
     sets = tuple(system.restrictions[c] for c in order)
     target = RestrictedSystem(
-        system.group, IntMatrix(_eliminate_mod(permuted, k, modulus)), system.rhs, sets
+        system.group, IntMatrix(_eliminate_mod(permuted, modulus)), system.rhs, sets
     )
-    coords = tuple(range(system.variables))
     return Extension(
         source=system,
         target=target,
-        mapped_coords=coords,
         coord_map=dict(enumerate(order)),
-        value_maps={t: {v: v for v in sets[t]} for t in coords},
+        value_maps={t: {v: v for v in xs} for t, xs in enumerate(sets)},
     )
 
 

@@ -17,11 +17,7 @@ from functools import cached_property
 from itertools import compress, repeat
 
 from .abelian import AbelianGroup, Element
-from .errors import (
-    AlreadySolutionFree,
-    BudgetExceededError,
-    PreconditionError,
-)
+from .errors import BudgetExceededError, PreconditionError
 from .intmat import IntMatrix, smith_invariants_mod
 
 DEFAULT_BUDGET = 10_000_000
@@ -84,29 +80,26 @@ class RestrictedSystem:
 class ThinWitness:
     """A coordinate pinned to a single value across all solutions.
 
-    ``value`` is None exactly when the system has no solutions at all; the
-    ``vacuous`` flag marks that convention explicitly.
+    ``value`` is None exactly when the system has no solutions at all.
     """
 
     coordinate: int
     value: Element | None
-    vacuous: bool = False
 
 
 @dataclass(frozen=True)
 class Extension:
     """Target system whose solutions biject with the source's.
 
-    ``mapped_coords`` lists the target coordinates carrying source data (as
-    many as the source has variables).  ``coord_map`` sends each of them to
-    its source coordinate, and ``value_maps`` translates target restriction
+    The keys of ``coord_map`` are the target coordinates carrying source
+    data (as many as the source has variables), and it sends each of them
+    to its source coordinate; ``value_maps`` translates target restriction
     values back to source ones.  Unmapped target coordinates range over the
     whole group.
     """
 
     source: RestrictedSystem
     target: RestrictedSystem
-    mapped_coords: tuple[int, ...]
     coord_map: dict[int, int]
     value_maps: dict[int, dict[Element, Element]]
 
@@ -116,7 +109,6 @@ def identity_extension(system: RestrictedSystem) -> Extension:
     return Extension(
         source=system,
         target=system,
-        mapped_coords=coords,
         coord_map={j: j for j in coords},
         value_maps={j: {v: v for v in system.restrictions[j]} for j in coords},
     )
@@ -335,7 +327,7 @@ def _thin_witness(
     names the first coordinate, with a None value when no solution exists.
     """
     if not sols:
-        return ThinWitness(coordinate=0, value=None, vacuous=True)
+        return ThinWitness(coordinate=0, value=None)
     if len(sols) == 1:
         return ThinWitness(coordinate=0, value=sols[0][0])
     for j in range(system.variables):
@@ -350,11 +342,11 @@ def _homogenize(system: RestrictedSystem, sols: list[Solution]) -> Extension:
     right-hand side becomes zero: each restriction set shifts by its
     coordinate and the value maps undo the shift.  A homogeneous system
     gets the identity extension, whose target is the system itself.
-    Raises AlreadySolutionFree when there is nothing to translate by."""
+    Raises PreconditionError when there is nothing to translate by."""
     if system.is_homogeneous():
         return identity_extension(system)
     if not sols:
-        raise AlreadySolutionFree("system has no solutions")
+        raise PreconditionError("system has no solutions")
     witness = sols[0]
     group = system.group
     zero_rhs = tuple(group.zero for _ in range(system.equations))
@@ -370,7 +362,6 @@ def _homogenize(system: RestrictedSystem, sols: list[Solution]) -> Extension:
     return Extension(
         source=system,
         target=target,
-        mapped_coords=coords,
         coord_map={j: j for j in coords},
         value_maps=value_maps,
     )
@@ -429,23 +420,18 @@ def _verify_extension(ext: Extension, solutions) -> ExtensionReport:
     # a restriction set is reduced and deduplicated, so it is all of G
     # exactly when it has |G| elements: G itself is never listed
     order = tgt.group.order
-    mapped = set(ext.mapped_coords)
     full_group_ok = True
     for j in range(tgt.variables):
-        if j not in mapped and len(tgt.restrictions[j]) != order:
+        if j not in ext.coord_map and len(tgt.restrictions[j]) != order:
             full_group_ok = False
             problems.append(f"unmapped coordinate {j} is restricted")
 
+    # a bijection onto the source coordinates also fixes how many are mapped
     structure_ok = True
-    if len(ext.mapped_coords) != src.variables:
-        structure_ok = False
-        problems.append("mapped coordinate count differs from source variable count")
-    if sorted(ext.coord_map.get(j, -1) for j in ext.mapped_coords) != list(
-        range(src.variables)
-    ):
+    if sorted(ext.coord_map.values()) != list(range(src.variables)):
         structure_ok = False
         problems.append("coordinate map is not a bijection onto the source coordinates")
-    for j in ext.mapped_coords:
+    for j in sorted(ext.coord_map):
         vmap = ext.value_maps.get(j)
         if vmap is None or set(vmap.keys()) != set(tgt.restrictions[j]):
             structure_ok = False
@@ -464,9 +450,7 @@ def _verify_extension(ext: Extension, solutions) -> ExtensionReport:
         # the structure checks make coord_map a bijection onto the source
         # coordinates, so each source slot has one target index and value
         # map, and a projection needs no coverage check
-        plan = sorted(
-            (ext.coord_map[j], j, ext.value_maps[j]) for j in ext.mapped_coords
-        )
+        plan = sorted((s, j, ext.value_maps[j]) for j, s in ext.coord_map.items())
         images = [tuple([vmap[y[j]] for _, j, vmap in plan]) for y in tsols]
         sset = set(ssols)
         bijection_ok = True
@@ -507,22 +491,21 @@ def compose_extensions(first: Extension, second: Extension) -> Extension:
     """Compose source -> mid -> far into a single source -> far extension."""
     if second.source != first.target:
         raise PreconditionError("extensions do not chain: middle systems differ")
-    inner_mapped = set(first.mapped_coords)
-    mapped = tuple(
-        j for j in second.mapped_coords if second.coord_map[j] in inner_mapped
-    )
-    coord_map = {j: first.coord_map[second.coord_map[j]] for j in mapped}
-    value_maps: dict[int, dict[Element, Element]] = {}
-    for j in mapped:
-        mid = second.coord_map[j]
-        inner_map = first.value_maps[mid]
-        value_maps[j] = {
-            v: inner_map[second.value_maps[j][v]] for v in second.value_maps[j]
+    coord_map = {
+        j: first.coord_map[mid]
+        for j, mid in second.coord_map.items()
+        if mid in first.coord_map
+    }
+    value_maps = {
+        j: {
+            v: first.value_maps[second.coord_map[j]][w]
+            for v, w in second.value_maps[j].items()
         }
+        for j in coord_map
+    }
     return Extension(
         source=first.source,
         target=second.target,
-        mapped_coords=mapped,
         coord_map=coord_map,
         value_maps=value_maps,
     )
@@ -552,12 +535,11 @@ def pull_back_removal(
     """
     if len(removed) != ext.target.variables:
         raise PreconditionError("removal sets do not match the target variable count")
-    mapped = set(ext.mapped_coords)
     out: list[set[Element]] = [set() for _ in range(ext.source.variables)]
     for j, gone in enumerate(removed):
         if not gone:
             continue
-        if j not in mapped:
+        if j not in ext.coord_map:
             raise PreconditionError(
                 f"coordinate {j} is outside the mapped set but carries removals"
             )

@@ -1,5 +1,6 @@
 """Command line surface: reports, exit codes, determinism."""
 
+import ast
 import contextlib
 import io
 import json
@@ -85,6 +86,15 @@ def test_ngood_command():
     assert out["n_good"] is True
     assert out["padded"]["data"][4] == [2, 3]
     assert out["padded"]["data"][5] == [1, 2]
+
+
+def test_ngood_checks_the_padding_once(count_calls):
+    # n_good_padding returns only a padding it has found n-good, so the
+    # report's n_good is that check, not a second scan
+    calls = count_calls(intmat, "is_n_good", lambda m, n: (m.rows, n))
+    out = main_json(["ngood", "--n", "5", fixture("matrix_square.json")])
+    assert out["n_good"] is True
+    assert calls == [(10, 5)]
 
 
 def test_ngood_rejects_non_square():
@@ -901,6 +911,20 @@ except AssertionError as exc:
     )
 
 
+def test_package_has_no_assert_statement():
+    # python -O strips assert statements and keeps an explicit raise, so
+    # every invariant of the package must be a raise
+    paths = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert paths
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_budget_env_variable():
     proc = run_cli(
         "solve", fixture("sys_z5_full.json"), env_extra={"LINREMOVAL_BUDGET": "10"}
@@ -1062,6 +1086,8 @@ def test_usage_error_exit():
     assert run_cli().returncode == 2
     assert run_cli("snf").returncode == 2
     assert run_cli("nonsense", fixture("matrix_2x2.json")).returncode == 2
+    # the exact minimum is the default and has no flag
+    assert run_cli("remove", "--exact", fixture("sys_z5_full.json")).returncode == 2
 
 
 def test_parser_reused_after_usage_error():

@@ -7,7 +7,6 @@ import pytest
 
 from linremoval import AbelianGroup, IntMatrix, PreconditionError, SchemaError
 from linremoval.jsonio import (
-    decode_element,
     decode_group,
     decode_int,
     decode_matrix,
@@ -129,16 +128,6 @@ def test_group_schema():
         decode_group({})
 
 
-def test_element_schema():
-    g = AbelianGroup([2, 4])
-    assert decode_element([1, 3], g, "e") == (1, 3)
-    assert decode_element([3, -1], g, "e") == (1, 3)  # reduced on the way in
-    with pytest.raises(SchemaError):
-        decode_element([1], g, "e")
-    with pytest.raises(SchemaError):
-        decode_element("nope", g, "e")
-
-
 @pytest.mark.parametrize(
     "bad, message",
     [
@@ -191,6 +180,16 @@ def test_system_round_trip():
     wire["b"] = [[-5]]
     wire["X"][0] = [[5], [-4]]
     assert decode_system(wire) == sys_
+    # over Z2 x Z4 each residue is reduced by its own factor
+    wire = {
+        "group": {"moduli": [2, 4]},
+        "A": {"rows": 1, "cols": 2, "data": [[1, 1]]},
+        "b": [[3, -1]],
+        "X": [[[1, 3], [3, -1]], [[0, 0]]],
+    }
+    assert decode_system(wire) == RestrictedSystem(
+        AbelianGroup([2, 4]), IntMatrix([[1, 1]]), ((1, 3),), (((1, 3),), ((0, 0),))
+    )
 
 
 def test_load_text_reports_position():

@@ -553,7 +553,7 @@ def test_circularize_r1_dimensions():
     assert report.ok, report.problems
     # pivots land on the centers of their padded blocks, values unchanged
     assert ext.coord_map == {1: 0, 3: 1, 5: 2}
-    for j in ext.mapped_coords:
+    for j in ext.coord_map:
         for v in ext.target.restrictions[j]:
             assert ext.value_maps[j][v] == v
 
@@ -806,7 +806,7 @@ def test_full_extension_thin_route():
     assert res.outcome == "thin"
     assert res.thin is not None
     assert res.thin.coordinate == 0
-    assert not res.thin.vacuous
+    assert res.thin.value is not None
 
 
 def test_full_extension_thin_before_identity_form_pins():
@@ -826,7 +826,7 @@ def test_full_extension_vacuous_route():
     sys_ = RestrictedSystem(g, IntMatrix([[1, 1]]), ((1,),), (((0,),), ((0,),)))
     res = full_extension(sys_)
     assert res.outcome == "thin"
-    assert res.thin.vacuous
+    assert res.thin.value is None
 
 
 def test_full_extension_coprimality_gate():

@@ -180,16 +180,28 @@ def test_system_round_trip():
     wire["b"] = [[-5]]
     wire["X"][0] = [[5], [-4]]
     assert decode_system(wire) == sys_
-    # over Z2 x Z4 each residue is reduced by its own factor
-    wire = {
-        "group": {"moduli": [2, 4]},
-        "A": {"rows": 1, "cols": 2, "data": [[1, 1]]},
-        "b": [[3, -1]],
-        "X": [[[1, 3], [3, -1]], [[0, 0]]],
-    }
-    assert decode_system(wire) == RestrictedSystem(
+
+
+def test_element_schema():
+    # elements are read through decode_system; over Z2 x Z4 each residue is
+    # reduced by its own factor, and a wrong length or a non-array is refused
+    def wire(elem):
+        return {
+            "group": {"moduli": [2, 4]},
+            "A": {"rows": 1, "cols": 2, "data": [[1, 1]]},
+            "b": [elem],
+            "X": [[[1, 3], [3, -1]], [[0, 0]]],
+        }
+
+    expected = RestrictedSystem(
         AbelianGroup([2, 4]), IntMatrix([[1, 1]]), ((1, 3),), (((1, 3),), ((0, 0),))
     )
+    assert decode_system(wire([1, 3])) == expected
+    assert decode_system(wire([3, -1])) == expected  # reduced on the way in
+    with pytest.raises(SchemaError):
+        decode_system(wire([1]))
+    with pytest.raises(SchemaError):
+        decode_system(wire("nope"))
 
 
 def test_load_text_reports_position():

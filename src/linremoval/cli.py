@@ -4,9 +4,14 @@ Subcommands: snf, dk, complete (integer normal forms); ngood, circular,
 cmatrix (padding, circularity, kernel matrix); solve, pipeline, copies,
 verify, remove (restricted systems end to end).  Input is one JSON file
 in the package wire format; the report is JSON on stdout, pretty with
---human.  Exit codes: 0 success (thin included), 2 parse or an unreadable
-input or unwritable --output file, 3 precondition, 4 budget, 5 infeasible
-protection.
+--human.  Exit codes: 0 success (thin included), 2 usage, parse or an
+unreadable input or unwritable --output file, 3 precondition, 4 budget,
+5 infeasible protection; every failure writes a JSON error to stderr.
+
+The command line is read against one table, COMMANDS: the command, then
+its options and its input in any order, option names matched exactly,
+integers by the decimal rule of ``jsonio.parse_decimal``.  -h or --help
+prints help generated from the table and exits 0.
 
 Coordinates in reports are 1-based, as is --protect.  Commands are
 deterministic: the same input file always produces byte-identical output.
@@ -14,10 +19,10 @@ deterministic: the same input file always produces byte-identical output.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from .errors import (
     BudgetExceededError,
@@ -330,6 +335,13 @@ def cmd_remove(args, budget) -> dict:
     }
 
 
+def _parse_int(name: str, text: str) -> int:
+    value = parse_decimal(text, name)
+    if value is None:
+        raise SchemaError(f"{name} must be an integer, got {text!r}")
+    return value
+
+
 def _resolve_budget(args) -> int:
     if args.budget is not None:
         value = args.budget
@@ -337,99 +349,190 @@ def _resolve_budget(args) -> int:
         raw = os.environ.get(BUDGET_ENV)
         if raw is None:
             return DEFAULT_BUDGET
-        value = parse_decimal(raw, BUDGET_ENV)
-        if value is None:
-            raise SchemaError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
+        value = _parse_int(BUDGET_ENV, raw)
     if value < 1:
         raise SchemaError("budget must be at least 1")
     return value
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once; parse_args leaves it unchanged."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("input", help="path to the JSON input file")
-    common.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help=f"enumeration budget (default {DEFAULT_BUDGET}, env {BUDGET_ENV})",
-    )
-    common.add_argument(
-        "--human", action="store_true", help="pretty-print the JSON report"
-    )
-    common.add_argument(
-        "-o", "--output", default=None, help="write the report to a file"
-    )
+# an option's kind is None for a flag, int or str for one that takes a value
+Option = namedtuple("Option", "names dest kind help required", defaults=(False,))
+# a subcommand: its handler(args, budget), its help line, its own options
+Command = namedtuple("Command", "handler help options", defaults=((),))
 
-    parser = argparse.ArgumentParser(
-        prog="linremoval",
-        description="restricted linear systems over finite abelian groups: "
-        "normal forms, circular reduction, hypergraph copies, removal sets",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("snf", parents=[common], help="Smith normal form U, S, V")
-    p.set_defaults(handler=cmd_snf)
-    p = sub.add_parser("dk", parents=[common], help="determinantal divisors")
-    p.set_defaults(handler=cmd_dk)
-    p = sub.add_parser(
-        "complete", parents=[common], help="complete to a square matrix"
-    )
-    p.set_defaults(handler=cmd_complete)
+# every command takes these and one input file
+COMMON_OPTIONS = (
+    Option(
+        ("--budget",),
+        "budget",
+        int,
+        f"enumeration budget (default {DEFAULT_BUDGET}, env {BUDGET_ENV})",
+    ),
+    Option(("--human",), "human", None, "pretty-print the JSON report"),
+    Option(("-o", "--output"), "output", str, "write the report to a file"),
+)
+MODULUS = Option(("--n",), "n", int, "modulus", required=True)
 
-    p = sub.add_parser("ngood", parents=[common], help="pad until all row windows are coprime to n")
-    p.add_argument("--n", type=int, required=True, help="modulus")
-    p.set_defaults(handler=cmd_ngood)
-    p = sub.add_parser("circular", parents=[common], help="circularity check and standard form")
-    p.add_argument("--n", type=int, required=True, help="modulus")
-    p.set_defaults(handler=cmd_circular)
-    p = sub.add_parser("cmatrix", parents=[common], help="kernel matrix of a standard circular matrix")
-    p.add_argument("--n", type=int, required=True, help="modulus")
-    p.set_defaults(handler=cmd_cmatrix)
+COMMANDS = {
+    "snf": Command(cmd_snf, "Smith normal form U, S, V"),
+    "dk": Command(cmd_dk, "determinantal divisors"),
+    "complete": Command(cmd_complete, "complete to a square matrix"),
+    "ngood": Command(
+        cmd_ngood, "pad until all row windows are coprime to n", (MODULUS,)
+    ),
+    "circular": Command(
+        cmd_circular, "circularity check and standard form", (MODULUS,)
+    ),
+    "cmatrix": Command(
+        cmd_cmatrix, "kernel matrix of a standard circular matrix", (MODULUS,)
+    ),
+    "solve": Command(cmd_solve, "enumerate all solutions"),
+    "pipeline": Command(
+        cmd_pipeline,
+        "reduce to circular form",
+        (Option(("--trace",), "trace", None, "include intermediate matrices"),),
+    ),
+    "copies": Command(
+        cmd_copies,
+        "count hypergraph copies (list them with --full)",
+        (Option(("--full",), "full", None, "list assignments and labels"),),
+    ),
+    "verify": Command(cmd_verify, "verify copy classes and labels"),
+    "remove": Command(
+        cmd_remove,
+        "minimum removal sets",
+        (
+            Option(
+                ("--greedy",),
+                "greedy",
+                None,
+                "greedy heuristic instead of the exact minimum",
+            ),
+            Option(
+                ("--protect",),
+                "protect",
+                str,
+                "comma-separated 1-based coordinates that must stay untouched",
+            ),
+        ),
+    ),
+}
 
-    p = sub.add_parser("solve", parents=[common], help="enumerate all solutions")
-    p.set_defaults(handler=cmd_solve)
-    p = sub.add_parser("pipeline", parents=[common], help="reduce to circular form")
-    p.add_argument(
-        "--trace", action="store_true", help="include intermediate matrices"
-    )
-    p.set_defaults(handler=cmd_pipeline)
-    p = sub.add_parser(
-        "copies",
-        parents=[common],
-        help="count hypergraph copies (list them with --full)",
-    )
-    p.add_argument(
-        "--full", action="store_true", help="list assignments and labels"
-    )
-    p.set_defaults(handler=cmd_copies)
-    p = sub.add_parser("verify", parents=[common], help="verify copy classes and labels")
-    p.set_defaults(handler=cmd_verify)
+# per command: each option name it accepts, its own and the common ones,
+# and the value of each option it is not given
+_OPTION_NAMES = {
+    name: {n: opt for opt in cmd.options + COMMON_OPTIONS for n in opt.names}
+    for name, cmd in COMMANDS.items()
+}
+_DEFAULTS = {
+    name: {opt.dest: None if opt.kind else False for opt in accepted.values()}
+    for name, accepted in _OPTION_NAMES.items()
+}
+HELP = ("-h", "--help")
 
-    p = sub.add_parser("remove", parents=[common], help="minimum removal sets")
-    p.add_argument(
-        "--greedy", action="store_true", help="greedy heuristic instead of the exact minimum"
-    )
-    p.add_argument(
-        "--protect",
-        default=None,
-        help="comma-separated 1-based coordinates that must stay untouched",
-    )
-    p.set_defaults(handler=cmd_remove)
-    return parser
+
+def parse_args(argv) -> SimpleNamespace | str:
+    """Read argv against COMMANDS in one pass: the command, then its options
+    and its one input in any order.  An option's value is the next argument
+    or follows '='; a repeated option keeps its last value; after '--' every
+    argument is an input.  Returns the help text when -h or --help comes
+    first or after the command.  Every usage error is a SchemaError."""
+    if not argv:
+        raise SchemaError(f"no command given; expected one of {', '.join(COMMANDS)}")
+    name = argv[0]
+    cmd = COMMANDS.get(name)
+    if cmd is None:
+        if name in HELP:
+            return _help()
+        raise SchemaError(
+            f"unknown command {name!r}; expected one of {', '.join(COMMANDS)}"
+        )
+    accepted = _OPTION_NAMES[name]
+    values = _DEFAULTS[name].copy()
+    inputs = []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg[:1] != "-" or arg == "-":
+            inputs.append(arg)
+            continue
+        opt = accepted.get(arg)
+        if opt is None:
+            if arg == "--":
+                inputs.extend(rest)
+                break
+            if arg in HELP:
+                return _help(name)
+            arg, eq, value = arg.partition("=")
+            opt = accepted.get(arg)
+            if opt is None:
+                raise SchemaError(f"{name}: unknown option {arg!r}")
+            if opt.kind is None:
+                raise SchemaError(f"{name}: {arg} takes no value")
+        elif opt.kind is None:
+            values[opt.dest] = True
+            continue
+        else:
+            value = next(rest, None)
+            if value is None:
+                raise SchemaError(f"{name}: {arg} expects a value")
+        values[opt.dest] = value if opt.kind is str else _parse_int(arg, value)
+    if len(inputs) != 1:
+        got = ", ".join(map(repr, inputs)) or "none"
+        raise SchemaError(f"{name}: expected one input file, got {got}")
+    for opt in cmd.options:
+        if opt.required and values[opt.dest] is None:
+            raise SchemaError(f"{name}: {opt.names[0]} is required")
+    return SimpleNamespace(handler=cmd.handler, input=inputs[0], **values)
+
+
+def _columns(rows) -> list[str]:
+    width = max(len(left) for left, _ in rows)
+    return [f"  {left.ljust(width)}  {right}" for left, right in rows]
+
+
+def _help(name: str | None = None) -> str:
+    """The help text of the whole program, or of one command."""
+    if name is None:
+        lines = [
+            "usage: linremoval COMMAND [options] INPUT",
+            "",
+            "restricted linear systems over finite abelian groups: normal "
+            "forms, circular reduction, hypergraph copies, removal sets",
+            "",
+            "commands:",
+            *_columns([(n, cmd.help) for n, cmd in COMMANDS.items()]),
+            "",
+            "Run 'linremoval COMMAND --help' for the options of one command.",
+            "Exit codes: 0 success, 2 usage or input, 3 precondition, "
+            "4 budget, 5 infeasible protection; errors are JSON on stderr.",
+        ]
+    else:
+        cmd = COMMANDS[name]
+        options = cmd.options + COMMON_OPTIONS
+        usage = [f"{o.names[0]} {o.dest.upper()}" for o in options if o.required]
+        rows = [("INPUT", "path to the JSON input file")]
+        for o in options:
+            value = "" if o.kind is None else f" {o.dest.upper()}"
+            rows.append((", ".join(o.names) + value, o.help))
+        rows.append((", ".join(HELP), "show this help"))
+        lines = [
+            f"usage: linremoval {' '.join([name, *usage])} [options] INPUT",
+            "",
+            cmd.help,
+            "",
+            "arguments:",
+            *_columns(rows),
+        ]
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        code = e.code
-        return code if isinstance(code, int) else 2
-
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            sys.stdout.write(args)
+            return 0
         budget = _resolve_budget(args)
         text = dump(args.handler(args, budget), human=args.human)
     except SchemaError as e:
@@ -447,8 +550,9 @@ def main(argv=None) -> int:
 
     if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            # the report's bytes as they are, "\n" line ends included
+            with open(args.output, "wb") as fh:
+                fh.write(text.encode("utf-8"))
         except OSError as e:
             _emit_error(
                 "schema", SchemaError(f"cannot write {args.output}: {e.strerror}")

@@ -195,11 +195,18 @@ def load_text(text: str, where: str = "input"):
 
 
 def load_file(path: str):
+    """The JSON value in a UTF-8 file.  The bytes are decoded in one call,
+    without the text layer's newline translation, which JSON, taking CR as
+    whitespace, does not need; a byte order mark stays and is refused."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e.strerror}") from e
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise SchemaError(f"cannot read {path}: not UTF-8 text") from None
     return load_text(text, path)
 
 

@@ -432,12 +432,17 @@ def _verify_extension(ext: Extension, solutions) -> ExtensionReport:
         structure_ok = False
         problems.append("coordinate map is not a bijection onto the source coordinates")
     for j in sorted(ext.coord_map):
+        s = ext.coord_map[j]
+        if not (0 <= j < tgt.variables and 0 <= s < src.variables):
+            structure_ok = False
+            problems.append(f"coordinate map sends {j} to {s}, out of range")
+            continue
         vmap = ext.value_maps.get(j)
         if vmap is None or set(vmap.keys()) != set(tgt.restrictions[j]):
             structure_ok = False
             problems.append(f"value map at {j} does not cover its restriction set")
             continue
-        allowed = set(src.restrictions[ext.coord_map[j]])
+        allowed = set(src.restrictions[s])
         if any(v not in allowed for v in vmap.values()):
             structure_ok = False
             problems.append(f"value map at {j} leaves the source restriction set")

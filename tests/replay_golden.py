@@ -25,7 +25,8 @@ def replay(key: str) -> dict:
     here = str(FIXTURES)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(key.replace(PLACEHOLDER, here).split(" "))
+        # the empty key is the run with no arguments at all
+        code = cli.main(key.replace(PLACEHOLDER, here).split(" ") if key else [])
     return {
         "exit": code,
         "stdout": out.getvalue().replace(here, PLACEHOLDER),

@@ -508,6 +508,11 @@ def cli_runs():
         ("copies", "--full", "--human", fx("sys_z3z5_1x4.json")),
         ("copies", "--full", "--human", fx("sys_z7_2x4.json")),
         ("pipeline", "--trace", fx("sys_z6_full.json")),
+        # usage errors: exit 2 with a JSON error, like any other input error
+        (),
+        ("nonsense", fx("matrix_2x2.json")),
+        ("remove", "--bogus", fx("sys_z5_full.json")),
+        ("solve", "--budget", "x", fx("sys_z5_full.json")),
     ]
 
 

@@ -1083,28 +1083,167 @@ def test_digit_limit_failures_end_with_documented_exit_codes(tmp_path, monkeypat
 
 
 def test_usage_error_exit():
-    assert run_cli().returncode == 2
-    assert run_cli("snf").returncode == 2
-    assert run_cli("nonsense", fixture("matrix_2x2.json")).returncode == 2
-    # the exact minimum is the default and has no flag
-    assert run_cli("remove", "--exact", fixture("sys_z5_full.json")).returncode == 2
+    runs = [
+        (),
+        ("snf",),
+        ("nonsense", fixture("matrix_2x2.json")),
+        # the exact minimum is the default and has no flag
+        ("remove", "--exact", fixture("sys_z5_full.json")),
+    ]
+    for args in runs:
+        proc = run_cli(*args)
+        assert (proc.returncode, proc.stdout) == (2, ""), args
+        assert json.loads(proc.stderr)["error"]["kind"] == "schema", args
 
 
 def test_parser_reused_after_usage_error():
-    # build_parser is cached: an argparse failure must not leave state behind
+    # the command table is read, never written: a usage error must not
+    # leave state behind for the next call
     args = ["remove", fixture("sys_z5_full.json")]
-    cli.build_parser.cache_clear()
     first = io.StringIO()
     with contextlib.redirect_stdout(first):
         assert cli.main(args) == 0
-    with contextlib.redirect_stderr(io.StringIO()):
-        assert cli.main(["remove", "--bogus", fixture("sys_z5_full.json")]) == 2
+    for bad in (["remove", "--bogus", args[1]], ["remove", "--budget"], ["ngood", args[1]]):
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(bad) == 2
     again = io.StringIO()
     with contextlib.redirect_stdout(again):
         assert cli.main(args) == 0
     assert again.getvalue() == first.getvalue()
     assert first.getvalue() == run_cli(*args).stdout
-    assert cli.build_parser() is cli.build_parser()
+
+
+def usage_error(args):
+    """The JSON error of a usage error run in-process, checking its exit
+    code and empty stdout."""
+    code, out, err = main_result(args)
+    assert (code, out) == (2, ""), args
+    error = json.loads(err)["error"]
+    assert set(error) == {"kind", "message"}, args
+    assert error["kind"] == "schema", args
+    return error["message"]
+
+
+# well-formed argvs, one per command and flag form, each with one input
+WELL_FORMED_ARGVS = [
+    ["snf", fixture("matrix_2x2.json")],
+    ["dk", "--human", fixture("matrix_2x2.json")],
+    ["complete", fixture("matrix_row.json"), "--budget", "50"],
+    ["ngood", "--n", "5", fixture("matrix_square.json")],
+    ["circular", fixture("matrix_wide.json"), "--n=5"],
+    ["cmatrix", "--n", "5", "--budget=7", fixture("matrix_row.json")],
+    ["solve", fixture("sys_z5_full.json")],
+    ["pipeline", "--trace", fixture("sys_z5_full.json")],
+    ["copies", "--full", fixture("sys_z5_restricted.json")],
+    ["verify", fixture("sys_z5_restricted.json"), "--human"],
+    ["remove", "--greedy", fixture("sys_thin.json")],
+    ["remove", "--protect", "1", fixture("sys_z5_full.json"), "--budget", "100"],
+]
+BAD_INTEGERS = ["x", "1_000", "1.5", "", "\u00b2", "--5", "0x10", " 5", "+5"]
+
+
+def break_argv(argv, rng):
+    """One seeded change that makes a well-formed argv a usage error."""
+    argv = list(argv)
+    at = rng.choice([1, len(argv)])
+    kind = rng.choice(
+        ["command", "no input", "two inputs", "unknown", "no value", "integer", "flag value"]
+    )
+    if kind == "command":
+        argv[0] = rng.choice(["nonsense", "SNF", "remov", "--budget", "-o", ""])
+    elif kind == "no input":
+        argv = [arg for arg in argv if not arg.endswith(".json")]
+    elif kind == "two inputs":
+        argv.insert(at, "other.json")
+    elif kind == "unknown":
+        # argparse took an unambiguous prefix such as --bud; exact names only now
+        unknown = ["--bogus", "-x", "--exact", "--bud", "--hum", "--outp", "-O"]
+        argv.insert(at, rng.choice(unknown))
+    elif kind == "no value":
+        argv.append(rng.choice(["--budget", "-o", "--output"]))
+    elif kind == "integer":
+        name = "--n" if "--n" in argv and rng.random() < 0.5 else "--budget"
+        value = rng.choice(BAD_INTEGERS)
+        argv[at:at] = rng.choice([[name, value], [f"{name}={value}"]])
+    else:
+        argv.insert(at, rng.choice(["--human=1", "--human=", "--trace=x", "--full=yes"]))
+    return argv
+
+
+def test_argv_fuzz_usage_errors_end_as_json():
+    # every usage error exits 2 with empty stdout and a JSON schema error,
+    # whatever the argv; the named cases first, then seeded breakages of
+    # well-formed argvs
+    matrix, system = fixture("matrix_square.json"), fixture("sys_z5_full.json")
+    commands = ", ".join(cli.COMMANDS)
+    named = {
+        (): f"no command given; expected one of {commands}",
+        ("nonsense", system): f"unknown command 'nonsense'; expected one of {commands}",
+        ("solve",): "solve: expected one input file, got none",
+        ("solve", system, "x.json"): f"solve: expected one input file, got {system!r}, 'x.json'",
+        ("solve", "--bogus", system): "solve: unknown option '--bogus'",
+        ("solve", "--bud", "5", system): "solve: unknown option '--bud'",
+        ("solve", system, "--budget"): "solve: --budget expects a value",
+        ("solve", "--budget", "1_000", system): "--budget must be an integer, got '1_000'",
+        ("ngood", "--n", "x", matrix): "--n must be an integer, got 'x'",
+        ("ngood", matrix): "ngood: --n is required",
+        ("ngood", "--n=", matrix): "--n must be an integer, got ''",
+        ("solve", "--budget=x", system): "--budget must be an integer, got 'x'",
+        ("solve", "--human=1", system): "solve: --human takes no value",
+        ("dk", "--n", "5", matrix): "dk: unknown option '--n'",
+    }
+    for args, message in named.items():
+        assert usage_error(list(args)) == message, args
+    # unbroken, every argv runs; none names a report file
+    for argv in WELL_FORMED_ARGVS:
+        code, out, err = main_result(argv)
+        assert (code, err) == (0, ""), argv
+        json.loads(out)
+    rng = random.Random(24)
+    for _ in range(300):
+        usage_error(break_argv(rng.choice(WELL_FORMED_ARGVS), rng))
+
+
+def test_help_goes_to_stdout():
+    top = run_cli("--help")
+    assert (top.returncode, top.stderr) == (0, "")
+    for name in cli.COMMANDS:
+        assert f"\n  {name} " in top.stdout
+    for args in (["-h"], ["remove", "--help"], ["ngood", fixture("matrix_square.json"), "-h"]):
+        code, out, err = main_result(args)
+        assert (code, err) == (0, ""), args
+        assert out.startswith("usage: linremoval"), args
+    _, remove_help, _ = main_result(["remove", "--help"])
+    for name in ("--greedy", "--protect", "--budget", "--human", "-o, --output"):
+        assert name in remove_help
+    _, ngood_help, _ = main_result(["ngood", "--help"])
+    assert ngood_help.startswith("usage: linremoval ngood --n N [options] INPUT\n")
+
+
+def test_options_in_any_order_and_last_value_wins(tmp_path):
+    dest = tmp_path / "report.json"
+    base = main_result(["ngood", "--n", "5", fixture("matrix_square.json")])
+    for args in (
+        ["ngood", fixture("matrix_square.json"), "--n=5"],
+        ["ngood", "--n", "3", "--n", "5", fixture("matrix_square.json")],
+        ["ngood", "--n", "5", "--", fixture("matrix_square.json")],
+    ):
+        assert main_result(args) == base, args
+    written = ["ngood", "-o", str(dest), "--n", "5", fixture("matrix_square.json")]
+    assert main_result(written) == (0, "", "")
+    assert dest.read_text() == base[1]
+
+
+def test_cli_imports_no_argparse():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop("PYTHONOPTIMIZE", None)  # which would strip the assert
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, linremoval.cli; assert 'argparse' not in sys.modules"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------- reporting
@@ -1201,8 +1340,11 @@ FUZZ_DIGIT_STRINGS = ["\u00b2", "-\u00b2", "1\u00b2", "--5", "\u0663"]
 def mutate(obj, rng):
     """One of: a dropped key, a boolean for an integer, a bad modulus, a
     short X, a digit string for an integer, a digit string past Python's
-    int-string digit limit; or the system unchanged."""
-    kind = rng.choice(["drop", "bool", "modulus", "short", "digits", "long", "none"])
+    int-string digit limit, a byte that is not UTF-8 (see fuzz_file_bytes);
+    or the system unchanged."""
+    kind = rng.choice(
+        ["drop", "bool", "modulus", "short", "digits", "long", "utf8", "none"]
+    )
     if kind == "drop":
         holder = rng.choice([obj, obj["A"], obj["group"]])
         del holder[rng.choice(sorted(holder))]
@@ -1219,7 +1361,16 @@ def mutate(obj, rng):
     elif kind == "long":
         row = rng.choice(obj["A"]["data"] + obj["b"] + [obj["group"]["moduli"]])
         row[rng.randrange(len(row))] = rng.choice(["", "-"]) + "9" * (LIMIT + 1)
+    elif kind == "utf8":
+        row = rng.choice(obj["A"]["data"])
+        row[rng.randrange(len(row))] = rng.choice(["\udcff", "1\udcc0"])
     return obj
+
+
+def fuzz_file_bytes(obj) -> bytes:
+    """obj as a JSON file, where a lone surrogate such as "\\udcff" in a
+    string becomes the raw byte it escapes, 0xff, which is not UTF-8."""
+    return json.dumps(obj, ensure_ascii=False).encode("utf-8", "surrogateescape")
 
 
 def fuzz_argvs(matrix_path, system_path, n):
@@ -1252,8 +1403,8 @@ def test_cli_fuzz_ends_with_documented_exit_codes(tmp_path):
     codes = set()
     for _ in range(60):
         obj = mutate(fuzz_system(rng), rng)
-        matrix_path.write_text(json.dumps(obj.get("A", obj)))
-        system_path.write_text(json.dumps(obj))
+        matrix_path.write_bytes(fuzz_file_bytes(obj.get("A", obj)))
+        system_path.write_bytes(fuzz_file_bytes(obj))
         n = rng.randint(1, 12)
         for args in fuzz_argvs(str(matrix_path), str(system_path), n):
             code, out, err = main_result([*args, "--budget", "20000"])

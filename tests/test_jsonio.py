@@ -16,6 +16,7 @@ from linremoval.jsonio import (
     encode_matrix,
     encode_rows,
     encode_system,
+    load_file,
     load_text,
     parse_decimal,
 )
@@ -210,6 +211,22 @@ def test_load_text_reports_position():
     msg = str(exc.value)
     assert "line 2" in msg
     assert "column" in msg
+
+
+def test_load_file_reads_utf8_text_only(tmp_path):
+    # a byte that is not UTF-8 is a schema error, and the file is read as
+    # plain UTF-8, so a byte order mark is refused as JSON refuses it
+    path = tmp_path / "input.json"
+    path.write_bytes(b'{"rows": 1, "cols": 1, "data": [[\xff]]}')
+    with pytest.raises(SchemaError) as exc:
+        load_file(str(path))
+    assert str(exc.value) == f"cannot read {path}: not UTF-8 text"
+    path.write_bytes(b"\xef\xbb\xbf" + b'{"rows": 1, "cols": 1, "data": [[1]]}')
+    with pytest.raises(SchemaError, match="BOM"):
+        load_file(str(path))
+    # CR is JSON whitespace, so CRLF line ends read as LF ones do
+    path.write_bytes(b'{"rows": 1,\r\n "cols": 1,\r\n "data": [[1]]}\r\n')
+    assert load_file(str(path)) == {"rows": 1, "cols": 1, "data": [[1]]}
 
 
 def test_dump_formats():

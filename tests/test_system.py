@@ -809,6 +809,25 @@ def test_verify_extension_catches_value_map_leaving_the_source_set():
     assert report.problems == ["value map at 0 leaves the source restriction set"]
 
 
+def test_verify_extension_reports_coordinates_out_of_range():
+    # a key past the target's variables or a value past the source's is a
+    # structure problem, reported before either system is indexed
+    g = z(3)
+    sys_ = RestrictedSystem(g, IntMatrix([[1, 1]]), ((0,),), full_sets(g, 2))
+    maps = identity_extension(sys_).value_maps
+    bijection = "coordinate map is not a bijection onto the source coordinates"
+    cases = [
+        ({0: 0, 1: 5}, [bijection, "coordinate map sends 1 to 5, out of range"]),
+        ({0: 0, 7: 1}, ["coordinate map sends 7 to 1, out of range"]),
+    ]
+    for coord_map, problems in cases:
+        ext = Extension(source=sys_, target=sys_, coord_map=coord_map, value_maps=maps)
+        report = verify_extension(ext)
+        assert not report.structure_ok
+        assert not report.ok
+        assert report.problems == problems
+
+
 def test_verify_extension_catches_missing_preimage():
     # the target drops x_0 = 2, so the source solution (2, 1) is never hit
     g = z(3)

@@ -18,7 +18,6 @@ from .errors import (
     SchemaError,
 )
 from .hypergraph import (
-    HCopy,
     HostHypergraph,
     build_host,
     copy_class_structure,
@@ -76,7 +75,6 @@ __all__ = [
     "Element",
     "Extension",
     "ExtensionReport",
-    "HCopy",
     "HostHypergraph",
     "InfeasibleRemovalError",
     "IntMatrix",

@@ -30,10 +30,9 @@ from .errors import (
     PreconditionError,
     SchemaError,
 )
-from .hypergraph import _copy_solutions, build_host, copy_class_structure
+from .hypergraph import build_host, copy_class_structure, enumerate_copies
 from .intmat import (
     complete_to_square,
-    det,
     determinantal_divisors,
     n_good_padding,
     smith_normal_form,
@@ -85,11 +84,8 @@ def cmd_dk(args, budget) -> dict:
 
 def cmd_complete(args, budget) -> dict:
     matrix = decode_matrix(load_file(args.input))
-    completed = complete_to_square(matrix)
-    return {
-        "completed": encode_matrix(completed),
-        "det": encode_int(det(completed)),
-    }
+    completed, d = complete_to_square(matrix)
+    return {"completed": encode_matrix(completed), "det": encode_int(d)}
 
 
 def cmd_ngood(args, budget) -> dict:
@@ -251,7 +247,7 @@ def cmd_copies(args, budget) -> dict:
         payload["count"] = encode_int(classes.copy_count)
         return payload
     m = host.positions
-    copies = encode_rows(_copy_solutions(host, budget), host.group)
+    copies = encode_rows(enumerate_copies(host, budget), host.group)
     payload["count"] = len(copies)
     payload["copies"] = [{"assignment": s[:m], "labels": s[m:]} for s in copies]
     return payload

@@ -94,16 +94,10 @@ def build_host(
     )
 
 
-@dataclass(frozen=True)
-class HCopy:
-    assignment: tuple[Element, ...]
-    labels: tuple[Element, ...]
-
-
 def enumerate_copies(
     host: HostHypergraph, budget: int = DEFAULT_BUDGET
-) -> list[HCopy]:
-    """All template copies, in lexicographic order of their assignments.
+) -> list[tuple[Element, ...]]:
+    """All template copies as sorted 2m-tuples (x, y), assignment first.
 
     A copy is an assignment x in G^m whose every color label lands in that
     color's restriction set; label i is ``group.combine`` of kernel row i,
@@ -116,22 +110,9 @@ def enumerate_copies(
     values leaves its set.  The budget is checked against all |G|^m
     assignments first.  Without a check row (a row left with no unit mod a
     composite exponent) the walk takes at most |G|^m candidates; with one,
-    the walk's own budget check still bounds it.
-
-    The walk and the budget check live in ``_copy_solutions``; this wraps
-    its (x, y) tuples in ``HCopy``.  The CLI's ``copies --full`` reads the
-    tuples themselves, so both listings are the same walk.
+    the walk's own budget check still bounds it.  A copy c has assignment
+    ``c[:m]`` and labels ``c[m:]``.
     """
-    m = host.positions
-    return [
-        HCopy(assignment=s[:m], labels=s[m:])
-        for s in _copy_solutions(host, budget)
-    ]
-
-
-def _copy_solutions(host: HostHypergraph, budget: int) -> list[tuple[Element, ...]]:
-    """The copies as the lifted walk's sorted 2m-tuples (x, y), assignment
-    first, after checking all |G|^m assignments against the budget."""
     _check_budget(host.group.order**host.positions, budget, "assignments")
     return enumerate_solutions(_lifted_system(host), budget)
 
@@ -185,7 +166,6 @@ class ClassReport:
 @dataclass
 class LabelReport:
     ok: bool
-    copy_count: int | None
     problems: list[str]
 
 
@@ -272,28 +252,24 @@ def copy_class_structure(
         if not disjoint_ok:
             problems.append(f"class {first} repeats a color-{i} edge")
 
-    copy_count = solution_count * class_size if labels_match else None
     classes = ClassReport(
         ok=kernel_ok and labels_match and class_sizes_ok and disjoint_ok,
         kernel_ok=kernel_ok,
         labels_match=labels_match,
         class_sizes_ok=class_sizes_ok,
         disjoint_ok=disjoint_ok,
-        copy_count=copy_count,
+        copy_count=solution_count * class_size if labels_match else None,
         class_count=solution_count if labels_match else None,
         expected_class_size=expected,
         solution_count=solution_count,
         problems=problems,
     )
-    labels = LabelReport(
-        ok=not label_problems, copy_count=copy_count, problems=label_problems
-    )
-    return classes, labels
+    return classes, LabelReport(ok=not label_problems, problems=label_problems)
 
 
 def verify_copy_classes(
     host: HostHypergraph,
-    copies: list[HCopy],
+    copies: list[tuple[Element, ...]],
     solutions,
 ) -> ClassReport:
     """Check the class structure of the copy set against the solution list.
@@ -302,7 +278,8 @@ def verify_copy_classes(
     vectors must be exactly the given solutions, every class must have
     exactly |G|^k members, and within a class no two copies may share an
     edge (same color with the same window): per class and color, the
-    members' windows, read by one itemgetter, must all be distinct.  The
+    members' windows, read off each copy by one itemgetter, must all be
+    distinct.  A copy c has assignment ``c[:m]`` and labels ``c[m:]``.  The
     kernel product is re-checked here so a corrupted kernel matrix is
     reported, not trusted.
     """
@@ -315,9 +292,9 @@ def verify_copy_classes(
     if not kernel_ok:
         problems.append("kernel matrix does not annihilate the system matrix")
 
-    classes: dict[tuple[Element, ...], list[HCopy]] = {}
+    classes: dict[tuple[Element, ...], list[tuple[Element, ...]]] = {}
     for copy in copies:
-        classes.setdefault(copy.labels, []).append(copy)
+        classes.setdefault(copy[m:], []).append(copy)
 
     expected = n**k
     labels_match = set(classes) == set(solutions)
@@ -341,9 +318,8 @@ def verify_copy_classes(
     windows = [itemgetter(*[(i + t) % m for t in range(k + 1)]) for i in range(m)]
     disjoint_ok = True
     for label, members in ordered:
-        assignments = [copy.assignment for copy in members]
         for i, window in enumerate(windows):
-            if len(set(map(window, assignments))) != len(members):
+            if len(set(map(window, members))) != len(members):
                 disjoint_ok = False
                 problems.append(f"class {label} repeats a color-{i} edge")
                 break
@@ -364,18 +340,22 @@ def verify_copy_classes(
     )
 
 
-def verify_copy_labels(host: HostHypergraph, copies: list[HCopy]) -> LabelReport:
-    """Check that every copy's label vector solves the homogeneous system.
+def verify_copy_labels(
+    host: HostHypergraph, copies: list[tuple[Element, ...]]
+) -> LabelReport:
+    """Check that every copy's label vector ``c[m:]`` solves the homogeneous
+    system.
 
     Each distinct label vector is evaluated once; the copies are still read
     in order, so the first failing copy is the one reported.
     """
+    m = host.positions
     group = host.group
     zero = group.zero
     problems: list[str] = []
     verdicts: dict[tuple[Element, ...], bool] = {}
     for copy in copies:
-        labels = copy.labels
+        labels = copy[m:]
         if labels not in verdicts:
             verdicts[labels] = all(
                 group.combine(row, labels) == zero for row in host.matrix.data
@@ -383,7 +363,7 @@ def verify_copy_labels(host: HostHypergraph, copies: list[HCopy]) -> LabelReport
         if not verdicts[labels]:
             problems.append(
                 f"labels {labels} fail the system at assignment "
-                f"{copy.assignment}"
+                f"{copy[:m]}"
             )
             break
-    return LabelReport(ok=not problems, copy_count=len(copies), problems=problems)
+    return LabelReport(ok=not problems, problems=problems)

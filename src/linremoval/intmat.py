@@ -350,8 +350,9 @@ def _full_rank_smith(matrix: IntMatrix) -> tuple[SnfResult, int]:
     return snf, dk
 
 
-def complete_to_square(matrix: IntMatrix) -> IntMatrix:
-    """Extend a full-row-rank k x m matrix to an m x m one of minimal determinant.
+def complete_to_square(matrix: IntMatrix) -> tuple[IntMatrix, int]:
+    """Extend a full-row-rank k x m matrix to an m x m one of minimal
+    determinant, and return it with that determinant.
 
     The output contains the input as its first k rows and has determinant
     equal to d_k, the gcd of the k x k minors.  The rows added below come
@@ -359,12 +360,12 @@ def complete_to_square(matrix: IntMatrix) -> IntMatrix:
     of V^-1), so A stacked on the last m - k rows of V^-1 is
     diag(U^-1 D, I) V^-1, of determinant +-d_k.  A square input is already
     its own completion (there the determinant keeps its sign, since no added
-    row is available to flip it).
+    row is available to flip it, and is returned as det(matrix)).
     """
     snf, dk = _full_rank_smith(matrix)
     k = matrix.rows
     if k == matrix.cols:
-        return IntMatrix(matrix.data)
+        return IntMatrix(matrix.data), det(matrix)
 
     result = IntMatrix(matrix.data + snf.V_inv.data[k:])
     d = det(result)
@@ -379,7 +380,7 @@ def complete_to_square(matrix: IntMatrix) -> IntMatrix:
         raise AssertionError("completion displaced the original rows")
     if d != dk:
         raise AssertionError("completion missed the target determinant")
-    return result
+    return result, d
 
 
 def is_n_good(matrix: IntMatrix, n: int) -> bool:

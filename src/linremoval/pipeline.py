@@ -328,7 +328,7 @@ def circularize(system: RestrictedSystem, modulus: int) -> Extension:
         g = math.gcd(*row)
         if g != 1:
             raise PreconditionError(f"row {p} of the free block has gcd {g}, not 1")
-        completed = complete_to_square(IntMatrix([row]))
+        completed, _ = complete_to_square(IntMatrix([row]))
         blocks.append(n_good_padding(completed, modulus))
 
     stack = [list(rw) for rw in blocks[0].data]
@@ -484,6 +484,18 @@ class PipelineResult:
     verification: ExtensionReport | None = None
 
 
+def _stage(name: str, system: RestrictedSystem, solutions: int, **extra) -> dict:
+    """One pipeline stage record: the stage's system shape and solution
+    count, plus its own keys (row_divisors, column_order, modulus)."""
+    return {
+        "stage": name,
+        "equations": system.equations,
+        "variables": system.variables,
+        "solutions": solutions,
+        **extra,
+    }
+
+
 def full_extension(
     system: RestrictedSystem, budget: int = DEFAULT_BUDGET
 ) -> PipelineResult:
@@ -513,14 +525,7 @@ def full_extension(
         )
     n = system.group.order
     source_sols = enumerate_solutions(system, budget)
-    stages = [
-        {
-            "stage": "input",
-            "equations": system.equations,
-            "variables": system.variables,
-            "solutions": len(source_sols),
-        }
-    ]
+    stages = [_stage("input", system, len(source_sols))]
 
     witness = _thin_witness(system, source_sols)
     if witness is not None:
@@ -532,14 +537,7 @@ def full_extension(
         translated_count = len(source_sols)
     else:
         translated_count = count_solutions(translated.target, budget)
-    stages.append(
-        {
-            "stage": "translate",
-            "equations": translated.target.equations,
-            "variables": translated.target.variables,
-            "solutions": translated_count,
-        }
-    )
+    stages.append(_stage("translate", translated.target, translated_count))
 
     if system.variables - system.equations <= 1:
         return PipelineResult(
@@ -550,7 +548,7 @@ def full_extension(
     if order is not None:
         last = _standard_extension(translated.target, order, n)
         chain = [translated, last]
-        record = {"stage": "standard", "column_order": order}
+        name, extra = "standard", {"column_order": order}
     else:
         # the m - k whole-group columns the identity form and the padded
         # target walk meet the budget before G is listed for them
@@ -560,25 +558,18 @@ def full_extension(
         # solutions, so the thinness test above has already returned
         step, divisors = _identity_form(translated.target)
         stages.append(
-            {
-                "stage": "identity-form",
-                "equations": step.target.equations,
-                "variables": step.target.variables,
-                "solutions": count_solutions(step.target, budget),
-                "row_divisors": list(divisors),
-            }
+            _stage(
+                "identity-form",
+                step.target,
+                count_solutions(step.target, budget),
+                row_divisors=list(divisors),
+            )
         )
         last = circularize(step.target, n)
         chain = [translated, step, last]
-        record = {"stage": "circular"}
+        name, extra = "circular", {}
     target_sols = enumerate_solutions(last.target, budget)
-    record.update(
-        equations=last.target.equations,
-        variables=last.target.variables,
-        solutions=len(target_sols),
-        modulus=n,
-    )
-    stages.append(record)
+    stages.append(_stage(name, last.target, len(target_sols), modulus=n, **extra))
 
     counts = {st["solutions"] for st in stages}
     if len(counts) != 1:

@@ -151,7 +151,7 @@ def test_criterion_2_completion_suite():
         if dk == 0:
             continue
         done += 1
-        c = complete_to_square(mat)
+        c, _ = complete_to_square(mat)
         if c.data[:k] != mat.data:
             failures.append((done, "prefix"))
             continue
@@ -320,7 +320,7 @@ def copy_stats(group, matrix, sets):
     )
     class_rep = verify_copy_classes(host, copies, sols)
     label_rep = verify_copy_labels(host, copies)
-    classes = len({c.labels for c in copies})
+    classes = len({c[host.positions :] for c in copies})
     return len(copies), classes, class_rep, label_rep
 
 

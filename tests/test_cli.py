@@ -22,6 +22,7 @@ from linremoval import (
     cli,
     enumerate_solutions,
     greedy_removal,
+    hypergraph,
     intmat,
     pipeline,
     system,
@@ -77,6 +78,18 @@ def test_complete_command():
     assert out["completed"]["rows"] == 3
     assert out["completed"]["data"][0] == [1, 1, 1]
     assert out["det"] == 1
+
+
+def test_complete_takes_one_determinant(count_calls):
+    # complete_to_square returns the determinant it takes to fix the sign,
+    # so the report's det is not a second 4 x 4 determinant
+    dets = count_calls(intmat, "det", lambda a: (a.rows, a.cols))
+    out = main_json(["complete", fixture("matrix_wide.json")])
+    assert out["completed"]["rows"] == 4
+    assert dets == [(4, 4)]
+    dets.clear()
+    out = main_json(["complete", fixture("matrix_square.json")])
+    assert dets == [(2, 2)]
 
 
 def test_ngood_command():
@@ -487,6 +500,21 @@ def test_copies_walk_the_lifted_system(count_calls):
     assert walks == [(1, 2, True)]
     assert listed == []
     assert smith == []
+
+
+def test_copies_full_lists_through_enumerate_copies(count_calls):
+    # enumerate_copies is the one copy listing, so the library and the
+    # command list through the same name; the count lists no copy
+    listings = count_calls(
+        hypergraph, "enumerate_copies", lambda host, budget: host.positions
+    )
+    out = main_json(["copies", "--full", fixture("sys_z5_full.json")])
+    assert (out["count"], len(out["copies"])) == (125, 125)
+    assert listings == [3]
+    listings.clear()
+    out = main_json(["copies", fixture("sys_z5_full.json")])
+    assert out["count"] == 125
+    assert listings == []
 
 
 def test_direct_route_scans_windows_once(count_calls, tmp_path):

@@ -26,7 +26,7 @@ from linremoval import (
     verify_copy_labels,
 )
 from linremoval import cli
-from linremoval.hypergraph import HCopy, _lifted_system
+from linremoval.hypergraph import _lifted_system
 from linremoval.jsonio import decode_system, encode_element, encode_system, load_file
 from linremoval.system import _unit_pivots
 
@@ -61,7 +61,7 @@ def test_copies_full_circulant_frozen_counts():
     g, a, host = circulant_host(5, 3)
     copies = enumerate_copies(host)
     assert len(copies) == 125
-    classes = {c.labels for c in copies}
+    classes = {c[3:] for c in copies}
     assert len(classes) == 25
     sols = solutions_of(g, a, full_sets(g, 3))
     report = verify_copy_classes(host, copies, sols)
@@ -76,7 +76,7 @@ def test_copies_restricted_frozen_counts():
     _, a, host = circulant_host(5, 3, sets)
     copies = enumerate_copies(host)
     assert len(copies) == 50
-    assert len({c.labels for c in copies}) == 10
+    assert len({c[3:] for c in copies}) == 10
     report = verify_copy_classes(host, copies, solutions_of(g, a, sets))
     assert report.ok, report.problems
 
@@ -85,7 +85,7 @@ def test_copies_seven_frozen_counts():
     g, a, host = circulant_host(7, 3)
     copies = enumerate_copies(host)
     assert len(copies) == 343
-    assert len({c.labels for c in copies}) == 49
+    assert len({c[3:] for c in copies}) == 49
     report = verify_copy_classes(host, copies, solutions_of(g, a, full_sets(g, 3)))
     assert report.ok, report.problems
 
@@ -127,7 +127,7 @@ def product_scan_copies(host):
     for assignment in itertools.product(group.elements(), repeat=m):
         labels = tuple(group.combine(row, assignment) for row in rows)
         if all(a in s for a, s in zip(labels, members)):
-            copies.append(HCopy(assignment=assignment, labels=labels))
+            copies.append(assignment + labels)
     return copies
 
 
@@ -273,7 +273,6 @@ def test_class_structure_matches_listing_on_sweep():
             assert found.ok, where
             assert found.copy_count == classes.copy_count, where
             assert found.class_count == classes.class_count, where
-            assert found_labels.copy_count == labels.copy_count, where
     assert honest == 126
 
 
@@ -288,8 +287,8 @@ def run_main(args):
 
 
 def test_cli_listing_matches_library_listing(tmp_path):
-    # copies --full reads the lifted walk's tuples without HCopy; its rows
-    # are enumerate_copies encoded element by element, in the same order
+    # copies --full lists through enumerate_copies; its rows are the two
+    # halves of each (x, y) tuple encoded element by element, in order
     rng = random.Random(1811)
     listed = 0
     for moduli in FORGED_GROUPS:
@@ -316,8 +315,8 @@ def test_cli_listing_matches_library_listing(tmp_path):
             assert report["count"] == len(copies), path
             assert report["copies"] == [
                 {
-                    "assignment": [encode_element(v) for v in c.assignment],
-                    "labels": [encode_element(v) for v in c.labels],
+                    "assignment": [encode_element(v) for v in c[:m]],
+                    "labels": [encode_element(v) for v in c[m:]],
                 }
                 for c in copies
             ], path
@@ -475,9 +474,9 @@ def test_host_edge_label_frozen():
     assert host.kernel_matrix.data[0] == (4, 1, 0)
     assert edge_label(host, 0, ((1,), (2,))) == ((1,), True)
     # and every copy through that color-0 window carries that label
-    through = [c for c in enumerate_copies(host) if c.assignment[:2] == ((1,), (2,))]
+    through = [c for c in enumerate_copies(host) if c[:2] == ((1,), (2,))]
     assert len(through) == 5
-    assert {c.labels[0] for c in through} == {(1,)}
+    assert {c[3] for c in through} == {(1,)}
 
 
 def test_labels_read_only_the_window():
@@ -546,14 +545,14 @@ def test_verify_copy_labels():
     copies = enumerate_copies(host)
     report = verify_copy_labels(host, copies)
     assert report.ok, report.problems
-    assert report.copy_count == 125
+    assert len(copies) == 125
     # a forged label must be flagged
     bad = copies[0]
-    forged = HCopy(assignment=bad.assignment, labels=((1,),) + bad.labels[1:])
+    forged = bad[:3] + ((1,),) + bad[4:]
     report2 = verify_copy_labels(host, copies[1:] + [forged])
     assert not report2.ok
     assert report2.problems == [
-        f"labels {forged.labels} fail the system at assignment {forged.assignment}"
+        f"labels {forged[3:]} fail the system at assignment {forged[:3]}"
     ]
 
 
@@ -596,7 +595,7 @@ def test_class_members_distinguished_by_tail():
     copies = enumerate_copies(host)
     by_class = {}
     for c in copies:
-        by_class.setdefault(c.labels, []).append(c.assignment)
+        by_class.setdefault(c[3:], []).append(c[:3])
     k = host.arity_base
     for members in by_class.values():
         tails = {a[-k:] for a in members}
@@ -638,18 +637,18 @@ def test_verify_catches_shared_edge():
     assert verify_copy_classes(host, copies, sols).ok
     k, m = host.arity_base, host.positions
     i = m - 1
-    label = copies[0].labels
-    members = [c for c in copies if c.labels == label]
+    label = copies[0][m:]
+    members = [c for c in copies if c[m:] == label]
     kept, dropped = members[0], members[1]
-    rest = [c.assignment for c in members if c is not dropped]
+    rest = [c[:m] for c in members if c is not dropped]
 
     def window(x, color):
         return tuple(x[(color + t) % m] for t in range(k + 1))
 
     forged = next(
-        HCopy(assignment=x, labels=label)
+        x + label
         for x in itertools.product(g.elements(), repeat=m)
-        if window(x, i) == window(kept.assignment, i)
+        if window(x, i) == window(kept[:m], i)
         and all(window(x, c) != window(y, c) for c in range(m) if c != i for y in rest)
     )
     report = verify_copy_classes(

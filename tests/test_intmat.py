@@ -340,9 +340,9 @@ def test_determinantal_divisors_match_sympy(m):
 
 
 def test_complete_to_square_frozen_example():
-    c = complete_to_square(IntMatrix([[1, 1, 1]]))
+    c, d = complete_to_square(IntMatrix([[1, 1, 1]]))
     assert c.data == ((1, 1, 1), (0, 1, 0), (0, 0, 1))
-    assert det(c) == 1
+    assert det(c) == d == 1
 
 
 def test_complete_to_square_postconditions():
@@ -354,18 +354,18 @@ def test_complete_to_square_postconditions():
     ]
     for a in cases:
         dk = determinantal_divisor(a, a.rows)
-        c = complete_to_square(a)
+        c, d = complete_to_square(a)
         assert c.rows == c.cols == a.cols
         assert c.data[: a.rows] == a.data
-        assert det(c) == dk
+        assert det(c) == d == dk
 
 
 def test_complete_to_square_square_input_returns_copy():
     sq = IntMatrix([[0, 1], [1, 0]])
-    c = complete_to_square(sq)
+    c, d = complete_to_square(sq)
     assert c == sq
     # determinant keeps its sign here, so it can differ from the divisor
-    assert det(c) == -1
+    assert det(c) == d == -1
     assert determinantal_divisor(sq, 2) == 1
 
 
@@ -429,6 +429,9 @@ def test_complete_to_square_matches_bordered_oracle():
             rows[-1] = [2 * v for v in rows[0]]
         a = IntMatrix(rows)
         got = outcome(complete_to_square, a)
+        if isinstance(got, tuple):
+            got, d = got
+            assert det(got) == d, a
         assert got == outcome(bordered_completion, a), a
         if isinstance(got, IntMatrix):
             kinds["square" if k == m else "completed"] += 1
@@ -448,10 +451,11 @@ def test_complete_to_square_property(m):
         with pytest.raises(PreconditionError):
             complete_to_square(m)
         return
-    c = complete_to_square(m)
+    c, d = complete_to_square(m)
     assert c.data[: m.rows] == m.data
+    assert det(c) == d
     if m.rows < m.cols:
-        assert det(c) == dk
+        assert d == dk
 
 
 # ------------------------------------------------------------------ padding

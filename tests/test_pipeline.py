@@ -452,7 +452,7 @@ def adjugate_identity_form(sys_):
     # completion C of A, are the slopes; each set is scanned over all of G
     group, a = sys_.group, sys_.matrix
     k, m = a.rows, a.cols
-    completed = complete_to_square(a)
+    completed, _ = complete_to_square(a)
     d = det(completed)
     slopes = [row[k:] for row in adjugate(completed).data]
     divisors = tuple(math.gcd(*row) for row in slopes)

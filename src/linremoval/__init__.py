@@ -14,6 +14,7 @@ from .abelian import (
 from .errors import (
     BudgetExceededError,
     InfeasibleRemovalError,
+    InvariantError,
     PreconditionError,
     SchemaError,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "HostHypergraph",
     "InfeasibleRemovalError",
     "IntMatrix",
+    "InvariantError",
     "PipelineResult",
     "PreconditionError",
     "RemovalSolution",

@@ -6,7 +6,9 @@ verify, remove (restricted systems end to end).  Input is one JSON file
 in the package wire format; the report is JSON on stdout, pretty with
 --human.  Exit codes: 0 success (thin included), 2 usage, parse or an
 unreadable input or unwritable --output file, 3 precondition, 4 budget,
-5 infeasible protection; every failure writes a JSON error to stderr.
+5 infeasible protection, 6 a result that failed the program's own check
+of it (a fault in the program); every failure writes a JSON error to
+stderr.
 
 The command line is read against one table, COMMANDS: the command, then
 its options and its input in any order, option names matched exactly,
@@ -27,6 +29,7 @@ from types import SimpleNamespace
 from .errors import (
     BudgetExceededError,
     InfeasibleRemovalError,
+    InvariantError,
     PreconditionError,
     SchemaError,
 )
@@ -41,6 +44,7 @@ from .jsonio import (
     decode_matrix,
     decode_system,
     dump,
+    encode_copies,
     encode_element,
     encode_int,
     encode_matrix,
@@ -69,7 +73,7 @@ def cmd_snf(args, budget) -> dict:
     matrix = decode_matrix(load_file(args.input))
     res = smith_normal_form(matrix)
     if (res.U @ matrix) @ res.V != res.S:
-        raise AssertionError("normal form product check failed")
+        raise InvariantError("normal form product check failed")
     return {
         "U": encode_matrix(res.U),
         "S": encode_matrix(res.S),
@@ -241,15 +245,24 @@ def cmd_copies(args, budget) -> dict:
     if not args.full:
         classes, _ = copy_class_structure(host, budget)
         if not classes.ok:
-            raise AssertionError(
+            raise InvariantError(
                 "copy class structure fails: " + "; ".join(classes.problems)
             )
         payload["count"] = encode_int(classes.copy_count)
         return payload
     m = host.positions
-    copies = encode_rows(enumerate_copies(host, budget), host.group)
+    copies = enumerate_copies(host, budget)
     payload["count"] = len(copies)
-    payload["copies"] = [{"assignment": s[:m], "labels": s[m:]} for s in copies]
+    # the indented layout dumps dict rows; the compact one takes the rows'
+    # text from encode_copies, with the same bytes
+    payload["copies"] = (
+        [
+            {"assignment": s[:m], "labels": s[m:]}
+            for s in encode_rows(copies, host.group)
+        ]
+        if args.human
+        else encode_copies(copies, m)
+    )
     return payload
 
 
@@ -322,7 +335,7 @@ def cmd_remove(args, budget) -> dict:
     sol = solver(system, protected, budget)
     post = count_solutions(remove_elements(system, sol.removed), budget)
     if post != 0:
-        raise AssertionError("reported removal leaves solutions alive")
+        raise InvariantError("reported removal leaves solutions alive")
     return {
         "removed": encode_rows(sol.removed, system.group),
         "total_size": sol.total_size,
@@ -501,7 +514,8 @@ def _help(name: str | None = None) -> str:
             "",
             "Run 'linremoval COMMAND --help' for the options of one command.",
             "Exit codes: 0 success, 2 usage or input, 3 precondition, "
-            "4 budget, 5 infeasible protection; errors are JSON on stderr.",
+            "4 budget, 5 infeasible protection, 6 internal check; errors are "
+            "JSON on stderr.",
         ]
     else:
         cmd = COMMANDS[name]
@@ -543,6 +557,9 @@ def main(argv=None) -> int:
     except InfeasibleRemovalError as e:
         _emit_error("infeasible", e)
         return 5
+    except InvariantError as e:
+        _emit_error("invariant", e)
+        return 6
 
     if args.output:
         try:

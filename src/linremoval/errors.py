@@ -2,8 +2,8 @@
 
 Every error the library raises deliberately is one of these, and the CLI
 maps each to its own exit code: SchemaError 2, PreconditionError 3,
-BudgetExceededError 4, InfeasibleRemovalError 5.  Tests can assert on the
-exact failure mode instead of a bare ValueError.
+BudgetExceededError 4, InfeasibleRemovalError 5, InvariantError 6.  Tests
+can assert on the exact failure mode instead of a bare ValueError.
 """
 
 
@@ -24,3 +24,9 @@ class BudgetExceededError(RuntimeError):
 
 class InfeasibleRemovalError(ValueError):
     """No removal set exists under the requested coordinate protection."""
+
+
+class InvariantError(RuntimeError):
+    """A result failed the library's own check of it: a fault in the
+    library, never in the input.  Unlike an assert statement, the check
+    stays under python -O."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 from operator import mul
 
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 
 
 class IntMatrix:
@@ -377,9 +377,9 @@ def complete_to_square(matrix: IntMatrix) -> tuple[IntMatrix, int]:
         d = -d
 
     if result.data[:k] != matrix.data:
-        raise AssertionError("completion displaced the original rows")
+        raise InvariantError("completion displaced the original rows")
     if d != dk:
-        raise AssertionError("completion missed the target determinant")
+        raise InvariantError("completion missed the target determinant")
     return result, d
 
 
@@ -441,15 +441,15 @@ def _combination_with_unit_lead(values: list[int], n: int) -> tuple[list[int], i
             lam0 = cand
             break
     if lam0 is None:
-        raise AssertionError("no unit leading coefficient in the progression")
+        raise InvariantError("no unit leading coefficient in the progression")
     target = dprime - lam0 * values[0]
     if target % rest:
-        raise AssertionError("progression member broke the solvability congruence")
+        raise InvariantError("progression member broke the solvability congruence")
     mu, _ = _bezout_chain(values[1:])
     scalefac = target // rest
     lams = [lam0] + [mval * scalefac for mval in mu]
     if sum(l * val for l, val in zip(lams, values)) != dprime:
-        raise AssertionError("combination does not reach the column gcd")
+        raise InvariantError("combination does not reach the column gcd")
     return lams, dprime
 
 
@@ -467,7 +467,7 @@ def _pad_rows_below(rows: list[list[int]], n: int) -> list[list[int]]:
         q = rows[i][0] // dprime
         reduced = [rows[i][j] - q * t1[j] for j in range(r)]
         if reduced[0] != 0:
-            raise AssertionError("leading column failed to clear")
+            raise InvariantError("leading column failed to clear")
         inner.append(reduced[1:])
     sub = _pad_rows_below(inner, n)
     assembled = [t1]
@@ -521,13 +521,13 @@ def n_good_padding(matrix: IntMatrix, n: int) -> IntMatrix:
     out = IntMatrix(stacked)
     expected = r * (2 * r + 1)
     if out.rows != expected:
-        raise AssertionError(f"padding has {out.rows} rows, wanted {expected}")
+        raise InvariantError(f"padding has {out.rows} rows, wanted {expected}")
     ident = IntMatrix.identity(r).data
     if out.data[:r] != ident or out.data[-r:] != ident:
-        raise AssertionError("padding lost its identity blocks")
+        raise InvariantError("padding lost its identity blocks")
     mid = r * r
     if out.data[mid:mid + r] != matrix.data:
-        raise AssertionError("padding displaced the original matrix")
+        raise InvariantError("padding displaced the original matrix")
     if not is_n_good(out, n):
-        raise AssertionError("padding failed the window coprimality check")
+        raise InvariantError("padding failed the window coprimality check")
     return out

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 
 from .abelian import AbelianGroup
 from .errors import PreconditionError, SchemaError
@@ -123,6 +124,32 @@ def encode_rows(rows, group: AbelianGroup):
     return [[encode_element(v) for v in row] for row in rows]
 
 
+class JSONText(str):
+    """Text that is already compact JSON: where it is a value of a compact
+    report, ``dump`` writes it as it is."""
+
+
+class _ElementText(dict):
+    """The compact JSON text of each element, made through
+    ``encode_element`` the first time the element is looked up, so only
+    the elements a listing holds are encoded, never all of a group."""
+
+    def __missing__(self, elem):
+        text = self[elem] = json.dumps(encode_element(elem), separators=(",", ":"))
+        return text
+
+
+def encode_copies(copies, m: int) -> JSONText:
+    """The copy rows of a compact report, each copy c as the object
+    {"assignment": c[:m], "labels": c[m:]}, with the bytes ``dump`` would
+    write for those rows: each distinct element is encoded once, and one
+    format with 2m slots per copy writes every row."""
+    slots = ",".join(["%s"] * m)
+    row = '{"assignment":[%s],"labels":[%s]}' % (slots, slots)
+    texts = map(_ElementText().__getitem__, chain.from_iterable(copies))
+    return JSONText(("[" + ",".join([row] * len(copies)) + "]") % tuple(texts))
+
+
 def _residues(obj, group: AbelianGroup, where: str, *index: int) -> tuple[int, ...]:
     """The integers of one element, checked but not reduced.  A list of
     ``rank`` plain ints passes one test; the element's label, ``where``
@@ -210,13 +237,23 @@ def load_file(path: str):
     return load_text(text, path)
 
 
-def dump(obj, human: bool = False) -> str:
+def dump(report: dict, human: bool = False) -> str:
+    """A report as JSON text, keys sorted, compact or with ``human``
+    indented.  A ``JSONText`` value of a compact report is written as it
+    is: the bytes of dumping the value that the text spells."""
     # a report is a fresh tree of dicts, lists and tuples; its element
     # tuples are shared between rows but never form a cycle, so the
     # per-container cycle check is skipped: same bytes
     layout = {"indent": 2} if human else {"separators": (",", ":")}
+    layout.update(sort_keys=True, check_circular=False)
     try:
-        return json.dumps(obj, sort_keys=True, check_circular=False, **layout) + "\n"
+        if human or JSONText not in map(type, report.values()):
+            return json.dumps(report, **layout) + "\n"
+        items = [
+            json.dumps(k) + ":" + (v if type(v) is JSONText else json.dumps(v, **layout))
+            for k, v in sorted(report.items())
+        ]
+        return "{" + ",".join(items) + "}\n"
     except ValueError:
         # an integer past the digit limit that a report writes as a bare
         # JSON number

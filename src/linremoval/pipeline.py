@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 from .abelian import scalar_inverse, scaling_preimage
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .intmat import (
     IntMatrix,
     _det_rows,
@@ -262,7 +262,7 @@ def _identity_form(system: RestrictedSystem) -> tuple[Extension, tuple[int, ...]
     divisors = [math.gcd(*row) for row in slopes]
     if 0 in divisors:
         # a zero row pins its coordinate to zero in every solution
-        raise AssertionError(f"identity form row {divisors.index(0)} vanished")
+        raise InvariantError(f"identity form row {divisors.index(0)} vanished")
 
     reduced_rows = [
         [v // divisors[i] for v in slopes[i]] for i in range(m)
@@ -337,7 +337,7 @@ def circularize(system: RestrictedSystem, modulus: int) -> Extension:
         stack.extend(list(rw) for rw in blk.data[r:])
     tall = len(stack)
     if tall != 2 * k * r * r + r:
-        raise AssertionError("stacked block count is off")
+        raise InvariantError("stacked block count is off")
 
     tmat = IntMatrix(
         [
@@ -573,7 +573,7 @@ def full_extension(
 
     counts = {st["solutions"] for st in stages}
     if len(counts) != 1:
-        raise AssertionError(f"stage solution counts diverged: {counts}")
+        raise InvariantError(f"stage solution counts diverged: {counts}")
 
     composed = functools.reduce(compose_extensions, chain)
     circular = CircularSystem(last.target.matrix, n)

@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 
 from .abelian import AbelianGroup, Element
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, InvariantError, PreconditionError
 from .intmat import IntMatrix, smith_invariants_mod
 
 DEFAULT_BUDGET = 10_000_000
@@ -45,14 +45,25 @@ class RestrictedSystem:
             raise PreconditionError("right-hand side length does not match equation count")
         if len(restrictions) != matrix.cols:
             raise PreconditionError("restriction count does not match variable count")
-        clean_rhs = tuple(group.reduce(v) for v in rhs)
-        clean_sets = tuple(
-            tuple(sorted({group.reduce(v) for v in xs})) for xs in restrictions
-        )
+        mods = group.moduli
+        rank = len(mods)
+        if {*map(len, chain(rhs, *restrictions))} != {rank}:
+            bad = next(v for v in chain(rhs, *restrictions) if len(v) != rank)
+            raise PreconditionError(
+                f"element has {len(bad)} components, group has {rank}"
+            )
+        # per set, one comprehension per cyclic factor reduces that
+        # factor's residues, and zip puts the elements back together
+        clean_rhs, *clean_sets = [
+            zip(*[[a % q for a in col] for col, q in zip(zip(*xs), mods)])
+            for xs in (rhs, *restrictions)
+        ]
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "rhs", clean_rhs)
-        object.__setattr__(self, "restrictions", clean_sets)
+        object.__setattr__(self, "rhs", tuple(clean_rhs))
+        object.__setattr__(
+            self, "restrictions", tuple([tuple(sorted({*xs})) for xs in clean_sets])
+        )
 
     @cached_property
     def coprime(self) -> bool:
@@ -131,35 +142,38 @@ def _unit_pivots(system: RestrictedSystem):
     over the group as A x = b (every step is invertible mod e) and each
     pivot column is 1 on its own row and 0 elsewhere.  Each row pivots on
     its unit column with the largest restriction set, so that set is solved
-    for, not walked.  A row with no unit entry left is a check row: its
-    pivot is None, so it constrains the free coordinates alone.  An
-    identity left block is taken as it is.
+    for, not walked; an identity left block is no exception, so a system
+    (I | B) whose largest set lies in B walks its smaller sets instead.  A
+    row with no unit entry left is a check row: its pivot is None, so it
+    constrains the free coordinates alone.
     """
-    k, m = system.equations, system.variables
+    m = system.variables
     rhs = [list(v) for v in system.rhs]
-    if _identity_prefix(system.matrix):
-        return list(range(k)), system.matrix.data, rhs
     e = system.group.exponent
-    sizes = [len(xs) for xs in system.restrictions]
+    sets = system.restrictions
+    # the columns in order of preference: largest set first, then lowest index
+    preferred = sorted(range(m), key=lambda c: (-len(sets[c]), c))
     rows = [[v % e for v in row] for row in system.matrix.data]
     pivots: list[int | None] = []
-    for i in range(k):
-        units = [
-            j for j in range(m) if j not in pivots and math.gcd(rows[i][j], e) == 1
-        ]
-        if not units:
-            pivots.append(None)
-            continue
-        j = max(units, key=lambda c: (sizes[c], -c))
-        inv = pow(rows[i][j], -1, e)
-        rows[i] = [v * inv % e for v in rows[i]]
-        rhs[i] = [v * inv % e for v in rhs[i]]
-        for r in range(k):
-            f = rows[r][j]
-            if r != i and f:
-                rows[r] = [(a - f * b) % e for a, b in zip(rows[r], rows[i])]
-                rhs[r] = [(a - f * b) % e for a, b in zip(rhs[r], rhs[i])]
+    taken = set()
+    for i, row in enumerate(rows):
+        j = next(
+            (c for c in preferred if c not in taken and math.gcd(row[c], e) == 1),
+            None,
+        )
         pivots.append(j)
+        if j is None:
+            continue
+        taken.add(j)
+        inv = pow(row[j], -1, e)
+        if inv != 1:
+            rows[i] = row = [v * inv % e for v in row]
+            rhs[i] = [v * inv % e for v in rhs[i]]
+        for r, other in enumerate(rows):
+            f = other[j]
+            if f and r != i:
+                rows[r] = [(a - f * b) % e for a, b in zip(other, row)]
+                rhs[r] = [(a - f * b) % e for a, b in zip(rhs[r], rhs[i])]
     return pivots, rows, rhs
 
 
@@ -559,7 +573,7 @@ def pull_back_removal(
     result = tuple(tuple(sorted(s)) for s in out)
     if count_solutions(remove_elements(ext.target, removed), budget) == 0:
         if count_solutions(remove_elements(ext.source, result), budget) != 0:
-            raise AssertionError(
+            raise InvariantError(
                 "pulled-back removal left source solutions alive; extension is broken"
             )
     return result

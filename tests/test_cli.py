@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -27,7 +28,7 @@ from linremoval import (
     pipeline,
     system,
 )
-from linremoval.jsonio import decode_system, load_file
+from linremoval.jsonio import decode_system, dump, load_file
 from test_acceptance import cli_runs
 from test_removal import brute_min_size
 
@@ -508,9 +509,11 @@ def test_copies_full_lists_through_enumerate_copies(count_calls):
     listings = count_calls(
         hypergraph, "enumerate_copies", lambda host, budget: host.positions
     )
-    out = main_json(["copies", "--full", fixture("sys_z5_full.json")])
-    assert (out["count"], len(out["copies"])) == (125, 125)
-    assert listings == [3]
+    for flags in ([], ["--human"]):
+        listings.clear()
+        out = main_json(["copies", "--full", *flags, fixture("sys_z5_full.json")])
+        assert (out["count"], len(out["copies"])) == (125, 125)
+        assert listings == [3]
     listings.clear()
     out = main_json(["copies", fixture("sys_z5_full.json")])
     assert out["count"] == 125
@@ -846,93 +849,91 @@ def test_padded_route_budget_precedes_listing_the_group(tmp_path, bits):
     }
 
 
-def test_pipeline_checks_survive_optimized_mode():
-    # python -O strips assert statements; the pipeline's stacked-size and
-    # stage-count checks are explicit raises, so they still fire
-    script = """
-import contextlib, io, sys
+# run in a python -O child: calls cli.main on the given argv and prints
+# the exit code, stdout and stderr as one JSON line
+OPTIMIZED_RUN = """
+import contextlib, dataclasses, io, json, sys
 from linremoval import IntMatrix, cli, pipeline
 if sys.flags.optimize != 1:
     raise SystemExit("not optimized")
-path = sys.argv[1]
-buf = io.StringIO()
-with contextlib.redirect_stdout(buf):
-    code = cli.main(["pipeline", path])
-sys.stdout.write(buf.getvalue())
-pad, walk = pipeline.n_good_padding, pipeline.enumerate_solutions
-pipeline.n_good_padding = lambda m, n: IntMatrix(pad(m, n).data + pad(m, n).data[-1:])
-try:
-    cli.main(["pipeline", path])
-except AssertionError as exc:
-    print(exc)
-pipeline.n_good_padding = pad
-pipeline.enumerate_solutions = lambda s, b: walk(s, b)[1:] if s.equations == 93 else walk(s, b)
-try:
-    cli.main(["pipeline", path])
-except AssertionError as exc:
-    print(exc)
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
 """
-    path = fixture("sys_z6_full.json")
+
+
+def optimized_runs(script, *paths):
+    """The (code, stdout, stderr) of each run the script makes under -O."""
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", script, path], capture_output=True, text=True
+        [sys.executable, "-O", "-c", OPTIMIZED_RUN + script, *paths],
+        capture_output=True,
+        text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    report, stacked, counts = proc.stdout.splitlines()
-    assert report + "\n" == run_cli("pipeline", path).stdout
-    assert stacked == "stacked block count is off"
-    assert counts.startswith("stage solution counts diverged")
+    return [tuple(json.loads(line)) for line in proc.stdout.splitlines()]
+
+
+def invariant_error(message):
+    return (6, "", dump({"error": {"kind": "invariant", "message": message}}))
+
+
+def test_pipeline_checks_survive_optimized_mode():
+    # python -O strips assert statements; the pipeline's stacked-size and
+    # stage-count checks are explicit raises, so they still fire, and
+    # each ends the command with exit 6
+    script = """
+path = sys.argv[1]
+run("pipeline", path)
+pad, walk = pipeline.n_good_padding, pipeline.enumerate_solutions
+pipeline.n_good_padding = lambda m, n: IntMatrix(pad(m, n).data + pad(m, n).data[-1:])
+run("pipeline", path)
+pipeline.n_good_padding = pad
+pipeline.enumerate_solutions = lambda s, b: walk(s, b)[1:] if s.equations == 93 else walk(s, b)
+run("pipeline", path)
+"""
+    path = fixture("sys_z6_full.json")
+    report, stacked, counts = optimized_runs(script, path)
+    assert report == (0, run_cli("pipeline", path).stdout, "")
+    assert stacked == invariant_error("stacked block count is off")
+    assert counts[:2] == (6, "")
+    assert json.loads(counts[2])["error"]["kind"] == "invariant"
+    assert json.loads(counts[2])["error"]["message"].startswith(
+        "stage solution counts diverged"
+    )
 
 
 def test_cli_checks_survive_optimized_mode():
     # snf's product check, remove's post-count check and the class check
     # behind copies' count are explicit raises too, so python -O keeps them
     script = """
-import contextlib, dataclasses, io, sys
-from linremoval import IntMatrix, cli
-if sys.flags.optimize != 1:
-    raise SystemExit("not optimized")
 snf_path, remove_path, copies_path = sys.argv[1:]
-buf = io.StringIO()
-with contextlib.redirect_stdout(buf):
-    code = cli.main(["remove", remove_path])
-sys.stdout.write(buf.getvalue())
+run("remove", remove_path)
 snf, solve = cli.smith_normal_form, cli.min_removal_exact
 cli.smith_normal_form = lambda m: dataclasses.replace(
     snf(m), S=IntMatrix([[v + 1 for v in row] for row in snf(m).S.data])
 )
-try:
-    cli.main(["snf", snf_path])
-except AssertionError as exc:
-    print(exc)
+run("snf", snf_path)
 cli.min_removal_exact = lambda s, p, b: dataclasses.replace(
     solve(s, p, b), removed=((),) * s.variables
 )
-try:
-    cli.main(["remove", remove_path])
-except AssertionError as exc:
-    print(exc)
+run("remove", remove_path)
 build = cli.build_host
 cli.build_host = lambda g, c, r: dataclasses.replace(
     build(g, c, r), kernel_matrix=IntMatrix([[8, 2, 0], [0, 4, 1], [1, 0, 4]])
 )
-try:
-    cli.main(["copies", copies_path])
-except AssertionError as exc:
-    print(exc)
+run("copies", copies_path)
 """
     snf_path, remove_path = fixture("matrix_2x2.json"), fixture("sys_small.json")
     copies_path = fixture("sys_z5_full.json")
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script, snf_path, remove_path, copies_path],
-        capture_output=True,
-        text=True,
+    report, product, post, structure = optimized_runs(
+        script, snf_path, remove_path, copies_path
     )
-    assert proc.returncode == 0, proc.stderr
-    report, product, post, structure = proc.stdout.splitlines()
-    assert report + "\n" == run_cli("remove", remove_path).stdout
-    assert product == "normal form product check failed"
-    assert post == "reported removal leaves solutions alive"
-    assert structure == (
+    assert report == (0, run_cli("remove", remove_path).stdout, "")
+    assert product == invariant_error("normal form product check failed")
+    assert post == invariant_error("reported removal leaves solutions alive")
+    assert structure == invariant_error(
         "copy class structure fails: "
         "kernel matrix does not annihilate the system matrix; "
         "labels from windowed kernel column 0 fail the system"
@@ -951,6 +952,42 @@ def test_package_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_raises_no_assertion_error():
+    # a failed invariant raises InvariantError, which the command maps to
+    # exit 6 with a JSON error; an AssertionError would end in a traceback
+    paths = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert paths
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise)
+        and "AssertionError"
+        in {n.id for n in ast.walk(node.exc or node) if isinstance(n, ast.Name)}
+    ]
+    assert found == []
+
+
+def test_forged_copy_classes_exit_with_the_invariant_code(monkeypatch):
+    # copies trusts no host: a forged kernel fails the class check that
+    # its count rests on, and the command exits 6 with a JSON error, the
+    # same with asserts stripped
+    build = cli.build_host
+
+    def forged(group, circular, restrictions):
+        kernel = IntMatrix([[8, 2, 0], [0, 4, 1], [1, 0, 4]])
+        return dataclasses.replace(
+            build(group, circular, restrictions), kernel_matrix=kernel
+        )
+
+    monkeypatch.setattr(cli, "build_host", forged)
+    assert main_result(["copies", fixture("sys_z5_full.json")]) == invariant_error(
+        "copy class structure fails: "
+        "kernel matrix does not annihilate the system matrix; "
+        "labels from windowed kernel column 0 fail the system"
+    )
 
 
 def test_budget_env_variable():
@@ -1001,6 +1038,39 @@ def test_large_modulus_reports_write_counts_as_strings(tmp_path):
         ("cmatrix", "matrix_row.json"),
     ]:
         assert main_json([command, "--n", str(p), fixture(name)])["n"] == str(p)
+
+
+def test_large_modulus_copy_rows_are_strings(tmp_path, monkeypatch):
+    # copies --full over Z_p, p = 2^61 - 1: a budget of p^3 passes the
+    # listing's pre-check, but no walk can list G, so a stand-in gives two
+    # 2m-tuples; the compact and --human reports carry the same rows, and
+    # each residue past 2^53 is a decimal string
+    p = 2**61 - 1
+    path = sum_system(tmp_path / "z61.json", p, [[0, 1, 2], [0, 1, 2], [0, -1, -2]])
+    listing = [
+        ((0,), (1,), (p - 1,), (1,), (2,), (p - 3,)),
+        ((1,), (p - 2,), (1,), (2,), (0,), (p - 2,)),
+    ]
+    budgets = []
+
+    def listed(host, budget):
+        budgets.append(budget)
+        return listing
+
+    monkeypatch.setattr(cli, "enumerate_copies", listed)
+    runs = [
+        main_result(["copies", "--full", *flags, "--budget", str(p**3), path])
+        for flags in ([], ["--human"])
+    ]
+    assert [(code, err) for code, _, err in runs] == [(0, "")] * 2
+    report = json.loads(runs[0][1])
+    assert json.loads(runs[1][1]) == report
+    assert runs[0][1] == dump(report)
+    assert (report["count"], budgets) == (2, [p**3] * 2)
+    assert report["copies"][0] == {
+        "assignment": [[0], [1], [str(p - 1)]],
+        "labels": [[1], [2], [str(p - 3)]],
+    }
 
 
 @pytest.mark.skipif(LIMIT == 0, reason="no int-string digit limit")

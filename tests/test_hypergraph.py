@@ -9,6 +9,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linremoval import (
     AbelianGroup,
@@ -27,7 +28,15 @@ from linremoval import (
 )
 from linremoval import cli
 from linremoval.hypergraph import _lifted_system
-from linremoval.jsonio import decode_system, encode_element, encode_system, load_file
+from linremoval.jsonio import (
+    decode_system,
+    dump,
+    encode_copies,
+    encode_element,
+    encode_rows,
+    encode_system,
+    load_file,
+)
 from linremoval.system import _unit_pivots
 
 
@@ -332,6 +341,33 @@ def test_cli_listing_matches_library_listing(tmp_path):
             "message": "125 assignments exceed the budget of 100",
         }
     }
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from([(3,), (4,), (5,), (6,), (7,), (9,), (2, 3), (3, 5), (2, 4)]),
+    st.sampled_from([(1, 3), (1, 4), (2, 4), (2, 5)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_copy_text_matches_dumped_rows(seed, moduli, shape):
+    # the compact report's copy rows come from encode_copies; on seeded
+    # circular hosts over Z_n and Z_a x Z_b, restricted and not, the report
+    # has the bytes dump writes for the dict rows
+    rng = random.Random(seed)
+    g = AbelianGroup(moduli)
+    k, m = shape if g.order ** shape[1] <= 4000 else (1, 3)
+    els = g.elements()
+    sets = [
+        rng.sample(els, rng.randrange(1, g.order + 1)) if rng.random() < 0.7 else els
+        for _ in range(m)
+    ]
+    host = build_host(g, random_circular(rng, g.order, k, m), sets)
+    copies = enumerate_copies(host)
+    text = encode_copies(copies, m)
+    rows = [{"assignment": c[:m], "labels": c[m:]} for c in encode_rows(copies, g)]
+    assert text == json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    report = {"count": len(copies), "positions": m, "route": "direct"}
+    assert dump({**report, "copies": text}) == dump({**report, "copies": rows})
 
 
 def forged_hosts(count):

@@ -12,6 +12,7 @@ from linremoval.jsonio import (
     decode_matrix,
     decode_system,
     dump,
+    encode_copies,
     encode_int,
     encode_matrix,
     encode_rows,
@@ -258,6 +259,40 @@ def test_dump_matches_checked_encoding_on_shared_lists():
         expected = json.dumps(obj, sort_keys=True, check_circular=True, **layout)
         assert dump(obj, human=human) == expected + "\n"
         assert dump({**obj, "copies": listed}, human=human) == expected + "\n"
+
+
+def test_copy_text_past_53_bits_matches_dumped_rows():
+    # copies of a host whose moduli pass 2^53, as 2m-tuples (x, y): each
+    # residue past 2^53 is a decimal string, with the bytes dump writes for
+    # the same rows, and a small one a number
+    group = AbelianGroup([3, BIG + 5])
+    m = 3
+    els = [(0, 0), (1, BIG - 1), (2, BIG), (1, BIG + 4), (0, 17)]
+    copies = sorted(
+        tuple(els[(i * t + i + 1) % 5] for t in range(2 * m)) for i in range(4)
+    )
+    rows = [
+        {"assignment": c[:m], "labels": c[m:]} for c in encode_rows(copies, group)
+    ]
+    text = encode_copies(copies, m)
+    assert text == json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    report = {"count": len(copies), "copies": text, "positions": m}
+    assert dump(report) == dump({**report, "copies": rows})
+    listed = [e for row in json.loads(text) for half in row.values() for e in half]
+    assert [1, BIG - 1] in listed
+    assert [2, str(BIG)] in listed and [1, str(BIG + 4)] in listed
+    assert encode_copies([], m) == "[]"
+
+
+def test_dump_places_json_text_among_sorted_keys():
+    # a JSONText value goes out as it is among the sorted keys of a compact
+    # report; any other report dumps as json writes it
+    text = encode_copies([((1,), (2,), (3,), (4,))], 2)
+    report = {"z": [1], "copies": text, "a": {"b": BIG}}
+    rows = [{"assignment": [[1], [2]], "labels": [[3], [4]]}]
+    assert dump(report) == dump({**report, "copies": rows}) == (
+        '{"a":{"b":%d},"copies":%s,"z":[1]}\n' % (BIG, text)
+    )
 
 
 def test_encode_rows_passes_rows_while_every_modulus_fits():

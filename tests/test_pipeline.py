@@ -14,6 +14,7 @@ from linremoval import (
     BudgetExceededError,
     CircularSystem,
     IntMatrix,
+    InvariantError,
     PreconditionError,
     RestrictedSystem,
     ThinWitness,
@@ -426,7 +427,7 @@ def test_identity_form_zero_row_short_circuit():
     # its thinness test reports the pinned coordinate first
     g = z(5)
     sys_ = RestrictedSystem(g, IntMatrix([[1, 0, 0]]), ((0,),), full_sets(g, 3))
-    with pytest.raises(AssertionError, match="^identity form row 0 vanished$"):
+    with pytest.raises(InvariantError, match="^identity form row 0 vanished$"):
         _identity_form(sys_)
     res = full_extension(sys_)
     assert res.outcome == "thin"
@@ -500,7 +501,7 @@ def test_identity_form_matches_adjugate_oracle():
             continue
         want, want_divisors = adjugate_identity_form(sys_)
         if isinstance(want, int):
-            with pytest.raises(AssertionError, match=f"^identity form row {want} vanished$"):
+            with pytest.raises(InvariantError, match=f"^identity form row {want} vanished$"):
                 _identity_form(sys_)
             kinds["thin"] += 1
             continue

@@ -93,6 +93,16 @@ def test_system_validates_shapes():
         RestrictedSystem(g, a, ((0,), (0,)), full_sets(g, 3))
     with pytest.raises(PreconditionError):
         RestrictedSystem(g, a, rhs, full_sets(g, 2))
+    # an element of the wrong length is refused, the first one named
+    g = AbelianGroup((3, 5))
+    for rhs, sets, size in [
+        (((0, 0, 0),), (((1,),), ()), 3),
+        (((0, 0),), (((1, 2), (3,)), ((1, 2, 3, 4),)), 1),
+    ]:
+        with pytest.raises(
+            PreconditionError, match=f"^element has {size} components, group has 2$"
+        ):
+            RestrictedSystem(g, IntMatrix([[1, 1]]), rhs, sets)
 
 
 def test_system_normalizes_restrictions():
@@ -105,6 +115,15 @@ def test_system_normalizes_restrictions():
     )
     # reduced into the group, deduplicated, sorted
     assert sys_.restrictions == (((0,), (2,)), ((1,), (4,)))
+    # each cyclic factor wraps its own residues, negative or out of range
+    sys_ = RestrictedSystem(
+        AbelianGroup((3, 5)),
+        IntMatrix([[1, 1]]),
+        ((-3, 11),),
+        (((-1, -5), (4, 7), (2, 0), (5, 10), (1, -3)), ((3, -6), (-3, 24))),
+    )
+    assert sys_.rhs == ((0, 1),)
+    assert sys_.restrictions == (((1, 2), (2, 0)), ((0, 4),))
 
 
 def test_system_divisor_fields():
@@ -305,6 +324,22 @@ def test_enumerate_unit_pivot_budget_counts_walked_coordinates():
     assert enumerate_solutions(sys_, budget=6) == brute_solutions(sys_)
     with pytest.raises(BudgetExceededError):
         enumerate_solutions(sys_, budget=5)
+
+
+def test_identity_block_pivots_on_the_largest_set():
+    # x1 + ... + x5 = 0 over Z5 with sets of 3 and the whole group last:
+    # the identity column x1 follows the largest-set rule like any other,
+    # so x5 is solved for and only the 3^4 = 81 other candidates are walked
+    g = z(5)
+    small = ((0,), (1,), (2,))
+    sys_ = RestrictedSystem(
+        g, IntMatrix([[1] * 5]), ((0,),), (small,) * 4 + (g.elements(),)
+    )
+    assert _unit_pivots(sys_)[0] == [4]
+    assert count_solutions(sys_, budget=81) == 81
+    assert enumerate_solutions(sys_, budget=81) == brute_solutions(sys_)
+    with pytest.raises(BudgetExceededError, match="^81 candidates exceed the budget of 80$"):
+        count_solutions(sys_, budget=80)
 
 
 def test_enumerate_budget_precheck():

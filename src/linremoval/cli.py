@@ -210,7 +210,8 @@ def cmd_pipeline(args, budget) -> dict:
 def _route_host(system, budget):
     """Direct host when the input is already standard circular homogeneous;
     otherwise run the full reduction and host its target.  CircularSystem
-    decides: it raises exactly on input that is not standard circular."""
+    decides: it raises exactly on input that is not standard circular.  A
+    target whose extension check failed is no host: InvariantError."""
     group = system.group
     n = group.order
     if system.is_homogeneous():
@@ -224,6 +225,10 @@ def _route_host(system, budget):
     res = full_extension(system, budget)
     if res.outcome != "circular":
         return "pipeline", None, res
+    if not res.verification.ok:
+        raise InvariantError(
+            "reduction check fails: " + "; ".join(res.verification.problems)
+        )
     host = build_host(group, res.circular, res.composed.target.restrictions)
     return "pipeline", host, res
 

@@ -52,7 +52,6 @@ class HostHypergraph:
     group: AbelianGroup
     matrix: IntMatrix
     kernel_matrix: IntMatrix
-    modulus: int
     restrictions: tuple[tuple[Element, ...], ...]
 
     def __post_init__(self):
@@ -89,7 +88,6 @@ def build_host(
         group=group,
         matrix=circular.matrix,
         kernel_matrix=circular.kernel_matrix,
-        modulus=circular.modulus,
         restrictions=tuple(restrictions),
     )
 
@@ -205,7 +203,7 @@ def copy_class_structure(
 
     kernel = host.kernel_matrix.data
     product = host.matrix @ host.kernel_matrix
-    kernel_ok = all(v % host.modulus == 0 for row in product.data for v in row)
+    kernel_ok = all(v % n == 0 for row in product.data for v in row)
     if not kernel_ok:
         problems.append("kernel matrix does not annihilate the system matrix")
 
@@ -288,7 +286,7 @@ def verify_copy_classes(
     k, m = host.arity_base, host.positions
 
     prod_rows = (host.matrix @ host.kernel_matrix).data
-    kernel_ok = all(v % host.modulus == 0 for row in prod_rows for v in row)
+    kernel_ok = all(v % n == 0 for row in prod_rows for v in row)
     if not kernel_ok:
         problems.append("kernel matrix does not annihilate the system matrix")
 

@@ -5,8 +5,10 @@ any one of its coordinate values is deleted, so minimum removal is exact
 hitting set over the solution list, with atoms (coordinate, value).
 Protected coordinates contribute no atoms.  The exact solver and its
 greedy companion both work on the system as given, and on one bitmask
-form of the instance (``_masks``); the `remove` command calls them on the
-input system.  Pulling a removal back from a pipeline target
+form of the instance (``_instance``): greedy reads only which solutions
+each atom kills, and the exact solver adds its own solution-by-solution
+tables for the search.  The `remove` command calls them on the input
+system.  Pulling a removal back from a pipeline target
 (``system.pull_back_removal``) is sound but can cost more than the source
 minimum, so it stays a library demonstration of the transfer argument,
 not a solving route.  Neither solver re-enumerates the system after its
@@ -43,27 +45,6 @@ class RemovalSolution:
     lower_bound: int | None
 
 
-def _atom_sets(solutions, protected, variables):
-    free = [j for j in range(variables) if j not in protected]
-    per_solution = []
-    for x in solutions:
-        atoms = tuple((j, x[j]) for j in free)
-        if not atoms:
-            raise InfeasibleRemovalError(
-                f"solution {x} has every coordinate protected"
-            )
-        per_solution.append(atoms)
-    return per_solution
-
-
-def _check_protected(protected, variables) -> frozenset[int]:
-    out = frozenset(protected)
-    for j in out:
-        if not 0 <= j < variables:
-            raise PreconditionError(f"protected coordinate {j} out of range")
-    return out
-
-
 def _pack(removed_atoms, variables) -> tuple[tuple[Element, ...], ...]:
     sets: list[list[Element]] = [[] for _ in range(variables)]
     for j, v in removed_atoms:
@@ -71,27 +52,31 @@ def _pack(removed_atoms, variables) -> tuple[tuple[Element, ...], ...]:
     return tuple(tuple(sorted(s)) for s in sets)
 
 
-def _masks(per_solution):
-    """Bitmask form of the instance (bit s stands for solution s): the
-    sorted atoms, then hits[i] (killed by atom i), own[s] (the atom
-    indices of s), clash[s] (sharing an atom with s) and stranded[i]
-    (every atom of the solution comes before atom i)."""
-    atoms_sorted = sorted({a for atoms in per_solution for a in atoms})
+def _instance(system: RestrictedSystem, protected, budget: int):
+    """The removal instance in bitmask form (bit s stands for solution s):
+    the sorted atoms, hits[i] (the solutions atom i kills) and own[s] (the
+    atom indices of solution s, ascending).  Protected coordinates give no
+    atoms, so a solution with every coordinate protected is infeasible."""
+    guard = frozenset(protected)
+    for j in guard:
+        if not 0 <= j < system.variables:
+            raise PreconditionError(f"protected coordinate {j} out of range")
+    free = [j for j in range(system.variables) if j not in guard]
+    solutions = enumerate_solutions(system, budget)
+    if solutions and not free:
+        raise InfeasibleRemovalError(
+            f"solution {solutions[0]} has every coordinate protected"
+        )
+    atoms_sorted = sorted({(j, x[j]) for x in solutions for j in free})
     index = {a: i for i, a in enumerate(atoms_sorted)}
     hits = [0] * len(atoms_sorted)
     own = []
-    for s, atoms in enumerate(per_solution):
-        ids = [index[a] for a in atoms]
+    for s, x in enumerate(solutions):
+        ids = [index[j, x[j]] for j in free]
         for i in ids:
             hits[i] |= 1 << s
         own.append(ids)
-    clash = [reduce(or_, (hits[i] for i in ids)) for ids in own]
-    stranded = [0] * (len(hits) + 1)
-    for s, ids in enumerate(own):
-        stranded[max(ids) + 1] |= 1 << s
-    for i in range(1, len(stranded)):
-        stranded[i] |= stranded[i - 1]
-    return atoms_sorted, (hits, own, clash, stranded)
+    return atoms_sorted, hits, own
 
 
 def _disjoint_bound(clash, uncovered: int, cap: int) -> int:
@@ -124,12 +109,13 @@ def _cover_exists(
     solutions in ``uncovered``.
 
     Depth-first on an explicit stack, branching on the atoms of the first
-    uncovered solution; cut by stranded solutions, the packing bound and
-    sets already searched with as much room.  A search that fails records
-    its states in ``failed`` for later calls to skip.  Every state that
-    passes those memo cuts is a node: it takes one packing bound and one
-    memo entry, and it raises BudgetExceededError once the solve's nodes
-    pass the budget, so the memo stays within the budget too.
+    uncovered solution, lowest first; cut by stranded solutions, the
+    packing bound and sets already searched with as much room.  A search
+    that fails records its states in ``failed`` for later calls to skip.
+    Every state that passes those memo cuts is a node: it takes one
+    packing bound and one memo entry, and it raises BudgetExceededError
+    once the solve's nodes pass the budget, so the memo stays within the
+    budget too.
     """
     hits, own, clash, stranded = masks
     seen: dict[int, int] = {}
@@ -151,7 +137,8 @@ def _cover_exists(
         if _disjoint_bound(clash, u, r + 1) > r:
             continue
         pivot = (u & -u).bit_length() - 1
-        for i in own[pivot]:
+        # pushed highest first, so the lowest atom pops first
+        for i in reversed(own[pivot]):
             if i >= lo:
                 stack.append((u & ~hits[i], r - 1))
     for u, r in seen.items():
@@ -173,18 +160,19 @@ def min_removal_exact(
     atoms.  So reruns are reproducible.  The budget bounds the solution
     walk and, separately, the cover-search nodes of the whole solve.
     """
-    guard = _check_protected(protected, system.variables)
-    solutions = enumerate_solutions(system, budget)
-    if not solutions:
-        return RemovalSolution(
-            _pack([], system.variables), 0, True, 0
-        )
-    per_solution = _atom_sets(solutions, guard, system.variables)
-    atoms_sorted, masks = _masks(per_solution)
-    hits, _, clash, _ = masks
-    everything = (1 << len(per_solution)) - 1
+    atoms_sorted, hits, own = _instance(system, protected, budget)
+    # clash[s]: the solutions sharing an atom with s; stranded[i]: those
+    # whose every atom comes before atom i
+    clash = [reduce(or_, (hits[i] for i in ids)) for ids in own]
+    stranded = [0] * (len(hits) + 1)
+    for s, ids in enumerate(own):
+        stranded[ids[-1] + 1] |= 1 << s
+    for i in range(1, len(stranded)):
+        stranded[i] |= stranded[i - 1]
+    masks = (hits, own, clash, stranded)
+    everything = (1 << len(own)) - 1
 
-    root_bound = _disjoint_bound(clash, everything, len(per_solution))
+    root_bound = _disjoint_bound(clash, everything, len(own))
     failed: dict[tuple[int, int], int] = {}
     nodes = _Nodes(budget)
     best = root_bound
@@ -219,14 +207,9 @@ def greedy_removal(
     counted on the bitmask instance; a tie goes to the first atom in
     order, the lowest coordinate and then the lowest value.
     """
-    guard = _check_protected(protected, system.variables)
-    solutions = enumerate_solutions(system, budget)
-    if not solutions:
-        return RemovalSolution(_pack([], system.variables), 0, False, None)
-    per_solution = _atom_sets(solutions, guard, system.variables)
-    atoms_sorted, (hits, _, _, _) = _masks(per_solution)
+    atoms_sorted, hits, own = _instance(system, protected, budget)
     chosen: list[Atom] = []
-    uncovered = (1 << len(per_solution)) - 1
+    uncovered = (1 << len(own)) - 1
     while uncovered:
         counts = [(h & uncovered).bit_count() for h in hits]
         best = counts.index(max(counts))

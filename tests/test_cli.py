@@ -650,6 +650,51 @@ def test_remove_deep_search_in_process(tmp_path):
     assert out["removed"] == [[], [[0], [1]], []]
 
 
+# a child reads its own peak RSS after cli.main; started from a small
+# wrapper, because a child's ru_maxrss starts at the peak of the process
+# that started it, and the test runner's peak is not the command's
+PEAK_RUN = """
+import resource, sys
+from linremoval import cli
+code = cli.main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+WRAPPER = """
+import subprocess, sys
+sys.exit(subprocess.run([sys.executable, "-c", *sys.argv[1:]]).returncode)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB on Linux")
+def test_remove_greedy_memory_grows_with_the_solutions(tmp_path):
+    # x1 + x2 - 2 x3 = 0 over Z211 with full sets: 44,521 solutions; a
+    # table with a bit per pair of solutions would take 248 MB
+    path = tmp_path / "z211.json"
+    full = [[v] for v in range(211)]
+    path.write_text(
+        json.dumps(
+            {
+                "group": {"moduli": [211]},
+                "A": {"rows": 1, "cols": 3, "data": [[1, 1, -2]]},
+                "b": [[0]],
+                "X": [full, full, full],
+            }
+        )
+    )
+    args = ["remove", "--greedy", str(path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", WRAPPER, PEAK_RUN, *args],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report, status = proc.stdout.splitlines()
+    assert json.loads(report)["total_size"] == 211
+    code, peak_kib = map(int, status.split())
+    assert code == 0
+    assert peak_kib < 100 * 1024
+
+
 @given(st.sampled_from([4, 6, 8, 9, 10]), st.data())
 @settings(max_examples=60, deadline=None)
 def test_remove_matches_brute_force_random(n, data):
@@ -988,6 +1033,26 @@ def test_forged_copy_classes_exit_with_the_invariant_code(monkeypatch):
         "kernel matrix does not annihilate the system matrix; "
         "labels from windowed kernel column 0 fail the system"
     )
+
+
+def test_failed_reduction_check_exits_with_the_invariant_code(monkeypatch):
+    # copies and verify host the reduction's target only once its
+    # extension check passed; pipeline reports the failed check and exits 0
+    check = pipeline._verify_extension
+
+    def forged(ext, solutions):
+        return dataclasses.replace(
+            check(ext, solutions), ok=False, problems=["forged", "twice"]
+        )
+
+    monkeypatch.setattr(pipeline, "_verify_extension", forged)
+    path = fixture("sys_z11_2x4.json")
+    failed = invariant_error("reduction check fails: forged; twice")
+    assert main_result(["copies", path]) == failed
+    assert main_result(["verify", path]) == failed
+    code, out, err = main_result(["pipeline", path])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verification"]["ok"] is False
 
 
 def test_budget_env_variable():

@@ -161,7 +161,6 @@ def raw_host(host, rows):
         group=host.group,
         matrix=host.matrix,
         kernel_matrix=IntMatrix(rows),
-        modulus=host.modulus,
         restrictions=host.restrictions,
     )
 
@@ -554,7 +553,7 @@ def test_built_kernels_pass_the_window_rule():
         assert all(rows[i][j] == 0 for i, j in outside)
         assert raw_host(host, rows) == host
         i, j = rng.choice(outside)
-        rows[i][j] = rng.randrange(1, 4 * host.modulus)
+        rows[i][j] = rng.randrange(1, 4 * host.group.order)
         with pytest.raises(PreconditionError):
             raw_host(host, rows)
         built += 1
@@ -652,7 +651,6 @@ def test_verify_catches_corrupted_kernel():
         group=host.group,
         matrix=host.matrix,
         kernel_matrix=IntMatrix(rows),
-        modulus=host.modulus,
         restrictions=host.restrictions,
     )
     report = verify_copy_classes(corrupted, copies, sols)

@@ -4,10 +4,10 @@ A removal deletes values from restriction sets.  Each solution dies when
 any one of its coordinate values is deleted, so minimum removal is exact
 hitting set over the solution list, with atoms (coordinate, value).
 Protected coordinates contribute no atoms.  The exact solver and its
-greedy companion both work on the system as given, and on one bitmask
-form of the instance (``_instance``): greedy reads only which solutions
-each atom kills, and the exact solver adds its own solution-by-solution
-tables for the search.  The `remove` command calls them on the input
+greedy companion both work on the system as given, and on one form of
+the instance (``_instance``), each solution's atoms: greedy keeps a live
+count per atom from it, and the exact solver builds its bitmask tables
+for the search.  The `remove` command calls them on the input
 system.  Pulling a removal back from a pipeline target
 (``system.pull_back_removal``) is sound but can cost more than the source
 minimum, so it stays a library demonstration of the transfer argument,
@@ -53,10 +53,9 @@ def _pack(removed_atoms, variables) -> tuple[tuple[Element, ...], ...]:
 
 
 def _instance(system: RestrictedSystem, protected, budget: int):
-    """The removal instance in bitmask form (bit s stands for solution s):
-    the sorted atoms, hits[i] (the solutions atom i kills) and own[s] (the
-    atom indices of solution s, ascending).  Protected coordinates give no
-    atoms, so a solution with every coordinate protected is infeasible."""
+    """The removal instance: the sorted atoms and own[s], the atom indices
+    of solution s, ascending.  Protected coordinates give no atoms, so a
+    solution with every coordinate protected is infeasible."""
     guard = frozenset(protected)
     for j in guard:
         if not 0 <= j < system.variables:
@@ -69,14 +68,8 @@ def _instance(system: RestrictedSystem, protected, budget: int):
         )
     atoms_sorted = sorted({(j, x[j]) for x in solutions for j in free})
     index = {a: i for i, a in enumerate(atoms_sorted)}
-    hits = [0] * len(atoms_sorted)
-    own = []
-    for s, x in enumerate(solutions):
-        ids = [index[j, x[j]] for j in free]
-        for i in ids:
-            hits[i] |= 1 << s
-        own.append(ids)
-    return atoms_sorted, hits, own
+    own = [[index[j, x[j]] for j in free] for x in solutions]
+    return atoms_sorted, own
 
 
 def _disjoint_bound(clash, uncovered: int, cap: int) -> int:
@@ -160,9 +153,14 @@ def min_removal_exact(
     atoms.  So reruns are reproducible.  The budget bounds the solution
     walk and, separately, the cover-search nodes of the whole solve.
     """
-    atoms_sorted, hits, own = _instance(system, protected, budget)
-    # clash[s]: the solutions sharing an atom with s; stranded[i]: those
-    # whose every atom comes before atom i
+    atoms_sorted, own = _instance(system, protected, budget)
+    # bit s stands for solution s.  hits[i]: the solutions atom i kills;
+    # clash[s]: those sharing an atom with s; stranded[i]: those whose
+    # every atom comes before atom i
+    hits = [0] * len(atoms_sorted)
+    for s, ids in enumerate(own):
+        for i in ids:
+            hits[i] |= 1 << s
     clash = [reduce(or_, (hits[i] for i in ids)) for ids in own]
     stranded = [0] * (len(hits) + 1)
     for s, ids in enumerate(own):
@@ -203,16 +201,28 @@ def greedy_removal(
 ) -> RemovalSolution:
     """Most-first greedy removal; feasible whenever the exact solver is.
 
-    Each round takes the atom that kills the most solutions still alive,
-    counted on the bitmask instance; a tie goes to the first atom in
-    order, the lowest coordinate and then the lowest value.
+    Each round takes the atom that kills the most solutions still alive;
+    a tie goes to the first atom in order, the lowest coordinate and then
+    the lowest value.  counts[i], the live solutions atom i kills, is kept
+    as it goes: a solution that dies takes one off each of its atoms.
     """
-    atoms_sorted, hits, own = _instance(system, protected, budget)
+    atoms_sorted, own = _instance(system, protected, budget)
+    counts = [0] * len(atoms_sorted)
+    kills: list[list[int]] = [[] for _ in atoms_sorted]
+    for s, ids in enumerate(own):
+        for i in ids:
+            counts[i] += 1
+            kills[i].append(s)
+    alive = [True] * len(own)
+    left = len(own)
     chosen: list[Atom] = []
-    uncovered = (1 << len(own)) - 1
-    while uncovered:
-        counts = [(h & uncovered).bit_count() for h in hits]
+    while left:
         best = counts.index(max(counts))
         chosen.append(atoms_sorted[best])
-        uncovered &= ~hits[best]
+        for s in kills[best]:
+            if alive[s]:
+                alive[s] = False
+                left -= 1
+                for i in own[s]:
+                    counts[i] -= 1
     return RemovalSolution(_pack(chosen, system.variables), len(chosen), False, None)

@@ -21,6 +21,9 @@ from .errors import BudgetExceededError, InvariantError, PreconditionError
 from .intmat import IntMatrix, smith_invariants_mod
 
 DEFAULT_BUDGET = 10_000_000
+# the solution walk takes its trailing free coordinates in one batch while
+# their set sizes multiply to at most this (see _pivot_walk)
+LEAF_BATCH = 4096
 
 Solution = tuple[Element, ...]
 
@@ -186,7 +189,8 @@ def enumerate_solutions(
     (see ``_unit_pivots``); only the other, free coordinates are walked, the
     pivots are solved for and rows without a unit pivot are checked (see
     ``_pivot_walk``).  The free coordinates are walked smallest set first,
-    so the last one, whose values are taken in one batch, has the largest.
+    so the last one has the largest; it and the trailing ones before it
+    whose sets multiply to at most ``LEAF_BATCH`` are taken in one batch.
     The candidate count, the product of the walked sets, is compared
     against the budget before any work happens.
     """
@@ -197,8 +201,8 @@ def enumerate_solutions(
 
 def count_solutions(system: RestrictedSystem, budget: int = DEFAULT_BUDGET) -> int:
     """The number of solutions: the walk of ``enumerate_solutions``, under
-    the same budget pre-check, adding up each leaf node's survivors instead
-    of building and sorting their tuples."""
+    the same budget pre-check, adding up the survivors of each leaf batch
+    instead of building and sorting their tuples."""
     return _walk(system, budget, count=True)
 
 
@@ -239,26 +243,32 @@ def _pivot_walk(group, sets, pivots, rows, rhs, free, count):
     carries per pivot row and cyclic factor the partial sum
     rhs_i - sum a_ij x_j of the free coordinates set so far, as plain
     integers reduced only inside a test and when a solution is emitted.
-    Above the last free coordinate each value gets one body: the
-    restricted pivot rows whose value it fixes are tested, so a failing
-    branch is cut before it is walked further, and its partial sums are
-    pushed.  The last free coordinate, the leaf, is taken in one batch per
-    node.  The products c_i * v of each row with every leaf value are
-    formed once, before the walk; at a node, one comprehension per row and
-    factor gives that row's value for every leaf value still standing, and
-    each row due at the leaf keeps those whose value lies in its set.  The
-    survivors' solutions are zipped from their coordinates' columns, each
-    tuple built once; a count only adds up how many survive.
+    The leaf takes the trailing free coordinates in one batch: the longest
+    run whose set sizes multiply to at most ``LEAF_BATCH``, and always the
+    last one.  Above it each value gets one body: the restricted pivot rows
+    whose value it fixes are tested, so a failing branch is cut before it
+    is walked further, and its partial sums are pushed.  Per row, the sums
+    c_i . v of the batch's values are formed once, before the walk, for
+    every combination in product order; at a node, one comprehension per
+    row and factor gives that row's value for every combination still
+    standing, and each row due inside the batch keeps those whose value
+    lies in its set.  The survivors' solutions are zipped from their
+    coordinates' columns, each tuple built once; a count only adds up how
+    many survive.
     """
     mods, order = group.moduli, group.order
     k = len(pivots)
     # the walk starts at a virtual coordinate with a zero column and the
     # one value zero: rows that no free coordinate touches fall due there,
-    # and a system without free coordinates has it as its leaf
+    # and it joins any batch that holds every free coordinate
     cols = [[0] * k] + [[row[j] for row in rows] for j in free]
     walked = [(group.zero,)] + [sets[j] for j in free]
     depth = len(cols)
-    leaf = depth - 1
+    # the leaf sits at depth b and takes walked coordinates b, b + 1, ...
+    b, size = depth - 1, len(walked[-1])
+    while b and size * len(walked[b - 1]) <= LEAF_BATCH:
+        b -= 1
+        size *= len(walked[b])
     acc = [[v[f] for v in rhs] for f in range(len(mods))]
     # due[d]: the restricted rows whose value is fixed once the first d
     # walked coordinates are set
@@ -267,37 +277,69 @@ def _pivot_walk(group, sets, pivots, rows, rhs, free, count):
         if p is None or len(sets[p]) < order:
             last = max((d + 1 for d in range(depth) if cols[d][i]), default=1)
             due[last].append((i, frozenset([group.zero] if p is None else sets[p])))
-    leaf_set = walked[leaf]
-    # per row and factor, c_i * v_f for every leaf value v; None for a row
-    # the leaf does not touch, whose value is the same for all of them
-    leaf_prods = [
-        [[c * v[f] for v in leaf_set] for f in range(len(mods))] if c else None
-        for c in cols[leaf]
-    ]
+    leaf_due = [check for d in range(b + 1, depth + 1) for check in due[d]]
+    # the batch's values in the order an interior walk pops them: the last
+    # coordinate's ascending, the others' descending
+    batch = [walked[w][::-1] for w in range(b, depth - 1)] + [walked[-1]]
 
-    def row_values(i, acc, idx):
-        """Row i's value for each leaf value indexed by idx."""
-        prods = leaf_prods[i]
-        if prods is None:
-            return repeat(tuple([a[i] % q for a, q in zip(acc, mods)]), len(idx))
-        return zip(
-            *[[(a[i] - ps[t]) % q for t in idx] for a, ps, q in zip(acc, prods, mods)]
-        )
+    def sums(i, f):
+        """Factor f of c_i . v for every combination v of batch values."""
+        cur = [0]
+        for w, xs in enumerate(batch, b):
+            c = cols[w][i]
+            ps = [c * v[f] for v in xs]
+            cur = [x + p for x in cur for p in ps]
+        return cur
 
     # a leaf node's columns come as the pivot rows', the free values of
-    # its prefix past the virtual one, then the leaf's (unused when the
-    # leaf is the virtual one); place lists them in coordinate order
+    # its prefix past the virtual one, then the batch's past it; place
+    # lists them in coordinate order
     out_rows = [i for i, p in enumerate(pivots) if p is not None]
     slot = {pivots[i]: s for s, i in enumerate(out_rows)}
     slot.update((j, len(out_rows) + d) for d, j in enumerate(free))
     place = [slot[j] for j in range(len(sets))]
+    # per row read at the leaf and factor, the batch sums; None for a row
+    # the batch does not touch, whose value is the same for all of them
+    read = {i for i, _ in leaf_due}
+    if not count:
+        read.update(out_rows)
+    leaf_prods = [
+        [sums(i, f) for f in range(len(mods))]
+        if i in read and any(cols[w][i] for w in range(b, depth))
+        else None
+        for i in range(k)
+    ]
+
+    def row_values(i, acc, idx):
+        """Row i's value for each batch combination indexed by idx."""
+        prods = leaf_prods[i]
+        if prods is None:
+            return repeat(tuple([a[i] % q for a, q in zip(acc, mods)]), len(idx))
+        here = zip([a[i] for a in acc], prods, mods)
+        if len(idx) == size:
+            return zip(*[[(h - p) % q for p in ps] for h, ps, q in here])
+        return zip(*[[(h - ps[t]) % q for t in idx] for h, ps, q in here])
+
+    # a listing's batch value columns, in product order: each value
+    # repeated for the combinations after it, the whole tiled for those
+    # before; the virtual coordinate's is dropped
+    leaf_cols = []
+    if not count:
+        before = 1
+        for xs in batch:
+            after = size // (before * len(xs))
+            runs = chain.from_iterable(map(repeat, xs, repeat(after)))
+            leaf_cols.append(list(runs) * before)
+            before *= len(xs)
+        if not b:
+            del leaf_cols[0]
     sols: list[Solution] = []
     total = 0
     stack = [(acc, ())]
     while stack:
         acc, prefix = stack.pop()
         d = len(prefix)
-        if d < leaf:
+        if d < b:
             col, checks = cols[d], due[d + 1]
             for v in walked[d]:
                 for i, members in checks:
@@ -313,9 +355,9 @@ def _pivot_walk(group, sets, pivots, rows, rhs, free, count):
                     ]
                     stack.append((step, prefix + (v,)))
             continue
-        # idx: the leaf values whose rows due so far lie in their sets
-        idx = range(len(leaf_set))
-        for i, members in due[depth]:
+        # idx: the batch combinations whose rows due so far lie in their sets
+        idx = range(size)
+        for i, members in leaf_due:
             values = row_values(i, acc, idx)
             idx = list(compress(idx, map(members.__contains__, values)))
             if not idx:
@@ -327,7 +369,10 @@ def _pivot_walk(group, sets, pivots, rows, rhs, free, count):
             else:
                 columns = [row_values(i, acc, idx) for i in out_rows]
                 columns += [repeat(v, n) for v in prefix[1:]]
-                columns.append([leaf_set[t] for t in idx])
+                if n == size:
+                    columns += leaf_cols
+                else:
+                    columns += [[col[t] for t in idx] for col in leaf_cols]
                 sols.extend(zip(*[columns[s] for s in place]))
     return total if count else sols
 

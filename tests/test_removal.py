@@ -5,7 +5,7 @@ import random
 from dataclasses import astuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from linremoval import (
     AbelianGroup,
@@ -13,6 +13,7 @@ from linremoval import (
     InfeasibleRemovalError,
     IntMatrix,
     PreconditionError,
+    RemovalSolution,
     RestrictedSystem,
     count_solutions,
     enumerate_solutions,
@@ -261,6 +262,56 @@ def test_greedy_respects_protection():
     assert res.removed[0] == ()
     assert res.removed[1] == ()
     assert removal_kills(sys_, res.removed)
+
+
+def recounting_greedy(system, protected=()):
+    # reference: each round recounts every atom's live solutions from
+    # bitmasks (bit s for solution s) and takes the first atom of most
+    sols = enumerate_solutions(system)
+    free = [j for j in range(system.variables) if j not in protected]
+    atoms = sorted({(j, x[j]) for x in sols for j in free})
+    hits = [
+        sum(1 << s for s, x in enumerate(sols) if x[j] == v) for j, v in atoms
+    ]
+    chosen = []
+    uncovered = (1 << len(sols)) - 1
+    while uncovered:
+        counts = [(h & uncovered).bit_count() for h in hits]
+        best = counts.index(max(counts))
+        chosen.append(atoms[best])
+        uncovered &= ~hits[best]
+    removed = tuple(
+        tuple(sorted(v for j, v in chosen if j == c)) for c in range(system.variables)
+    )
+    return RemovalSolution(removed, len(chosen), False, None)
+
+
+@seed(307)
+@given(st.sampled_from([(5,), (6,), (7,), (8,), (9,), (12,), (2, 4), (3, 5)]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_greedy_matches_the_recounting_greedy(moduli, data):
+    # live counts kept as solutions die give the same removal, tie for
+    # tie, as counts taken afresh each round, with and without protection
+    g = AbelianGroup(moduli)
+    elements = g.elements()
+    m = data.draw(st.integers(2, 4))
+    k = data.draw(st.integers(1, min(m - 1, 2)))
+    rows = data.draw(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    rhs = tuple(data.draw(st.sampled_from(elements)) for _ in range(k))
+    sets = tuple(
+        tuple(data.draw(st.sets(st.sampled_from(elements), min_size=1)))
+        for _ in range(m)
+    )
+    sys_ = RestrictedSystem(g, IntMatrix(rows), rhs, sets)
+    protected = tuple(data.draw(st.sets(st.integers(0, m - 1), max_size=m - 1)))
+    for shield in ((), protected):
+        assert greedy_removal(sys_, shield) == recounting_greedy(sys_, shield)
 
 
 # ------------------------------------------------------- randomized oracle

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,7 @@ from linremoval import (
     remove_elements,
     verify_extension,
 )
+from linremoval import system as system_module
 from linremoval.jsonio import decode_system, load_file
 from linremoval.pipeline import _identity_form
 from linremoval.system import (
@@ -350,12 +353,18 @@ def test_enumerate_budget_precheck():
     assert count_solutions(sys_, budget=25) == 25
 
 
+# leaf batches of the last free coordinate alone, of a few trailing ones,
+# and of every free coordinate
+LEAF_BATCHES = [1, 64, 10**9]
+
+
 @given(
+    st.sampled_from(LEAF_BATCHES),
     st.sampled_from([(2,), (3,), (4,), (5,), (6,), (9,), (2, 4), (3, 5), (2, 2)]),
     st.data(),
 )
-@settings(max_examples=80, deadline=None)
-def test_enumeration_matches_oracle_random(moduli, data):
+@settings(max_examples=240, deadline=None)
+def test_enumeration_matches_oracle_random(leaf_batch, moduli, data):
     # coefficients of any sign over cyclic, composite and multi-factor
     # groups: some systems are solved for unit pivots, the rest walk the
     # whole product
@@ -376,15 +385,17 @@ def test_enumeration_matches_oracle_random(moduli, data):
         for _ in range(m)
     )
     sys_ = RestrictedSystem(g, IntMatrix(entries), rhs, sets)
-    assert enumerate_solutions(sys_) == brute_solutions(sys_)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(system_module, "LEAF_BATCH", leaf_batch)
+        assert enumerate_solutions(sys_) == brute_solutions(sys_)
 
 
 COUNT_GROUPS = [(2,), (3,), (4,), (6,), (8,), (9,), (12,), (2, 4), (2, 6), (3, 5)]
 
 
-@given(st.sampled_from(COUNT_GROUPS), st.data())
-@settings(max_examples=150, deadline=None)
-def test_count_matches_enumeration(moduli, data):
+@given(st.sampled_from(LEAF_BATCHES), st.sampled_from(COUNT_GROUPS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_count_matches_enumeration(leaf_batch, moduli, data):
     # the counting walk against the listing, coefficients with zero
     # divisors so composite exponents leave check rows; at a drawn budget
     # both succeed, or both raise the same budget error
@@ -405,22 +416,56 @@ def test_count_matches_enumeration(moduli, data):
         for _ in range(m)
     )
     sys_ = RestrictedSystem(g, IntMatrix(entries), rhs, sets)
-    assert count_solutions(sys_) == len(enumerate_solutions(sys_))
     budget = data.draw(st.integers(1, max(1, math.prod(map(len, sets)))))
-    try:
-        listed = enumerate_solutions(sys_, budget)
-    except BudgetExceededError as e:
-        with pytest.raises(BudgetExceededError) as counted:
-            count_solutions(sys_, budget)
-        assert str(counted.value) == str(e)
-    else:
-        assert count_solutions(sys_, budget) == len(listed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(system_module, "LEAF_BATCH", leaf_batch)
+        assert count_solutions(sys_) == len(enumerate_solutions(sys_))
+        try:
+            listed = enumerate_solutions(sys_, budget)
+        except BudgetExceededError as e:
+            with pytest.raises(BudgetExceededError) as counted:
+                count_solutions(sys_, budget)
+            assert str(counted.value) == str(e)
+        else:
+            assert count_solutions(sys_, budget) == len(listed)
 
 
-def test_count_matches_enumeration_with_check_rows():
+# a child prints the count and its own peak RSS; it is started from a
+# small wrapper, because a child's ru_maxrss starts at the peak of the
+# process that started it, and the test runner's peak is not the count's
+COUNT_PEAK = """
+import resource
+from linremoval import AbelianGroup, IntMatrix, RestrictedSystem, count_solutions
+g = AbelianGroup([1009])
+sys_ = RestrictedSystem(g, IntMatrix([[1, 1, -2]]), ((0,),), (g.elements(),) * 3)
+print(count_solutions(sys_), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+WRAPPER = """
+import subprocess, sys
+sys.exit(subprocess.run([sys.executable, "-c", sys.argv[1]]).returncode)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB on Linux")
+def test_count_memory_stays_small_past_the_leaf_batch():
+    # x1 + x2 - 2 x3 = 0 over Z1009 with full sets: the two free
+    # coordinates' product of 1,018,081 is past LEAF_BATCH, so the leaf
+    # batches the last one alone; a batch of both would hold a sum per
+    # combination and peak near 63 MB
+    proc = subprocess.run(
+        [sys.executable, "-c", WRAPPER, COUNT_PEAK], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, peak_kib = map(int, proc.stdout.split())
+    assert count == 1009**2
+    assert peak_kib < 40 * 1024
+
+
+def test_count_matches_enumeration_with_check_rows(monkeypatch):
     # rows left without a unit pivot under composite exponents, alone or
-    # beside a pivot row, restricted or not: the count is the listing's
-    # length and the budget stops both at the walked product
+    # beside a pivot row, restricted or not, at every leaf batch: the count
+    # is the listing's length and the budget stops both at the walked
+    # product
     cases = [
         ((6,), [[2, 3]], [(5,)]),
         ((4,), [[2, 2, 0]], [(2,)]),
@@ -439,18 +484,20 @@ def test_count_matches_enumeration_with_check_rows():
             sys_ = RestrictedSystem(g, IntMatrix(rows), tuple(rhs), sets)
             pivots, _, _ = _unit_pivots(sys_)
             assert None in pivots, moduli
-            listed = enumerate_solutions(sys_)
-            assert listed == brute_solutions(sys_)
-            assert count_solutions(sys_) == len(listed)
             walked = math.prod(
                 len(sys_.restrictions[j])
                 for j in range(sys_.variables)
                 if j not in pivots
             )
-            assert count_solutions(sys_, walked) == len(listed)
-            for listing in (enumerate_solutions, count_solutions):
-                with pytest.raises(BudgetExceededError, match=f"^{walked} candidates"):
-                    listing(sys_, walked - 1)
+            for leaf_batch in LEAF_BATCHES:
+                monkeypatch.setattr(system_module, "LEAF_BATCH", leaf_batch)
+                listed = enumerate_solutions(sys_)
+                assert listed == brute_solutions(sys_)
+                assert count_solutions(sys_) == len(listed)
+                assert count_solutions(sys_, walked) == len(listed)
+                for listing in (enumerate_solutions, count_solutions):
+                    with pytest.raises(BudgetExceededError, match=f"^{walked} candidates"):
+                        listing(sys_, walked - 1)
 
 
 @given(st.sampled_from([(2,), (4,), (5,), (6,), (9,), (12,), (60,), (2, 6), (3, 5)]), st.data())
@@ -597,9 +644,9 @@ def test_pivot_walk_matches_oracles_on_random_systems():
         seen["empty"] += any(not xs for xs in sys_.restrictions)
         seen["z1"] += 1 in g.moduli
         sols = enumerate_solutions(sys_)
-        # the leaf is the free coordinate with the largest set, walked last;
-        # without one, the walk's virtual coordinate is the leaf and every
-        # restricted row falls due there
+        # the leaf's batch always holds the free coordinate with the
+        # largest set, walked last; without one, the walk's virtual
+        # coordinate is the leaf and every restricted row falls due there
         free = sorted(
             (j for j in range(m) if j not in pivots),
             key=lambda j: len(sys_.restrictions[j]),

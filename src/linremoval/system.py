@@ -14,15 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, product, repeat
 
 from .abelian import AbelianGroup, Element
 from .errors import BudgetExceededError, InvariantError, PreconditionError
 from .intmat import IntMatrix, smith_invariants_mod
 
 DEFAULT_BUDGET = 10_000_000
-# the solution walk takes its trailing free coordinates in one batch while
-# their set sizes multiply to at most this (see _pivot_walk)
+# the solution walk cuts its free coordinates into levels whose set sizes
+# multiply to at most this, a level of one larger set excepted (see _pivot_walk)
 LEAF_BATCH = 4096
 
 Solution = tuple[Element, ...]
@@ -189,8 +189,8 @@ def enumerate_solutions(
     (see ``_unit_pivots``); only the other, free coordinates are walked, the
     pivots are solved for and rows without a unit pivot are checked (see
     ``_pivot_walk``).  The free coordinates are walked smallest set first,
-    so the last one has the largest; it and the trailing ones before it
-    whose sets multiply to at most ``LEAF_BATCH`` are taken in one batch.
+    cut from the last one into levels whose sets multiply to at most
+    ``LEAF_BATCH``, each level's combinations taken in one batch per node.
     The candidate count, the product of the walked sets, is compared
     against the budget before any work happens.
     """
@@ -201,7 +201,7 @@ def enumerate_solutions(
 
 def count_solutions(system: RestrictedSystem, budget: int = DEFAULT_BUDGET) -> int:
     """The number of solutions: the walk of ``enumerate_solutions``, under
-    the same budget pre-check, adding up the survivors of each leaf batch
+    the same budget pre-check, adding up the survivors of its last level
     instead of building and sorting their tuples."""
     return _walk(system, budget, count=True)
 
@@ -243,137 +243,118 @@ def _pivot_walk(group, sets, pivots, rows, rhs, free, count):
     carries per pivot row and cyclic factor the partial sum
     rhs_i - sum a_ij x_j of the free coordinates set so far, as plain
     integers reduced only inside a test and when a solution is emitted.
-    The leaf takes the trailing free coordinates in one batch: the longest
-    run whose set sizes multiply to at most ``LEAF_BATCH``, and always the
-    last one.  Above it each value gets one body: the restricted pivot rows
-    whose value it fixes are tested, so a failing branch is cut before it
-    is walked further, and its partial sums are pushed.  Per row, the sums
-    c_i . v of the batch's values are formed once, before the walk, for
-    every combination in product order; at a node, one comprehension per
-    row and factor gives that row's value for every combination still
-    standing, and each row due inside the batch keeps those whose value
-    lies in its set.  The survivors' solutions are zipped from their
-    coordinates' columns, each tuple built once; a count only adds up how
-    many survive.
+    The free coordinates are cut into levels from the last one: each level
+    is the longest run whose set sizes multiply to at most ``LEAF_BATCH``,
+    and holds at least one coordinate.  Per level and row, the sums c_i . v
+    of the level's values are formed once, before the walk, for every
+    combination in product order, and a listing takes the level's value
+    columns.  Every node has one body: one comprehension per row and factor
+    gives that row's value for every combination still standing, and each
+    restricted pivot row or check row that falls due in the level keeps
+    those whose value lies in its set.  An inner level pushes each
+    survivor's partial sums; the last level adds up its survivors, or zips
+    their solutions from their coordinates' columns, each tuple built once.
     """
     mods, order = group.moduli, group.order
+    r = len(mods)
     k = len(pivots)
     # the walk starts at a virtual coordinate with a zero column and the
-    # one value zero: rows that no free coordinate touches fall due there,
-    # and it joins any batch that holds every free coordinate
+    # one value zero: rows that no free coordinate touches fall due there
     cols = [[0] * k] + [[row[j] for row in rows] for j in free]
     walked = [(group.zero,)] + [sets[j] for j in free]
-    depth = len(cols)
-    # the leaf sits at depth b and takes walked coordinates b, b + 1, ...
-    b, size = depth - 1, len(walked[-1])
-    while b and size * len(walked[b - 1]) <= LEAF_BATCH:
-        b -= 1
-        size *= len(walked[b])
-    acc = [[v[f] for v in rhs] for f in range(len(mods))]
-    # due[d]: the restricted rows whose value is fixed once the first d
-    # walked coordinates are set
-    due: list[list] = [[] for _ in range(depth + 1)]
+    # the level cuts, found from the back; the virtual coordinate joins the
+    # first level whatever its size
+    cuts = [len(walked)]
+    while cuts[-1]:
+        start = cuts[-1] - 1
+        size = len(walked[start])
+        while start and (start == 1 or size * len(walked[start - 1]) <= LEAF_BATCH):
+            start -= 1
+            size *= len(walked[start])
+        cuts.append(start)
+    cuts.reverse()
+    level_of = [lv for lv, (lo, hi) in enumerate(zip(cuts, cuts[1:])) for _ in range(lo, hi)]
+    last = len(cuts) - 2
+    # the level each restricted row falls due in, the one holding the last
+    # coordinate that touches it, and the last level reading each row: a
+    # listing reads every row at the last level
+    checks: list[list] = [[] for _ in range(last + 1)]
+    read = [-1 if count else last] * k
     for i, p in enumerate(pivots):
         if p is None or len(sets[p]) < order:
-            last = max((d + 1 for d in range(depth) if cols[d][i]), default=1)
-            due[last].append((i, frozenset([group.zero] if p is None else sets[p])))
-    leaf_due = [check for d in range(b + 1, depth + 1) for check in due[d]]
-    # the batch's values in the order an interior walk pops them: the last
-    # coordinate's ascending, the others' descending
-    batch = [walked[w][::-1] for w in range(b, depth - 1)] + [walked[-1]]
+            at = level_of[max((d for d in range(len(walked)) if cols[d][i]), default=0)]
+            checks[at].append((i, frozenset([group.zero] if p is None else sets[p])))
+            read[i] = max(read[i], at)
 
-    def sums(i, f):
-        """Factor f of c_i . v for every combination v of batch values."""
+    def sums(i, f, ws):
+        """Factor f of c_i . v for every combination v of the coordinates ws."""
         cur = [0]
-        for w, xs in enumerate(batch, b):
+        for w in ws:
             c = cols[w][i]
-            ps = [c * v[f] for v in xs]
+            ps = [c * v[f] for v in walked[w]]
             cur = [x + p for x in cur for p in ps]
         return cur
 
-    # a leaf node's columns come as the pivot rows', the free values of
-    # its prefix past the virtual one, then the batch's past it; place
-    # lists them in coordinate order
+    levels = []
+    for lv, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        ws = range(lo, hi)
+        zeros = [0] * math.prod(len(walked[w]) for w in ws)
+        # one table per row and factor, lane i * r + f; a row the level
+        # does not touch, or that no level from here on reads, gets zeros,
+        # so its partial sum stays as it is or is never read again
+        tables = [
+            sums(i, f, ws) if lv <= read[i] and any(cols[w][i] for w in ws) else zeros
+            for i in range(k)
+            for f in range(r)
+        ]
+        # a listing's value columns, the virtual coordinate's left out
+        columns = [] if count else list(zip(*product(*walked[max(lo, 1) : hi])))
+        levels.append((len(zeros), checks[lv], tables, columns))
+
+    def row_values(i, acc, tables, idx):
+        """Row i's value for each of the level's combinations in idx."""
+        lanes = slice(i * r, i * r + r)
+        here = zip(acc[lanes], tables[lanes], mods)
+        if len(idx) == len(tables[i * r]):
+            return zip(*[[(h - p) % q for p in ps] for h, ps, q in here])
+        return zip(*[[(h - ps[t]) % q for t in idx] for h, ps, q in here])
+
+    # a solution's columns come as the pivot rows', the free values of the
+    # levels above the last, then the last level's; place lists them in
+    # coordinate order
     out_rows = [i for i, p in enumerate(pivots) if p is not None]
     slot = {pivots[i]: s for s, i in enumerate(out_rows)}
     slot.update((j, len(out_rows) + d) for d, j in enumerate(free))
     place = [slot[j] for j in range(len(sets))]
-    # per row read at the leaf and factor, the batch sums; None for a row
-    # the batch does not touch, whose value is the same for all of them
-    read = {i for i, _ in leaf_due}
-    if not count:
-        read.update(out_rows)
-    leaf_prods = [
-        [sums(i, f) for f in range(len(mods))]
-        if i in read and any(cols[w][i] for w in range(b, depth))
-        else None
-        for i in range(k)
-    ]
-
-    def row_values(i, acc, idx):
-        """Row i's value for each batch combination indexed by idx."""
-        prods = leaf_prods[i]
-        if prods is None:
-            return repeat(tuple([a[i] % q for a, q in zip(acc, mods)]), len(idx))
-        here = zip([a[i] for a in acc], prods, mods)
-        if len(idx) == size:
-            return zip(*[[(h - p) % q for p in ps] for h, ps, q in here])
-        return zip(*[[(h - ps[t]) % q for t in idx] for h, ps, q in here])
-
-    # a listing's batch value columns, in product order: each value
-    # repeated for the combinations after it, the whole tiled for those
-    # before; the virtual coordinate's is dropped
-    leaf_cols = []
-    if not count:
-        before = 1
-        for xs in batch:
-            after = size // (before * len(xs))
-            runs = chain.from_iterable(map(repeat, xs, repeat(after)))
-            leaf_cols.append(list(runs) * before)
-            before *= len(xs)
-        if not b:
-            del leaf_cols[0]
     sols: list[Solution] = []
     total = 0
-    stack = [(acc, ())]
+    stack = [(0, [v[f] for v in rhs for f in range(r)], ())]
     while stack:
-        acc, prefix = stack.pop()
-        d = len(prefix)
-        if d < b:
-            col, checks = cols[d], due[d + 1]
-            for v in walked[d]:
-                for i, members in checks:
-                    coeff = col[i]
-                    if (
-                        tuple([(a[i] - coeff * r) % q for a, r, q in zip(acc, v, mods)])
-                        not in members
-                    ):
-                        break
-                else:
-                    step = [
-                        [a - c * r for a, c in zip(af, col)] for af, r in zip(acc, v)
-                    ]
-                    stack.append((step, prefix + (v,)))
-            continue
-        # idx: the batch combinations whose rows due so far lie in their sets
+        lv, acc, prefix = stack.pop()
+        size, due, tables, columns = levels[lv]
+        # idx: the level's combinations whose rows due in it lie in their sets
         idx = range(size)
-        for i, members in leaf_due:
-            values = row_values(i, acc, idx)
+        for i, members in due:
+            values = row_values(i, acc, tables, idx)
             idx = list(compress(idx, map(members.__contains__, values)))
             if not idx:
                 break
         else:
-            n = len(idx)
-            if count:
-                total += n
+            if lv < last:
+                for t in idx:
+                    step = [a - ps[t] for a, ps in zip(acc, tables)]
+                    stack.append((lv + 1, step, prefix + tuple([c[t] for c in columns])))
+            elif count:
+                total += len(idx)
             else:
-                columns = [row_values(i, acc, idx) for i in out_rows]
-                columns += [repeat(v, n) for v in prefix[1:]]
+                n = len(idx)
+                out = [row_values(i, acc, tables, idx) for i in out_rows]
+                out += [repeat(v, n) for v in prefix]
                 if n == size:
-                    columns += leaf_cols
+                    out += columns
                 else:
-                    columns += [[col[t] for t in idx] for col in leaf_cols]
-                sols.extend(zip(*[columns[s] for s in place]))
+                    out += [[c[t] for t in idx] for c in columns]
+                sols.extend(zip(*[out[s] for s in place]))
     return total if count else sols
 
 
@@ -387,8 +368,6 @@ def _thin_witness(
     """
     if not sols:
         return ThinWitness(coordinate=0, value=None)
-    if len(sols) == 1:
-        return ThinWitness(coordinate=0, value=sols[0][0])
     for j in range(system.variables):
         first = sols[0][j]
         if all(x[j] == first for x in sols):

@@ -1,0 +1,140 @@
+"""Metamorphic properties of the commands: an input changed by a transform
+whose effect on the solutions is known gives the known answer.
+
+Each transform maps the solutions of A x = b, x_j in X_j, one to one onto
+those of the transformed system, so ``solve`` must report the same count
+and rows that are the images of the original rows.  The transforms act on
+the system's JSON form here, outside ``src/``, and every command runs
+through ``cli.main`` in process.  Both transforms can move the walk's pivot
+choice and its order of free coordinates; the transformed system is also
+solved under a drawn cap on the walk's levels, so the two listings come
+from different level cuts.
+"""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from linremoval import cli
+from linremoval import system as system_module
+
+GROUPS = [(5,), (6,), (7,), (8,), (9,), (11,), (2, 4), (3, 5), (2, 6)]
+# a level per free coordinate, a few per level, and the default
+LEVEL_CAPS = [1, 64, system_module.LEAF_BATCH]
+
+
+def elements(moduli):
+    out = [()]
+    for q in moduli:
+        out = [e + (v,) for e in out for v in range(q)]
+    return out
+
+
+@st.composite
+def systems(draw):
+    # sets are the whole group or a drawn subset, so pivots are solved for
+    # on some rows and tested on others; the product of all sets is kept
+    # small enough that every listing stays inside the default budget
+    moduli = draw(st.sampled_from(GROUPS))
+    group = elements(moduli)
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, min(m, 3)))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    rhs = [draw(st.sampled_from(group)) for _ in range(k)]
+    sets = [
+        group
+        if draw(st.booleans())
+        else sorted(draw(st.sets(st.sampled_from(group), min_size=1)))
+        for _ in range(m)
+    ]
+    if math.prod(map(len, sets)) > 60_000:
+        sets[-1] = sets[-1][:1]
+    return {"moduli": list(moduli), "A": rows, "b": rhs, "X": sets}
+
+
+def solve(system, cap=system_module.LEAF_BATCH):
+    # the solve report's count and rows, each row a tuple of elements,
+    # with the walk's levels capped at cap
+    doc = {
+        "group": {"moduli": system["moduli"]},
+        "A": {"rows": len(system["A"]), "cols": len(system["X"]), "data": system["A"]},
+        "b": [list(v) for v in system["b"]],
+        "X": [[list(v) for v in xs] for xs in system["X"]],
+    }
+    buf = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "system.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(buf), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(system_module, "LEAF_BATCH", cap)
+            assert cli.main(["solve", str(path)]) == 0
+    out = json.loads(buf.getvalue())
+    rows = [tuple(tuple(v) for v in row) for row in out["solutions"]]
+    assert out["count"] == len(rows)
+    return rows
+
+
+def permute(system, perm):
+    # new coordinate j carries old coordinate perm[j], with its set
+    return {
+        **system,
+        "A": [[row[p] for p in perm] for row in system["A"]],
+        "X": [system["X"][p] for p in perm],
+    }
+
+
+def translate(system, t):
+    # b becomes b - A t, and X_j becomes X_j - t_j
+    mods = system["moduli"]
+
+    def sub(x, y, c=1):
+        return tuple((a - c * b) % q for a, b, q in zip(x, y, mods))
+
+    rhs = []
+    for row, b in zip(system["A"], system["b"]):
+        for c, tj in zip(row, t):
+            b = sub(b, tj, c)
+        rhs.append(b)
+    return {
+        **system,
+        "b": rhs,
+        "X": [sorted({sub(x, tj) for x in xs}) for xs, tj in zip(system["X"], t)],
+    }
+
+
+@seed(12)
+@given(systems(), st.sampled_from(LEVEL_CAPS), st.randoms(use_true_random=False))
+@settings(max_examples=400, deadline=None)
+def test_solve_follows_a_permutation_of_the_coordinates(system, cap, rng):
+    m = len(system["X"])
+    perm = rng.sample(range(m), m)
+    rows = solve(system)
+    assert solve(permute(system, perm), cap) == sorted(
+        tuple(x[p] for p in perm) for x in rows
+    )
+
+
+@seed(12)
+@given(systems(), st.sampled_from(LEVEL_CAPS), st.data())
+@settings(max_examples=400, deadline=None)
+def test_solve_follows_a_translation(system, cap, data):
+    group = elements(system["moduli"])
+    t = [data.draw(st.sampled_from(group)) for _ in system["X"]]
+    mods = system["moduli"]
+    rows = solve(system)
+    assert solve(translate(system, t), cap) == sorted(
+        tuple(tuple((a - b) % q for a, b, q in zip(v, tj, mods)) for v, tj in zip(x, t))
+        for x in rows
+    )

@@ -353,8 +353,8 @@ def test_enumerate_budget_precheck():
     assert count_solutions(sys_, budget=25) == 25
 
 
-# leaf batches of the last free coordinate alone, of a few trailing ones,
-# and of every free coordinate
+# level caps that give each free coordinate a level of its own (sets of
+# one element aside), a few coordinates per level, and one level for all
 LEAF_BATCHES = [1, 64, 10**9]
 
 
@@ -449,9 +449,9 @@ sys.exit(subprocess.run([sys.executable, "-c", sys.argv[1]]).returncode)
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB on Linux")
 def test_count_memory_stays_small_past_the_leaf_batch():
     # x1 + x2 - 2 x3 = 0 over Z1009 with full sets: the two free
-    # coordinates' product of 1,018,081 is past LEAF_BATCH, so the leaf
-    # batches the last one alone; a batch of both would hold a sum per
-    # combination and peak near 63 MB
+    # coordinates' product of 1,018,081 is past LEAF_BATCH, so each is a
+    # level of its own; one level of both would hold a sum per combination
+    # and peak near 63 MB
     proc = subprocess.run(
         [sys.executable, "-c", WRAPPER, COUNT_PEAK], capture_output=True, text=True
     )
@@ -463,7 +463,7 @@ def test_count_memory_stays_small_past_the_leaf_batch():
 
 def test_count_matches_enumeration_with_check_rows(monkeypatch):
     # rows left without a unit pivot under composite exponents, alone or
-    # beside a pivot row, restricted or not, at every leaf batch: the count
+    # beside a pivot row, restricted or not, at every level cap: the count
     # is the listing's length and the budget stops both at the walked
     # product
     cases = [
@@ -602,17 +602,37 @@ def test_pivot_walk_matches_pivot_loop_on_circular_targets():
     assert solutions > 0
 
 
-def test_pivot_walk_matches_oracles_on_random_systems():
+def level_cuts(sizes, cap):
+    # oracle: the walk's levels as lists of walked indices, 0 for the
+    # virtual coordinate and w for the free one with the w-th smallest set
+    # (sizes[w - 1]), cut from the back by a plain scan; each level is the
+    # longest run whose sizes multiply to at most cap, holds at least one
+    # free coordinate, and the first also holds the virtual one
+    levels, run = [], []
+    for w in range(len(sizes), 0, -1):
+        if run and math.prod(sizes[v - 1] for v in run) * sizes[w - 1] > cap:
+            levels.append(run)
+            run = []
+        run.insert(0, w)
+    if run:
+        levels.append(run)
+    levels.reverse()
+    return [[0] + levels[0] if levels else [0]] + levels[1:]
+
+
+def test_pivot_walk_matches_oracles_on_random_systems(monkeypatch):
     # small systems of every shape, coefficients with many zeros so that
     # restricted rows fall due at every depth of the walk; compared with the
-    # old pivot loop and, where the product is small, the product scan.
-    # Zero divisors in the composite groups leave rows without a unit pivot,
-    # which are walked as check rows, alone or beside real pivots
+    # old pivot loop and, where the product is small, the product scan, at
+    # every level cap.  Zero divisors in the composite groups leave rows
+    # without a unit pivot, which are walked as check rows, alone or beside
+    # real pivots
     rng = random.Random(7)
     groups = [(2,), (5,), (6,), (7,), (9,), (1,), (1, 5), (3, 1), (2, 4), (3, 5)]
     seen = dict.fromkeys(
         ["non-leading", "square", "mixed", "empty", "z1", "check", "check-mixed", "scanned"]
-        + ["leaf-pivot", "leaf-check", "virtual-leaf", "one-variable", "multi-factor-leaf"],
+        + ["last-pivot", "last-check", "virtual-level", "one-variable", "multi-factor"]
+        + ["inner-level"],
         0,
     )
     for _ in range(400):
@@ -643,30 +663,44 @@ def test_pivot_walk_matches_oracles_on_random_systems():
         seen["mixed"] += any(full) and not all(full)
         seen["empty"] += any(not xs for xs in sys_.restrictions)
         seen["z1"] += 1 in g.moduli
-        sols = enumerate_solutions(sys_)
-        # the leaf's batch always holds the free coordinate with the
-        # largest set, walked last; without one, the walk's virtual
-        # coordinate is the leaf and every restricted row falls due there
+        expected = pivot_loop_solutions(sys_)
+        if math.prod(map(len, sys_.restrictions)) <= 20_000:
+            assert expected == brute_solutions(sys_)
+            seen["scanned"] += 1
+        # walked index 0 is the virtual coordinate, w > 0 the free one
+        # with the w-th smallest set; a restricted row falls due in the
+        # level of the last walked coordinate that touches it
         free = sorted(
             (j for j in range(m) if j not in pivots),
             key=lambda j: len(sys_.restrictions[j]),
         )
-        at_leaf = [
-            p
+        due = [
+            (p, max((w for w, j in enumerate(free, 1) if row[j]), default=0))
             for row, p in zip(reduced, pivots)
-            if (p is None or len(sys_.restrictions[p]) < g.order)
-            and (not free or row[free[-1]])
+            if p is None or len(sys_.restrictions[p]) < g.order
         ]
-        if all(sys_.restrictions):
-            seen["leaf-pivot"] += any(p is not None for p in at_leaf)
-            seen["leaf-check"] += None in at_leaf
-            seen["virtual-leaf"] += not free
+        for leaf_batch in LEAF_BATCHES:
+            monkeypatch.setattr(system_module, "LEAF_BATCH", leaf_batch)
+            sols = enumerate_solutions(sys_)
+            assert sols == expected
+            assert count_solutions(sys_) == len(expected)
+            if not all(sys_.restrictions):
+                continue
+            levels = level_cuts([len(sys_.restrictions[j]) for j in free], leaf_batch)
+            # the last level always holds the free coordinate with the
+            # largest set; without one, the virtual coordinate is the only
+            # level and every restricted row falls due there
+            at_last = [p for p, w in due if w in levels[-1]]
+            seen["last-pivot"] += any(p is not None for p in at_last)
+            seen["last-check"] += None in at_last
+            seen["virtual-level"] += not free
             seen["one-variable"] += m == 1
-            seen["multi-factor-leaf"] += len(g.moduli) > 1 and bool(free) and bool(sols)
-        assert sols == pivot_loop_solutions(sys_)
-        if math.prod(map(len, sys_.restrictions)) <= 20_000:
-            assert sols == brute_solutions(sys_)
-            seen["scanned"] += 1
+            seen["multi-factor"] += len(g.moduli) > 1 and bool(free) and bool(sols)
+            seen["inner-level"] += any(
+                w in level and len(level) - (0 in level) >= 2
+                for _, w in due
+                for level in levels[:-1]
+            )
     assert all(seen.values()), seen
 
 

@@ -150,6 +150,20 @@ def encode_copies(copies, m: int) -> JSONText:
     return JSONText(("[" + ",".join([row] * len(copies)) + "]") % tuple(texts))
 
 
+def _elements(raw: list, group: AbelianGroup, where: str, *index: int) -> tuple:
+    """The elements of one list, checked but not reduced.  A list of
+    lists of ``rank`` plain ints passes one test for the whole list; only
+    a list that fails it is read element by element by ``_residues``, which
+    also takes decimal strings and names the first bad element."""
+    if (
+        {*map(type, raw)} <= {list}
+        and {*map(len, raw)} <= {group.rank}
+        and {*map(type, chain.from_iterable(raw))} <= {int}
+    ):
+        return tuple(map(tuple, raw))
+    return tuple([_residues(v, group, where, *index, j) for j, v in enumerate(raw)])
+
+
 def _residues(obj, group: AbelianGroup, where: str, *index: int) -> tuple[int, ...]:
     """The integers of one element, checked but not reduced.  A list of
     ``rank`` plain ints passes one test; the element's label, ``where``
@@ -190,7 +204,7 @@ def decode_system(obj, where: str = "system") -> RestrictedSystem:
     b = obj["b"]
     if not isinstance(b, list) or len(b) != matrix.rows:
         raise SchemaError(f"{where}.b: expected {matrix.rows} elements")
-    rhs = tuple([_residues(v, group, f"{where}.b", i) for i, v in enumerate(b)])
+    rhs = _elements(b, group, f"{where}.b")
     xs = obj["X"]
     if not isinstance(xs, list) or len(xs) != matrix.cols:
         raise SchemaError(f"{where}.X: expected {matrix.cols} restriction sets")
@@ -199,9 +213,7 @@ def decode_system(obj, where: str = "system") -> RestrictedSystem:
     for i, raw in enumerate(xs):
         if not isinstance(raw, list):
             raise SchemaError(f"{label}[{i}]: expected an array of elements")
-        sets.append(
-            tuple([_residues(v, group, label, i, j) for j, v in enumerate(raw)])
-        )
+        sets.append(_elements(raw, group, label, i))
     return RestrictedSystem(group, matrix, rhs, tuple(sets))
 
 

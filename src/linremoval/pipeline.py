@@ -52,9 +52,9 @@ from .system import (
     _identity_prefix,
     _thin_witness,
     _verify_extension,
+    _walk,
     compose_extensions,
     count_solutions,
-    enumerate_solutions,
 )
 
 
@@ -362,7 +362,8 @@ def circularize(system: RestrictedSystem, modulus: int) -> Extension:
     zero_rhs = tuple(group.zero for _ in range(tall))
     target = RestrictedSystem(group, tmat, zero_rhs, tuple(new_sets))
     value_maps = {
-        j: {v: v for v in target.restrictions[j]} for j in coord_map
+        j: dict(zip(target.restrictions[j], target.restrictions[j]))
+        for j in coord_map
     }
     return Extension(
         source=system,
@@ -457,7 +458,7 @@ def _standard_extension(
         source=system,
         target=target,
         coord_map=dict(enumerate(order)),
-        value_maps={t: {v: v for v in xs} for t, xs in enumerate(sets)},
+        value_maps={t: dict(zip(xs, xs)) for t, xs in enumerate(sets)},
     )
 
 
@@ -508,13 +509,15 @@ def full_extension(
     or when the search uses up the budget, the identity form is padded by
     circularize into the paper's general target.
 
-    Only the input and the final target are listed, once each: the input's
-    solutions serve its stage count, the thinness test, the translation
-    witness, the translate stage when the input is already homogeneous, and
-    the source side of the verification; the final target's serve its
-    stage count and the target side.  The translate and identity-form
-    stages are counted by ``count_solutions``, which lists nothing, and all
-    stage counts must agree.
+    Only the input and the final target are listed, once each, in the
+    walk's own order: no report shows either listing, so neither is
+    sorted.  The input's solutions serve its stage count, the thinness
+    test, the translation witness (their least), the translate stage when
+    the input is already homogeneous, and the source side of the
+    verification; the final target's serve its stage count and the target
+    side.  The translate and identity-form stages are counted by
+    ``count_solutions``, which lists nothing, and all stage counts must
+    agree.
     The final system is built into a CircularSystem, whose kernel
     construction checks that the target is circular, and the composed
     extension is verified exhaustively (``verification``).
@@ -524,7 +527,7 @@ def full_extension(
             "determinantal divisor shares a factor with the group order"
         )
     n = system.group.order
-    source_sols = enumerate_solutions(system, budget)
+    source_sols = _walk(system, budget, count=False)
     stages = [_stage("input", system, len(source_sols))]
 
     witness = _thin_witness(system, source_sols)
@@ -568,7 +571,7 @@ def full_extension(
         last = circularize(step.target, n)
         chain = [translated, step, last]
         name, extra = "circular", {}
-    target_sols = enumerate_solutions(last.target, budget)
+    target_sols = _walk(last.target, budget, count=False)
     stages.append(_stage(name, last.target, len(target_sols), modulus=n, **extra))
 
     counts = {st["solutions"] for st in stages}

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import repeat
 from operator import or_
 
 from .abelian import Element
@@ -55,21 +56,33 @@ def _pack(removed_atoms, variables) -> tuple[tuple[Element, ...], ...]:
 def _instance(system: RestrictedSystem, protected, budget: int):
     """The removal instance: the sorted atoms and own[s], the atom indices
     of solution s, ascending.  Protected coordinates give no atoms, so a
-    solution with every coordinate protected is infeasible."""
+    solution with every coordinate protected is infeasible.
+
+    The instance is read off the solutions' columns: a free coordinate's
+    atoms are the sorted values of its column, and own is the zip of the
+    columns mapped to atom indices."""
     guard = frozenset(protected)
     for j in guard:
         if not 0 <= j < system.variables:
             raise PreconditionError(f"protected coordinate {j} out of range")
     free = [j for j in range(system.variables) if j not in guard]
     solutions = enumerate_solutions(system, budget)
-    if solutions and not free:
+    if not solutions:
+        return [], []
+    if not free:
         raise InfeasibleRemovalError(
             f"solution {solutions[0]} has every coordinate protected"
         )
-    atoms_sorted = sorted({(j, x[j]) for x in solutions for j in free})
-    index = {a: i for i, a in enumerate(atoms_sorted)}
-    own = [[index[j, x[j]] for j in free] for x in solutions]
-    return atoms_sorted, own
+    columns = list(zip(*solutions))
+    atoms_sorted: list[Atom] = []
+    indexed = []
+    for j in free:
+        values = sorted({*columns[j]})
+        start = len(atoms_sorted)
+        atoms_sorted.extend(zip(repeat(j), values))
+        index = dict(zip(values, range(start, len(atoms_sorted))))
+        indexed.append(map(index.__getitem__, columns[j]))
+    return atoms_sorted, list(zip(*indexed))
 
 
 def _disjoint_bound(clash, uncovered: int, cap: int) -> int:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, product, repeat
+from operator import itemgetter
 
 from .abelian import AbelianGroup, Element
 from .errors import BudgetExceededError, InvariantError, PreconditionError
@@ -123,8 +124,8 @@ def identity_extension(system: RestrictedSystem) -> Extension:
     return Extension(
         source=system,
         target=system,
-        coord_map={j: j for j in coords},
-        value_maps={j: {v: v for v in system.restrictions[j]} for j in coords},
+        coord_map=dict(zip(coords, coords)),
+        value_maps={j: dict(zip(xs, xs)) for j, xs in enumerate(system.restrictions)},
     )
 
 
@@ -361,7 +362,8 @@ def _pivot_walk(group, sets, pivots, rows, rhs, free, count):
 def _thin_witness(
     system: RestrictedSystem, sols: list[Solution]
 ) -> ThinWitness | None:
-    """A coordinate constant across the given solutions, if any.
+    """A coordinate constant across the given solutions, in any order, if
+    any.
 
     Systems with at most one solution are thin by convention: the witness
     names the first coordinate, with a None value when no solution exists.
@@ -376,23 +378,27 @@ def _thin_witness(
 
 
 def _homogenize(system: RestrictedSystem, sols: list[Solution]) -> Extension:
-    """Translate by the least of the given solutions, sorted, so the
-    right-hand side becomes zero: each restriction set shifts by its
-    coordinate and the value maps undo the shift.  A homogeneous system
-    gets the identity extension, whose target is the system itself.
+    """Translate by the least of the given solutions, which may come in any
+    order, so the right-hand side becomes zero: each restriction set shifts
+    by its coordinate and the value maps undo the shift.  A homogeneous
+    system gets the identity extension, whose target is the system itself.
     Raises PreconditionError when there is nothing to translate by."""
     if system.is_homogeneous():
         return identity_extension(system)
     if not sols:
         raise PreconditionError("system has no solutions")
-    witness = sols[0]
+    witness = min(sols)
     group = system.group
     zero_rhs = tuple(group.zero for _ in range(system.equations))
     coords = tuple(range(system.variables))
-    value_maps = {
-        j: {group.subtract(v, witness[j]): v for v in xs}
-        for j, xs in enumerate(system.restrictions)
-    }
+    # as RestrictedSystem reduces: per set, one comprehension per cyclic
+    # factor shifts that factor's residues, and zip puts the shifted
+    # elements back together as the keys of the set's value map
+    value_maps = {}
+    for j, (xs, w) in enumerate(zip(system.restrictions, witness)):
+        factors = zip(zip(*xs), w, group.moduli)
+        shifted = [[(a - t) % q for a in col] for col, t, q in factors]
+        value_maps[j] = dict(zip(zip(*shifted), xs))
     # RestrictedSystem sorts each shifted set
     target = RestrictedSystem(
         group, system.matrix, zero_rhs, [tuple(value_maps[j]) for j in coords]
@@ -400,7 +406,7 @@ def _homogenize(system: RestrictedSystem, sols: list[Solution]) -> Extension:
     return Extension(
         source=system,
         target=target,
-        coord_map={j: j for j in coords},
+        coord_map=dict(zip(coords, coords)),
         value_maps=value_maps,
     )
 
@@ -426,21 +432,27 @@ def verify_extension(
     coordinates must range over the whole group, the structural maps must be
     well formed, and projecting the target solutions must hit the source
     solutions bijectively.  Any violation lands in ``problems`` with a
-    counterexample where one exists.
+    counterexample where one exists.  Both sides are listed as the pipeline
+    lists them, unsorted (see ``_verify_extension``).
     """
     return _verify_extension(
         ext,
         lambda: (
-            enumerate_solutions(ext.source, budget),
-            enumerate_solutions(ext.target, budget),
+            _walk(ext.source, budget, count=False),
+            _walk(ext.target, budget, count=False),
         ),
     )
 
 
 def _verify_extension(ext: Extension, solutions) -> ExtensionReport:
-    """verify_extension, with ``solutions()`` giving the sorted source and
-    target solution lists; it is called only once the structure is well
-    formed, so a malformed extension is never enumerated."""
+    """verify_extension, with ``solutions()`` giving the source and target
+    solution lists in any order; it is called only once the structure is
+    well formed, so a malformed extension is never enumerated.
+
+    The target listing is projected one column per source slot, and the
+    image set is compared with the source set; only a projection that is
+    not a bijection sorts the target listing, so its problem names the
+    first counterexample in lexicographic order."""
     problems: list[str] = []
     src, tgt = ext.source, ext.target
 
@@ -476,12 +488,11 @@ def _verify_extension(ext: Extension, solutions) -> ExtensionReport:
             problems.append(f"coordinate map sends {j} to {s}, out of range")
             continue
         vmap = ext.value_maps.get(j)
-        if vmap is None or set(vmap.keys()) != set(tgt.restrictions[j]):
+        if vmap is None or vmap.keys() != set(tgt.restrictions[j]):
             structure_ok = False
             problems.append(f"value map at {j} does not cover its restriction set")
             continue
-        allowed = set(src.restrictions[s])
-        if any(v not in allowed for v in vmap.values()):
+        if not set(src.restrictions[s]).issuperset(vmap.values()):
             structure_ok = False
             problems.append(f"value map at {j} leaves the source restriction set")
 
@@ -491,32 +502,18 @@ def _verify_extension(ext: Extension, solutions) -> ExtensionReport:
         ssols, tsols = solutions()
         source_count, target_count = len(ssols), len(tsols)
         # the structure checks make coord_map a bijection onto the source
-        # coordinates, so each source slot has one target index and value
-        # map, and a projection needs no coverage check
-        plan = sorted((s, j, ext.value_maps[j]) for j, s in ext.coord_map.items())
-        images = [tuple([vmap[y[j]] for _, j, vmap in plan]) for y in tsols]
-        sset = set(ssols)
-        bijection_ok = True
-        for y, x in zip(tsols, images):
-            if x not in sset:
-                bijection_ok = False
-                problems.append(f"target solution {y} projects to non-solution {x}")
-                break
-        image_set = set(images)
-        if bijection_ok and len(image_set) != len(images):
-            bijection_ok = False
-            seen: dict[Solution, Solution] = {}
-            for y, x in zip(tsols, images):
-                if x in seen:
-                    problems.append(
-                        f"target solutions {seen[x]} and {y} collide on {x}"
-                    )
-                    break
-                seen[x] = y
-        if bijection_ok and image_set != sset:
-            bijection_ok = False
-            missing = min(sset - image_set)
-            problems.append(f"source solution {missing} has no preimage")
+        # coordinates, so each source slot has one target column and value
+        # map, and a projection needs no coverage check; only the mapped
+        # target columns are read
+        slots = [
+            map(ext.value_maps[j].__getitem__, map(itemgetter(j), tsols))
+            for _, j in sorted((s, j) for j, s in ext.coord_map.items())
+        ]
+        images = list(zip(*slots))
+        sset, image_set = set(ssols), set(images)
+        bijection_ok = image_set == sset and len(image_set) == len(images)
+        if not bijection_ok:
+            problems.append(_bijection_problem(sorted(zip(tsols, images)), sset))
 
     return ExtensionReport(
         ok=dimension_ok and full_group_ok and structure_ok and bijection_ok,
@@ -530,6 +527,23 @@ def _verify_extension(ext: Extension, solutions) -> ExtensionReport:
     )
 
 
+def _bijection_problem(pairs, sset) -> str:
+    """The first failure of a projection that is not a bijection onto the
+    source solutions ``sset``, over its (target solution, image) pairs in
+    target order: an image that is no solution, else two targets with one
+    image, else the least source solution without a preimage."""
+    for y, x in pairs:
+        if x not in sset:
+            return f"target solution {y} projects to non-solution {x}"
+    seen: dict[Solution, Solution] = {}
+    for y, x in pairs:
+        if x in seen:
+            return f"target solutions {seen[x]} and {y} collide on {x}"
+        seen[x] = y
+    missing = min(sset.difference(seen))
+    return f"source solution {missing} has no preimage"
+
+
 def compose_extensions(first: Extension, second: Extension) -> Extension:
     """Compose source -> mid -> far into a single source -> far extension."""
     if second.source != first.target:
@@ -539,13 +553,11 @@ def compose_extensions(first: Extension, second: Extension) -> Extension:
         for j, mid in second.coord_map.items()
         if mid in first.coord_map
     }
-    value_maps = {
-        j: {
-            v: first.value_maps[second.coord_map[j]][w]
-            for v, w in second.value_maps[j].items()
-        }
-        for j in coord_map
-    }
+    value_maps = {}
+    for j in coord_map:
+        vmap = second.value_maps[j]
+        outer = first.value_maps[second.coord_map[j]].__getitem__
+        value_maps[j] = dict(zip(vmap.keys(), map(outer, vmap.values())))
     return Extension(
         source=first.source,
         target=second.target,
@@ -562,6 +574,10 @@ def remove_elements(
         raise PreconditionError("removal sets do not match the variable count")
     new_sets = []
     for xs, gone in zip(system.restrictions, removed):
+        if not gone:
+            # nothing removed: the set stays as it is
+            new_sets.append(xs)
+            continue
         dropped = {system.group.reduce(v) for v in gone}
         new_sets.append(tuple(v for v in xs if v not in dropped))
     return RestrictedSystem(system.group, system.matrix, system.rhs, tuple(new_sets))

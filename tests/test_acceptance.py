@@ -508,6 +508,9 @@ def cli_runs():
         ("copies", "--full", "--human", fx("sys_z3z5_1x4.json")),
         ("copies", "--full", "--human", fx("sys_z7_2x4.json")),
         ("pipeline", "--trace", fx("sys_z6_full.json")),
+        # non-homogeneous inputs: the translation witness shifts the host sets
+        ("copies", "--full", fx("sys_z3z5_restricted.json")),
+        ("copies", "--full", fx("sys_z11_2x4.json")),
         # usage errors: exit 2 with a JSON error, like any other input error
         (),
         ("nonsense", fx("matrix_2x2.json")),

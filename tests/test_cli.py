@@ -293,11 +293,14 @@ def shape(sys_, budget=None):
 def test_pipeline_enumerates_each_system_once(count_calls, name, stages):
     # only the input and the final target are listed, once each: the
     # thinness test, the translation and the verification reuse those
-    # lists; the translate and identity-form stages are counted, not listed
-    enumerated = count_calls(system, "enumerate_solutions", shape)
+    # lists; the translate and identity-form stages are counted, not listed.
+    # The pipeline lists by the walk itself, unsorted, and every listing or
+    # count goes through it, so its calls without count are the listings
+    walks = count_calls(system, "_walk", lambda s, b, count: (*shape(s), count))
     counted = count_calls(system, "count_solutions", shape)
     out = main_json(["pipeline", fixture(name)])
     assert out["verification"]["ok"]
+    enumerated = [walk[:3] for walk in walks if not walk[3]]
     assert (enumerated, counted) == stages
 
 
@@ -931,11 +934,11 @@ def test_pipeline_checks_survive_optimized_mode():
     script = """
 path = sys.argv[1]
 run("pipeline", path)
-pad, walk = pipeline.n_good_padding, pipeline.enumerate_solutions
+pad, walk = pipeline.n_good_padding, pipeline._walk
 pipeline.n_good_padding = lambda m, n: IntMatrix(pad(m, n).data + pad(m, n).data[-1:])
 run("pipeline", path)
 pipeline.n_good_padding = pad
-pipeline.enumerate_solutions = lambda s, b: walk(s, b)[1:] if s.equations == 93 else walk(s, b)
+pipeline._walk = lambda s, b, count: walk(s, b, count)[1:] if s.equations == 93 else walk(s, b, count)
 run("pipeline", path)
 """
     path = fixture("sys_z6_full.json")

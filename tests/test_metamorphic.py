@@ -3,7 +3,9 @@ whose effect on the solutions is known gives the known answer.
 
 Each transform maps the solutions of A x = b, x_j in X_j, one to one onto
 those of the transformed system, so ``solve`` must report the same count
-and rows that are the images of the original rows.  The transforms act on
+and rows that are the images of the original rows, and ``pipeline`` the
+same outcome, the same solution count at every stage and the same verdict
+of its extension check (or the same error).  The transforms act on
 the system's JSON form here, outside ``src/``, and every command runs
 through ``cli.main`` in process.  Both transforms can move the walk's pivot
 choice and its order of free coordinates; the transformed system is also
@@ -64,26 +66,46 @@ def systems(draw):
     return {"moduli": list(moduli), "A": rows, "b": rhs, "X": sets}
 
 
-def solve(system, cap=system_module.LEAF_BATCH):
-    # the solve report's count and rows, each row a tuple of elements,
-    # with the walk's levels capped at cap
+def run(command, system, cap=system_module.LEAF_BATCH):
+    # the exit code and the report, or on failure the JSON error, of one
+    # command on the system, with the walk's levels capped at cap
     doc = {
         "group": {"moduli": system["moduli"]},
         "A": {"rows": len(system["A"]), "cols": len(system["X"]), "data": system["A"]},
         "b": [list(v) for v in system["b"]],
         "X": [[list(v) for v in xs] for xs in system["X"]],
     }
-    buf = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "system.json"
         path.write_text(json.dumps(doc))
-        with contextlib.redirect_stdout(buf), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(system_module, "LEAF_BATCH", cap)
-            assert cli.main(["solve", str(path)]) == 0
-    out = json.loads(buf.getvalue())
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(system_module, "LEAF_BATCH", cap)
+                code = cli.main([command, str(path)])
+    return code, json.loads(out.getvalue() or err.getvalue())
+
+
+def solve(system, cap=system_module.LEAF_BATCH):
+    # the solve report's count and rows, each row a tuple of elements
+    code, out = run("solve", system, cap)
+    assert code == 0
     rows = [tuple(tuple(v) for v in row) for row in out["solutions"]]
     assert out["count"] == len(rows)
     return rows
+
+
+def pipeline(system, cap=system_module.LEAF_BATCH):
+    # what a transform keeps of the pipeline report: the outcome, each
+    # stage's name and solution count, and the verification's verdict
+    # (None for an outcome without one); a failure keeps its exit code and
+    # error kind
+    code, out = run("pipeline", system, cap)
+    if code:
+        return code, out["error"]["kind"]
+    stages = [(st["stage"], st["solutions"]) for st in out["stages"]]
+    verdict = out["verification"]["ok"] if "verification" in out else None
+    return code, out["outcome"], stages, verdict
 
 
 def permute(system, perm):
@@ -138,3 +160,25 @@ def test_solve_follows_a_translation(system, cap, data):
         tuple(tuple((a - b) % q for a, b, q in zip(v, tj, mods)) for v, tj in zip(x, t))
         for x in rows
     )
+
+
+@seed(12)
+@given(systems(), st.sampled_from(LEVEL_CAPS), st.randoms(use_true_random=False))
+@settings(max_examples=400, deadline=None)
+def test_pipeline_follows_a_permutation_of_the_coordinates(system, cap, rng):
+    m = len(system["X"])
+    perm = rng.sample(range(m), m)
+    report = pipeline(system)
+    assert report[-1] is not False
+    assert pipeline(permute(system, perm), cap) == report
+
+
+@seed(12)
+@given(systems(), st.sampled_from(LEVEL_CAPS), st.data())
+@settings(max_examples=400, deadline=None)
+def test_pipeline_follows_a_translation(system, cap, data):
+    group = elements(system["moduli"])
+    t = [data.draw(st.sampled_from(group)) for _ in system["X"]]
+    report = pipeline(system)
+    assert report[-1] is not False
+    assert pipeline(translate(system, t), cap) == report

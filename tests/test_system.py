@@ -37,6 +37,7 @@ from linremoval.system import (
     _identity_prefix,
     _thin_witness,
     _unit_pivots,
+    _verify_extension,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -959,6 +960,75 @@ def test_verify_extension_catches_missing_preimage():
     assert not report.ok
     assert (report.source_count, report.target_count) == (3, 2)
     assert report.problems == ["source solution ((2,), (1,)) has no preimage"]
+
+
+def shuffled_reports(ext, draws=20):
+    # the report from sorted listings, and from seeded shuffles of both
+    src, tgt = enumerate_solutions(ext.source), enumerate_solutions(ext.target)
+    rng = random.Random(30)
+    shuffles = []
+    for _ in range(draws):
+        src_order, tgt_order = src[:], tgt[:]
+        rng.shuffle(src_order)
+        rng.shuffle(tgt_order)
+        shuffles.append(_verify_extension(ext, lambda: (src_order, tgt_order)))
+    return _verify_extension(ext, lambda: (src, tgt)), shuffles
+
+
+def test_verify_extension_names_the_same_counterexample_on_shuffled_listings():
+    # the check takes its listings in any order and sorts the target's only
+    # when the projection fails, so each failure kind names the first
+    # counterexample in lexicographic order, as on sorted listings
+    g = z(5)
+    line = RestrictedSystem(g, IntMatrix([[1, 1]]), ((0,),), full_sets(g, 2))
+    pinned = RestrictedSystem(g, IntMatrix([[1, 0]]), ((0,),), full_sets(g, 2))
+    short = RestrictedSystem(
+        g, IntMatrix([[1, 1]]), ((0,),), (((0,), (1,), (2,)), g.elements())
+    )
+    ident = identity_extension(line).value_maps
+    shifted = {**ident, 0: {(v,): ((v + 1) % 5,) for v in range(5)}}
+    collapsed = {
+        **identity_extension(pinned).value_maps,
+        1: {(v,): (v - v % 2,) for v in range(5)},
+    }
+    cases = [
+        (
+            forged_extension(line, line, shifted),
+            "target solution ((0,), (0,)) projects to non-solution ((1,), (0,))",
+        ),
+        (
+            forged_extension(pinned, pinned, collapsed),
+            "target solutions ((0,), (0,)) and ((0,), (1,)) collide on ((0,), (0,))",
+        ),
+        (
+            forged_extension(line, short, identity_extension(short).value_maps),
+            "source solution ((3,), (2,)) has no preimage",
+        ),
+    ]
+    for ext, problem in cases:
+        report, shuffles = shuffled_reports(ext)
+        assert report.structure_ok and not report.bijection_ok
+        assert report.problems == [problem]
+        assert all(other == report for other in shuffles)
+    report, shuffles = shuffled_reports(identity_extension(line))
+    assert report.ok and all(other == report for other in shuffles)
+
+
+def test_translation_takes_the_least_solution_of_a_shuffled_listing():
+    g = z(6)
+    sys_ = RestrictedSystem(
+        g,
+        IntMatrix([[1, 2]]),
+        ((3,),),
+        (((0,), (1,), (3,)), ((0,), (1,), (3,), (4,))),
+    )
+    sols = enumerate_solutions(sys_)
+    rng = random.Random(30)
+    for _ in range(10):
+        order = sols[:]
+        rng.shuffle(order)
+        assert _homogenize(sys_, order) == _homogenize(sys_, sols)
+        assert _thin_witness(sys_, order) == _thin_witness(sys_, sols)
 
 
 def test_compose_extensions():

@@ -51,9 +51,6 @@ class AbelianGroup:
             )
         return tuple(int(v) % m for v, m in zip(vec, self.moduli))
 
-    def subtract(self, x: Element, y: Element) -> Element:
-        return tuple((a - b) % m for a, b, m in zip(x, y, self.moduli))
-
     def scale(self, c: int, x: Element) -> Element:
         return tuple((c * a) % m for a, m in zip(x, self.moduli))
 

@@ -290,7 +290,7 @@ def _identity_form(system: RestrictedSystem) -> tuple[Extension, tuple[int, ...]
     new_sets.extend([group.elements()] * (m - k))
 
     zero_rhs = tuple(group.zero for _ in range(m))
-    target = RestrictedSystem(group, target_matrix, zero_rhs, tuple(new_sets))
+    target = RestrictedSystem._built(group, target_matrix, zero_rhs, tuple(new_sets))
     ext = Extension(
         source=system,
         target=target,
@@ -360,7 +360,7 @@ def circularize(system: RestrictedSystem, modulus: int) -> Extension:
         coord_map[tall + j] = k + j
 
     zero_rhs = tuple(group.zero for _ in range(tall))
-    target = RestrictedSystem(group, tmat, zero_rhs, tuple(new_sets))
+    target = RestrictedSystem._built(group, tmat, zero_rhs, tuple(new_sets))
     value_maps = {
         j: dict(zip(target.restrictions[j], target.restrictions[j]))
         for j in coord_map
@@ -451,7 +451,7 @@ def _standard_extension(
     """
     permuted = [[row[c] for c in order] for row in system.matrix.data]
     sets = tuple(system.restrictions[c] for c in order)
-    target = RestrictedSystem(
+    target = RestrictedSystem._built(
         system.group, IntMatrix(_eliminate_mod(permuted, modulus)), system.rhs, sets
     )
     return Extension(

@@ -20,9 +20,7 @@ the one check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import repeat
-from operator import or_
 
 from .abelian import Element
 from .errors import BudgetExceededError, InfeasibleRemovalError, PreconditionError
@@ -85,15 +83,16 @@ def _instance(system: RestrictedSystem, protected, budget: int):
     return atoms_sorted, list(zip(*indexed))
 
 
-def _disjoint_bound(clash, uncovered: int, cap: int) -> int:
+def _disjoint_bound(hits, own, uncovered: int, cap: int) -> int:
     """Greedy pairwise-atom-disjoint packing of the uncovered solutions,
     taken in index order and stopped once it reaches the cap; its size is
     a lower bound on any hitting set.
     """
     bound = 0
     while uncovered and bound < cap:
-        low = uncovered & -uncovered
-        uncovered &= ~clash[low.bit_length() - 1]
+        for i in own[(uncovered & -uncovered).bit_length() - 1]:
+            # clears the bits of hits[i] without & ~, whose negative int is slower
+            uncovered = (uncovered | hits[i]) ^ hits[i]
         bound += 1
     return bound
 
@@ -123,7 +122,7 @@ def _cover_exists(
     once the solve's nodes pass the budget, so the memo stays within the
     budget too.
     """
-    hits, own, clash, stranded = masks
+    hits, own, stranded = masks
     seen: dict[int, int] = {}
     stack = [(uncovered, room)]
     while stack:
@@ -140,7 +139,7 @@ def _cover_exists(
                 f"{nodes.used} cover-search nodes exceed the budget of {nodes.budget}"
             )
         seen[u] = r
-        if _disjoint_bound(clash, u, r + 1) > r:
+        if _disjoint_bound(hits, own, u, r + 1) > r:
             continue
         pivot = (u & -u).bit_length() - 1
         # pushed highest first, so the lowest atom pops first
@@ -168,22 +167,20 @@ def min_removal_exact(
     """
     atoms_sorted, own = _instance(system, protected, budget)
     # bit s stands for solution s.  hits[i]: the solutions atom i kills;
-    # clash[s]: those sharing an atom with s; stranded[i]: those whose
-    # every atom comes before atom i
+    # stranded[i]: those whose every atom comes before atom i
     hits = [0] * len(atoms_sorted)
     for s, ids in enumerate(own):
         for i in ids:
             hits[i] |= 1 << s
-    clash = [reduce(or_, (hits[i] for i in ids)) for ids in own]
     stranded = [0] * (len(hits) + 1)
     for s, ids in enumerate(own):
         stranded[ids[-1] + 1] |= 1 << s
     for i in range(1, len(stranded)):
         stranded[i] |= stranded[i - 1]
-    masks = (hits, own, clash, stranded)
+    masks = (hits, own, stranded)
     everything = (1 << len(own)) - 1
 
-    root_bound = _disjoint_bound(clash, everything, len(own))
+    root_bound = _disjoint_bound(hits, own, everything, len(own))
     failed: dict[tuple[int, int], int] = {}
     nodes = _Nodes(budget)
     best = root_bound

@@ -62,12 +62,19 @@ class RestrictedSystem:
             zip(*[[a % q for a in col] for col, q in zip(zip(*xs), mods)])
             for xs in (rhs, *restrictions)
         ]
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "rhs", tuple(clean_rhs))
-        object.__setattr__(
-            self, "restrictions", tuple([tuple(sorted({*xs})) for xs in clean_sets])
+        sets = tuple([tuple(sorted({*xs})) for xs in clean_sets])
+        vars(self).update(
+            group=group, matrix=matrix, rhs=tuple(clean_rhs), restrictions=sets
         )
+
+    @classmethod
+    def _built(cls, group, matrix, rhs, restrictions):
+        """The system of parts already in the form ``__init__`` gives them,
+        unchecked: the builders make them from valid systems, as tuples of
+        reduced elements, each set sorted and without repeats."""
+        self = object.__new__(cls)
+        vars(self).update(group=group, matrix=matrix, rhs=rhs, restrictions=restrictions)
+        return self
 
     @cached_property
     def coprime(self) -> bool:
@@ -391,18 +398,16 @@ def _homogenize(system: RestrictedSystem, sols: list[Solution]) -> Extension:
     group = system.group
     zero_rhs = tuple(group.zero for _ in range(system.equations))
     coords = tuple(range(system.variables))
-    # as RestrictedSystem reduces: per set, one comprehension per cyclic
-    # factor shifts that factor's residues, and zip puts the shifted
-    # elements back together as the keys of the set's value map
+    # per set, one comprehension per cyclic factor shifts that factor's
+    # residues, and zip puts the shifted elements back together as the
+    # keys of the set's value map
     value_maps = {}
     for j, (xs, w) in enumerate(zip(system.restrictions, witness)):
         factors = zip(zip(*xs), w, group.moduli)
         shifted = [[(a - t) % q for a in col] for col, t, q in factors]
         value_maps[j] = dict(zip(zip(*shifted), xs))
-    # RestrictedSystem sorts each shifted set
-    target = RestrictedSystem(
-        group, system.matrix, zero_rhs, [tuple(value_maps[j]) for j in coords]
-    )
+    sets = tuple([tuple(sorted(value_maps[j])) for j in coords])
+    target = RestrictedSystem._built(group, system.matrix, zero_rhs, sets)
     return Extension(
         source=system,
         target=target,
@@ -574,13 +579,9 @@ def remove_elements(
         raise PreconditionError("removal sets do not match the variable count")
     new_sets = []
     for xs, gone in zip(system.restrictions, removed):
-        if not gone:
-            # nothing removed: the set stays as it is
-            new_sets.append(xs)
-            continue
         dropped = {system.group.reduce(v) for v in gone}
-        new_sets.append(tuple(v for v in xs if v not in dropped))
-    return RestrictedSystem(system.group, system.matrix, system.rhs, tuple(new_sets))
+        new_sets.append(tuple([v for v in xs if v not in dropped]))
+    return RestrictedSystem._built(system.group, system.matrix, system.rhs, tuple(new_sets))
 
 
 def pull_back_removal(

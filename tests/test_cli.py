@@ -633,6 +633,16 @@ def test_remove_enumerates_twice(count_calls, flags):
     assert counted == [(1, 3, True)]
 
 
+@pytest.mark.parametrize("command", ["pipeline", "remove"])
+@pytest.mark.parametrize("name", ["sys_z6_full.json", "sys_z5_restricted.json"])
+def test_each_system_is_validated_once(count_calls, command, name):
+    # the input is reduced and sorted once, as it is decoded; the stage
+    # targets and the removal's copies are built from parts already valid
+    inits = count_calls(system.RestrictedSystem, "__init__", lambda *a: None)
+    main_json([command, fixture(name)])
+    assert len(inits) == 1
+
+
 def test_remove_deep_search_in_process(tmp_path):
     # 2,018 solutions over Z1009; the removal search must not recurse per atom
     path = tmp_path / "z1009.json"

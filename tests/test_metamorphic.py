@@ -7,10 +7,11 @@ and rows that are the images of the original rows, and ``pipeline`` the
 same outcome, the same solution count at every stage and the same verdict
 of its extension check (or the same error).  The transforms act on
 the system's JSON form here, outside ``src/``, and every command runs
-through ``cli.main`` in process.  Both transforms can move the walk's pivot
-choice and its order of free coordinates; the transformed system is also
-solved under a drawn cap on the walk's levels, so the two listings come
-from different level cuts.
+through ``cli.main`` in process.  The transforms are a permutation of the
+coordinates, a translation, and the scaling of one column by a unit; the
+first two can move the walk's pivot choice and its order of free
+coordinates.  The transformed system is also solved under a drawn cap on
+the walk's levels, so the two listings come from different level cuts.
 """
 
 import contextlib
@@ -136,6 +137,35 @@ def translate(system, t):
     }
 
 
+def unscale(mods, u):
+    # x -> u^-1 x on the group, the inverse taken mod its exponent
+    inv = pow(u, -1, math.lcm(*mods))
+    return lambda x: tuple(inv * a % q for a, q in zip(x, mods))
+
+
+def scale(system, j, u):
+    # column j becomes u times itself and X_j becomes u^-1 X_j, so the
+    # solutions map by x_j -> u^-1 x_j
+    image = unscale(system["moduli"], u)
+    return {
+        **system,
+        "A": [row[:j] + [u * row[j]] + row[j + 1 :] for row in system["A"]],
+        "X": [
+            sorted(map(image, xs)) if c == j else xs
+            for c, xs in enumerate(system["X"])
+        ],
+    }
+
+
+@st.composite
+def scalings(draw, system):
+    # a column and a unit mod the group exponent to scale it by
+    e = math.lcm(*system["moduli"])
+    j = draw(st.integers(0, len(system["X"]) - 1))
+    u = draw(st.sampled_from([u for u in range(1, e) if math.gcd(u, e) == 1]))
+    return j, u
+
+
 @seed(12)
 @given(systems(), st.sampled_from(LEVEL_CAPS), st.randoms(use_true_random=False))
 @settings(max_examples=400, deadline=None)
@@ -182,3 +212,27 @@ def test_pipeline_follows_a_translation(system, cap, data):
     report = pipeline(system)
     assert report[-1] is not False
     assert pipeline(translate(system, t), cap) == report
+
+
+@seed(12)
+@given(systems(), st.sampled_from(LEVEL_CAPS), st.data())
+@settings(max_examples=400, deadline=None)
+def test_solve_follows_a_unit_scaling_of_a_column(system, cap, data):
+    j, u = data.draw(scalings(system))
+    image = unscale(system["moduli"], u)
+    rows = solve(system)
+    assert solve(scale(system, j, u), cap) == sorted(
+        x[:j] + (image(x[j]),) + x[j + 1 :] for x in rows
+    )
+
+
+@seed(12)
+@given(systems(), st.sampled_from(LEVEL_CAPS), st.data())
+@settings(max_examples=400, deadline=None)
+def test_pipeline_follows_a_unit_scaling_of_a_column(system, cap, data):
+    # a unit column factor multiplies each window determinant holding the
+    # column by a unit, so the route, every stage count and the verdict stay
+    j, u = data.draw(scalings(system))
+    report = pipeline(system)
+    assert report[-1] is not False
+    assert pipeline(scale(system, j, u), cap) == report

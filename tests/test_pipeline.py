@@ -7,7 +7,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from linremoval import (
     AbelianGroup,
@@ -25,6 +25,7 @@ from linremoval import (
     enumerate_solutions,
     full_extension,
     is_circular,
+    remove_elements,
     verify_extension,
 )
 from linremoval import pipeline
@@ -37,6 +38,7 @@ from linremoval.pipeline import (
 )
 from linremoval.system import _homogenize
 from test_intmat import adjugate
+from test_metamorphic import systems
 
 
 def full_sets(group, m):
@@ -842,3 +844,36 @@ def test_full_extension_budget():
     sys_ = RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), full_sets(g, 3))
     with pytest.raises(BudgetExceededError):
         full_extension(sys_, budget=10)
+
+
+@st.composite
+def maybe_padded(draw):
+    # a system of the metamorphic draws; with a zero column, no column
+    # order is circular, so a draw that gets one takes the padded route
+    doc = draw(systems())
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(doc["X"]) - 1))
+        doc["A"] = [row[:j] + [0] + row[j + 1 :] for row in doc["A"]]
+    group = AbelianGroup(doc["moduli"])
+    return RestrictedSystem(group, IntMatrix(doc["A"]), doc["b"], doc["X"])
+
+
+@seed(12)
+@given(maybe_padded(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_built_systems_equal_their_checked_twins(sys_, data):
+    # the stage targets and the removal copies skip __init__'s reduce and
+    # sort; checked again by __init__, each must come out equal, fields
+    # and their types alike
+    try:
+        built = [ext.target for ext in full_extension(sys_).chain]
+    except (PreconditionError, BudgetExceededError):
+        built = []
+    for t in [sys_, *built]:
+        removed = [
+            data.draw(st.sets(st.sampled_from(xs)) if xs else st.just(set()))
+            for xs in t.restrictions
+        ]
+        built.append(remove_elements(t, removed))
+    for t in built:
+        assert t == RestrictedSystem(t.group, t.matrix, t.rhs, t.restrictions)

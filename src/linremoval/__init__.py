@@ -20,7 +20,6 @@ from .errors import (
 )
 from .hypergraph import (
     HostHypergraph,
-    build_host,
     copy_class_structure,
     enumerate_copies,
     kernel_order,
@@ -87,7 +86,6 @@ __all__ = [
     "SchemaError",
     "SnfResult",
     "ThinWitness",
-    "build_host",
     "build_kernel_matrix",
     "circularize",
     "complete_to_square",

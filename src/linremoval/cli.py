@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     SchemaError,
 )
-from .hypergraph import build_host, copy_class_structure, enumerate_copies
+from .hypergraph import HostHypergraph, copy_class_structure, enumerate_copies
 from .intmat import (
     complete_to_square,
     determinantal_divisors,
@@ -210,18 +210,19 @@ def cmd_pipeline(args, budget) -> dict:
 def _route_host(system, budget):
     """Direct host when the input is already standard circular homogeneous;
     otherwise run the full reduction and host its target.  CircularSystem
-    decides: it raises exactly on input that is not standard circular.  A
-    target whose extension check failed is no host: InvariantError."""
-    group = system.group
-    n = group.order
+    decides: it raises exactly on input that is not standard circular.  The
+    direct host keeps the input's matrix, unreduced: reduced mod n it has
+    the same solutions, Smith invariants mod q and products with the
+    kernel mod q.  A target whose extension check failed is no host:
+    InvariantError."""
+    n = system.group.order
     if system.is_homogeneous():
         try:
             circ = CircularSystem(system.matrix.mod(n), n)
         except PreconditionError:
             pass  # not standard circular: the full reduction handles it
         else:
-            host = build_host(group, circ, system.restrictions)
-            return "direct", host, None
+            return "direct", HostHypergraph(system, circ.kernel_matrix), None
     res = full_extension(system, budget)
     if res.outcome != "circular":
         return "pipeline", None, res
@@ -229,7 +230,7 @@ def _route_host(system, budget):
         raise InvariantError(
             "reduction check fails: " + "; ".join(res.verification.problems)
         )
-    host = build_host(group, res.circular, res.composed.target.restrictions)
+    host = HostHypergraph(res.composed.target, res.circular.kernel_matrix)
     return "pipeline", host, res
 
 

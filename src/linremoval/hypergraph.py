@@ -29,7 +29,6 @@ from operator import itemgetter
 from .abelian import AbelianGroup, Element
 from .errors import PreconditionError
 from .intmat import IntMatrix, smith_invariants_mod
-from .pipeline import CircularSystem
 from .system import (
     DEFAULT_BUDGET,
     RestrictedSystem,
@@ -43,23 +42,22 @@ from .system import (
 class HostHypergraph:
     """Implicit host: one group copy per position, edges by label predicate.
 
-    Held as raw matrices on purpose, so deliberately corrupted kernels can
-    be fed to the verifiers; build from a validated CircularSystem via
-    build_host for the honest path.  Row i of any kernel must be zero
-    outside its window {i, ..., i+k}, as every built kernel is.
+    A host is its homogeneous circular system, whose sets restrict the
+    labels, plus that system's kernel matrix, such as a CircularSystem's.
+    The kernel is taken as given, so a forged one can be fed to the
+    verifiers, but row i must be zero outside its window {i, ..., i+k}, as
+    every built kernel is.
     """
 
-    group: AbelianGroup
-    matrix: IntMatrix
+    system: RestrictedSystem
     kernel_matrix: IntMatrix
-    restrictions: tuple[tuple[Element, ...], ...]
 
     def __post_init__(self):
-        k, m = self.matrix.rows, self.matrix.cols
+        k, m = self.arity_base, self.positions
+        if not self.system.is_homogeneous():
+            raise PreconditionError("host system must be homogeneous")
         if self.kernel_matrix.rows != m or self.kernel_matrix.cols != m:
             raise PreconditionError("kernel matrix must be square of size m")
-        if len(self.restrictions) != m:
-            raise PreconditionError("restriction count does not match positions")
         if m < k + 2:
             raise PreconditionError("need m >= k + 2 positions")
         for i, row in enumerate(self.kernel_matrix.data):
@@ -69,27 +67,16 @@ class HostHypergraph:
                 )
 
     @property
+    def group(self) -> AbelianGroup:
+        return self.system.group
+
+    @property
     def positions(self) -> int:
-        return self.matrix.cols
+        return self.system.variables
 
     @property
     def arity_base(self) -> int:
-        return self.matrix.rows
-
-
-def build_host(
-    group: AbelianGroup,
-    circular: CircularSystem,
-    restrictions,
-) -> HostHypergraph:
-    """Host on a validated circular system.  The restriction sets are taken
-    as they are, so pass reduced elements, such as a RestrictedSystem's."""
-    return HostHypergraph(
-        group=group,
-        matrix=circular.matrix,
-        kernel_matrix=circular.kernel_matrix,
-        restrictions=tuple(restrictions),
-    )
+        return self.system.equations
 
 
 def enumerate_copies(
@@ -97,12 +84,13 @@ def enumerate_copies(
 ) -> list[tuple[Element, ...]]:
     """All template copies as sorted 2m-tuples (x, y), assignment first.
 
-    A copy is an assignment x in G^m whose every color label lands in that
-    color's restriction set; label i is ``group.combine`` of kernel row i,
-    zero outside its window {i, ..., i+k}, with x.  So the copies are the
-    solutions (x, y) of the lifted system [-K | I_m] (x, y) = 0, with x
-    over the whole group and y_i in color i's set, and the solution order
-    of ``enumerate_solutions`` is already assignment order.  Its unit-pivot
+    The host is its circular system plus its kernel K.  A copy is an
+    assignment x in G^m whose every color label lands in the system's
+    restriction set of that color; label i is ``group.combine`` of kernel
+    row i, zero outside its window {i, ..., i+k}, with x.  So the copies
+    are the solutions (x, y) of the lifted system [-K | I_m] (x, y) = 0,
+    with x over the whole group and y_i in color i's set, and the solution
+    order of ``enumerate_solutions`` is already assignment order.  Its unit-pivot
     reduction solves for the whole-group x columns and walks the small
     label sets, cutting a branch the moment a label pinned by the walked
     values leaves its set.  The budget is checked against all |G|^m
@@ -126,11 +114,12 @@ def _lifted_system(host: HostHypergraph) -> RestrictedSystem:
             for i, row in enumerate(host.kernel_matrix.data)
         ]
     )
-    return RestrictedSystem(
+    # the whole group and the host system's sets are already checked
+    return RestrictedSystem._built(
         group,
         lifted,
         (group.zero,) * m,
-        [group.elements()] * m + list(host.restrictions),
+        (group.elements(),) * m + host.system.restrictions,
     )
 
 
@@ -202,7 +191,9 @@ def copy_class_structure(
     k, m = host.arity_base, host.positions
 
     kernel = host.kernel_matrix.data
-    product = host.matrix @ host.kernel_matrix
+    # the host's circular system: its solutions in its sets label the classes
+    circular = host.system
+    product = circular.matrix @ host.kernel_matrix
     kernel_ok = all(v % n == 0 for row in product.data for v in row)
     if not kernel_ok:
         problems.append("kernel matrix does not annihilate the system matrix")
@@ -218,7 +209,7 @@ def copy_class_structure(
     problems += label_problems
     class_size = kernel_order(kernel, moduli)
     image = n**m // class_size
-    solved = kernel_order(host.matrix.data, moduli)
+    solved = kernel_order(circular.matrix.data, moduli)
     if image != solved:
         problems.append(
             f"the windowed kernel has {image} label vectors, "
@@ -227,10 +218,6 @@ def copy_class_structure(
     labels_match = not label_problems and image == solved
 
     expected = n**k
-    # the host's circular system in its sets: its solutions label the classes
-    circular = RestrictedSystem(
-        group, host.matrix, (group.zero,) * k, host.restrictions
-    )
     solution_count = count_solutions(circular, budget)
     class_sizes_ok = disjoint_ok = True
     if solution_count:
@@ -285,7 +272,7 @@ def verify_copy_classes(
     n = host.group.order
     k, m = host.arity_base, host.positions
 
-    prod_rows = (host.matrix @ host.kernel_matrix).data
+    prod_rows = (host.system.matrix @ host.kernel_matrix).data
     kernel_ok = all(v % n == 0 for row in prod_rows for v in row)
     if not kernel_ok:
         problems.append("kernel matrix does not annihilate the system matrix")
@@ -350,14 +337,13 @@ def verify_copy_labels(
     m = host.positions
     group = host.group
     zero = group.zero
+    rows = host.system.matrix.data
     problems: list[str] = []
     verdicts: dict[tuple[Element, ...], bool] = {}
     for copy in copies:
         labels = copy[m:]
         if labels not in verdicts:
-            verdicts[labels] = all(
-                group.combine(row, labels) == zero for row in host.matrix.data
-            )
+            verdicts[labels] = all(group.combine(row, labels) == zero for row in rows)
         if not verdicts[labels]:
             problems.append(
                 f"labels {labels} fail the system at assignment "

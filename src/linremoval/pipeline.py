@@ -49,7 +49,6 @@ from .system import (
     ThinWitness,
     _check_budget,
     _homogenize,
-    _identity_prefix,
     _thin_witness,
     _verify_extension,
     _walk,
@@ -78,6 +77,16 @@ def is_circular(matrix: IntMatrix, modulus: int) -> bool:
         if math.gcd(_det_rows(window), modulus) != 1:
             return False
     return True
+
+
+def _identity_prefix(matrix: IntMatrix) -> bool:
+    """Whether the left k x k block is exactly the identity, one row at a
+    time: a 1 on the diagonal and zeros on either side of it."""
+    k = matrix.rows
+    return all(
+        row[i] == 1 and not any(row[:i]) and not any(row[i + 1 : k])
+        for i, row in enumerate(matrix.data)
+    )
 
 
 def _eliminate_mod(rows, n: int) -> list[list[int]]:

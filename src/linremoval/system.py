@@ -136,16 +136,6 @@ def identity_extension(system: RestrictedSystem) -> Extension:
     )
 
 
-def _identity_prefix(matrix: IntMatrix) -> bool:
-    """Whether the left k x k block is exactly the identity, one row at a
-    time: a 1 on the diagonal and zeros on either side of it."""
-    k = matrix.rows
-    return all(
-        row[i] == 1 and not any(row[:i]) and not any(row[i + 1 : k])
-        for i, row in enumerate(matrix.data)
-    )
-
-
 def _unit_pivots(system: RestrictedSystem):
     """Row-reduce (A | b) modulo the group exponent e with unit pivots.
 

@@ -25,8 +25,8 @@ from pathlib import Path
 from linremoval import (
     AbelianGroup,
     IntMatrix,
+    HostHypergraph,
     RestrictedSystem,
-    build_host,
     CircularSystem,
     complete_to_square,
     count_solutions,
@@ -304,20 +304,17 @@ def test_criterion_4_pipeline_conservation():
 
 
 def host_for(group, matrix, sets):
+    # the system as given, with the kernel of its reduction mod n
     n = group.order
-    reduced = matrix.mod(n)
-    circ = CircularSystem(reduced, n)
-    return build_host(group, circ, sets)
+    circ = CircularSystem(matrix.mod(n), n)
+    system = RestrictedSystem(group, matrix, (group.zero,) * matrix.rows, sets)
+    return HostHypergraph(system, circ.kernel_matrix)
 
 
 def copy_stats(group, matrix, sets):
     host = host_for(group, matrix, sets)
     copies = enumerate_copies(host)
-    sols = enumerate_solutions(
-        RestrictedSystem(
-            group, matrix, tuple(group.zero for _ in range(matrix.rows)), sets
-        )
-    )
+    sols = enumerate_solutions(host.system)
     class_rep = verify_copy_classes(host, copies, sols)
     label_rep = verify_copy_labels(host, copies)
     classes = len({c[host.positions :] for c in copies})

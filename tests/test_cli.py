@@ -633,13 +633,23 @@ def test_remove_enumerates_twice(count_calls, flags):
     assert counted == [(1, 3, True)]
 
 
-@pytest.mark.parametrize("command", ["pipeline", "remove"])
-@pytest.mark.parametrize("name", ["sys_z6_full.json", "sys_z5_restricted.json"])
-def test_each_system_is_validated_once(count_calls, command, name):
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        (name, command)
+        for name in ["sys_z6_full.json", "sys_z5_restricted.json"]
+        for command in ["solve", "pipeline", "remove", "copies", "verify"]
+    ]
+    # sys_z6_full's padded host has 6^96 assignments, past any budget
+    + [("sys_z5_restricted.json", "copies --full")],
+)
+def test_each_system_is_validated_once(count_calls, name, command):
     # the input is reduced and sorted once, as it is decoded; the stage
-    # targets and the removal's copies are built from parts already valid
+    # targets, the removal's copies, the host on the padded target of
+    # sys_z6_full or on the input of sys_z5_restricted itself, and the
+    # lifted system of its copies are built from parts already valid
     inits = count_calls(system.RestrictedSystem, "__init__", lambda *a: None)
-    main_json([command, fixture(name)])
+    main_json([*command.split(), fixture(name)])
     assert len(inits) == 1
 
 
@@ -977,9 +987,9 @@ cli.min_removal_exact = lambda s, p, b: dataclasses.replace(
     solve(s, p, b), removed=((),) * s.variables
 )
 run("remove", remove_path)
-build = cli.build_host
-cli.build_host = lambda g, c, r: dataclasses.replace(
-    build(g, c, r), kernel_matrix=IntMatrix([[8, 2, 0], [0, 4, 1], [1, 0, 4]])
+host = cli.HostHypergraph
+cli.HostHypergraph = lambda s, k: host(
+    s, IntMatrix([[8, 2, 0], [0, 4, 1], [1, 0, 4]])
 )
 run("copies", copies_path)
 """
@@ -1032,15 +1042,12 @@ def test_forged_copy_classes_exit_with_the_invariant_code(monkeypatch):
     # copies trusts no host: a forged kernel fails the class check that
     # its count rests on, and the command exits 6 with a JSON error, the
     # same with asserts stripped
-    build = cli.build_host
+    host = cli.HostHypergraph
 
-    def forged(group, circular, restrictions):
-        kernel = IntMatrix([[8, 2, 0], [0, 4, 1], [1, 0, 4]])
-        return dataclasses.replace(
-            build(group, circular, restrictions), kernel_matrix=kernel
-        )
+    def forged(system, kernel_matrix):
+        return host(system, IntMatrix([[8, 2, 0], [0, 4, 1], [1, 0, 4]]))
 
-    monkeypatch.setattr(cli, "build_host", forged)
+    monkeypatch.setattr(cli, "HostHypergraph", forged)
     assert main_result(["copies", fixture("sys_z5_full.json")]) == invariant_error(
         "copy class structure fails: "
         "kernel matrix does not annihilate the system matrix; "

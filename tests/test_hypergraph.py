@@ -18,7 +18,6 @@ from linremoval import (
     IntMatrix,
     PreconditionError,
     RestrictedSystem,
-    build_host,
     CircularSystem,
     copy_class_structure,
     enumerate_copies,
@@ -48,12 +47,21 @@ def full_sets(group, m):
     return tuple(group.elements() for _ in range(m))
 
 
+def host_on(group, circ, sets):
+    """The host of a CircularSystem's homogeneous system in the given sets,
+    with its kernel."""
+    rhs = (group.zero,) * circ.equations
+    return HostHypergraph(
+        RestrictedSystem(group, circ.matrix, rhs, sets), circ.kernel_matrix
+    )
+
+
 def circulant_host(n, m, restrictions=None):
     g = z(n)
     a = IntMatrix([[1] * m])
     cs = CircularSystem(a.mod(n), n)
     sets = restrictions if restrictions is not None else full_sets(g, m)
-    return g, a, build_host(g, cs, sets)
+    return g, a, host_on(g, cs, sets)
 
 
 def solutions_of(group, matrix, sets):
@@ -125,7 +133,7 @@ def product_scan_copies(host):
     ``enumerate_copies`` replaced, kept as its oracle."""
     k, m = host.arity_base, host.positions
     group = host.group
-    members = [frozenset(xs) for xs in host.restrictions]
+    members = [frozenset(xs) for xs in host.system.restrictions]
     if any(not s for s in members):
         return []
     rows = [
@@ -157,12 +165,7 @@ def random_circular(rng, n, k, m):
 
 
 def raw_host(host, rows):
-    return HostHypergraph(
-        group=host.group,
-        matrix=host.matrix,
-        kernel_matrix=IntMatrix(rows),
-        restrictions=host.restrictions,
-    )
+    return HostHypergraph(host.system, IntMatrix(rows))
 
 
 # every (k, m) with m = k+2..k+4 whose |G|^m the scan walks in about a
@@ -191,12 +194,12 @@ def sweep_hosts():
                     else els
                     for _ in range(m)
                 ]
-                host = build_host(g, circ, mixed)
+                host = host_on(g, circ, mixed)
                 yield moduli, k, "proper", host
                 empty = list(mixed)
                 empty[rng.randrange(m)] = ()
-                yield moduli, k, "empty", build_host(g, circ, empty)
-                yield moduli, k, "whole", build_host(g, circ, full_sets(g, m))
+                yield moduli, k, "empty", host_on(g, circ, empty)
+                yield moduli, k, "whole", host_on(g, circ, full_sets(g, m))
                 # one kernel entry inside a window moved off its value
                 rows = [list(r) for r in host.kernel_matrix.data]
                 i, t = rng.randrange(m), rng.randrange(k + 1)
@@ -247,7 +250,7 @@ def test_copies_match_product_scan_oracle():
 def listed_structure(host):
     """The exhaustive checkers on the listed copies, and the algebraic
     report from the solution list, side by side."""
-    sols = solutions_of(host.group, host.matrix, host.restrictions)
+    sols = enumerate_solutions(host.system)
     copies = enumerate_copies(host)
     listed = verify_copy_classes(host, copies, sols), verify_copy_labels(host, copies)
     return listed, copy_class_structure(host)
@@ -317,7 +320,7 @@ def test_cli_listing_matches_library_listing(tmp_path):
             assert (code, err) == (0, ""), path
             report = json.loads(out)
             decoded = decode_system(load_file(str(path)))
-            host = build_host(g, circ, decoded.restrictions)
+            host = HostHypergraph(decoded, circ.kernel_matrix)
             copies = enumerate_copies(host)
             assert report["route"] == "direct", path
             assert report["count"] == len(copies), path
@@ -360,7 +363,7 @@ def test_copy_text_matches_dumped_rows(seed, moduli, shape):
         rng.sample(els, rng.randrange(1, g.order + 1)) if rng.random() < 0.7 else els
         for _ in range(m)
     ]
-    host = build_host(g, random_circular(rng, g.order, k, m), sets)
+    host = host_on(g, random_circular(rng, g.order, k, m), sets)
     copies = enumerate_copies(host)
     text = encode_copies(copies, m)
     rows = [{"assignment": c[:m], "labels": c[m:]} for c in encode_rows(copies, g)]
@@ -381,7 +384,7 @@ def forged_hosts(count):
         k, m = rng.choice(
             [(k, m) for k in (1, 2, 3) for m in range(k + 2, k + 5) if n**m <= 2000]
         )
-        host = build_host(g, random_circular(rng, n, k, m), full_sets(g, m))
+        host = host_on(g, random_circular(rng, n, k, m), full_sets(g, m))
         rows = [list(r) for r in host.kernel_matrix.data]
         kind = rng.randrange(4)
         if kind == 0:
@@ -433,7 +436,7 @@ def forged_sum_host(rows, moduli):
     g = AbelianGroup(moduli)
     n = g.order
     circ = CircularSystem(IntMatrix([[1, 1, 1]]), n)
-    return raw_host(build_host(g, circ, full_sets(g, 3)), rows)
+    return raw_host(host_on(g, circ, full_sets(g, 3)), rows)
 
 
 def test_class_structure_problem_texts():
@@ -500,7 +503,7 @@ def edge_label(host, color, window):
     k, m = host.arity_base, host.positions
     row = host.kernel_matrix.data[color]
     label = host.group.combine([row[(color + t) % m] for t in range(k + 1)], window)
-    return label, label in host.restrictions[color]
+    return label, label in host.system.restrictions[color]
 
 
 def test_host_edge_label_frozen():
@@ -536,6 +539,26 @@ def test_labels_read_only_the_window():
         for w in itertools.product(g.elements(), repeat=2):
             assert edge_label(raw, color, w) == edge_label(host, color, w)
     assert enumerate_copies(raw) == enumerate_copies(host)
+
+
+def test_host_preconditions():
+    # a host is a homogeneous system with an m x m kernel and m >= k + 2
+    g, a, host = circulant_host(5, 3)
+    shifted = RestrictedSystem(g, a, ((1,),), full_sets(g, 3))
+    short = RestrictedSystem(g, IntMatrix([[1, 1]]), ((0,),), full_sets(g, 2))
+    cases = [
+        (shifted, host.kernel_matrix, "host system must be homogeneous"),
+        (
+            host.system,
+            IntMatrix([[4, 1]] * 3),
+            "kernel matrix must be square of size m",
+        ),
+        (short, IntMatrix([[4, 1], [1, 4]]), "need m >= k + 2 positions"),
+    ]
+    for system, matrix, message in cases:
+        with pytest.raises(PreconditionError) as err:
+            HostHypergraph(system, matrix)
+        assert str(err.value) == message
 
 
 def test_built_kernels_pass_the_window_rule():
@@ -647,12 +670,7 @@ def test_verify_catches_corrupted_kernel():
 
     rows = [list(r) for r in host.kernel_matrix.data]
     rows[0][1] = 3  # breaks annihilation but keeps the support shape
-    corrupted = HostHypergraph(
-        group=host.group,
-        matrix=host.matrix,
-        kernel_matrix=IntMatrix(rows),
-        restrictions=host.restrictions,
-    )
+    corrupted = HostHypergraph(host.system, IntMatrix(rows))
     report = verify_copy_classes(corrupted, copies, sols)
     assert not report.ok
     assert not report.kernel_ok
@@ -721,7 +739,7 @@ def test_pipeline_host_round_trip():
     g = z(5)
     sys_ = RestrictedSystem(g, IntMatrix([[1, 1, 1]]), ((0,),), full_sets(g, 3))
     res = full_extension(sys_)
-    host = build_host(g, res.circular, res.composed.target.restrictions)
+    host = HostHypergraph(res.composed.target, res.circular.kernel_matrix)
     assert len(enumerate_solutions(res.composed.target)) == 25
     # the standard target is 1 x 3, so its copies can be listed
     assert len(enumerate_copies(host)) == 25 * 5
@@ -729,7 +747,7 @@ def test_pipeline_host_round_trip():
     # far beyond any budget; check the guard trips
     mid, _ = _identity_form(_homogenize(sys_, enumerate_solutions(sys_)).target)
     padded = circularize(mid.target, 5).target
-    host = build_host(g, CircularSystem(padded.matrix, 5), padded.restrictions)
+    host = HostHypergraph(padded, CircularSystem(padded.matrix, 5).kernel_matrix)
     assert len(enumerate_solutions(padded)) == 25
     with pytest.raises(BudgetExceededError):
         enumerate_copies(host)

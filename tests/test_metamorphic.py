@@ -8,10 +8,14 @@ same outcome, the same solution count at every stage and the same verdict
 of its extension check (or the same error).  The transforms act on
 the system's JSON form here, outside ``src/``, and every command runs
 through ``cli.main`` in process.  The transforms are a permutation of the
-coordinates, a translation, and the scaling of one column by a unit; the
-first two can move the walk's pivot choice and its order of free
-coordinates.  The transformed system is also solved under a drawn cap on
-the walk's levels, so the two listings come from different level cuts.
+coordinates, a translation, the scaling of one column by a unit, and the
+left multiplication of (A | b) by a matrix invertible mod the exponent,
+which must also keep the whole ``remove`` report; the first two can move
+the walk's pivot choice and its order of free coordinates.  The
+transformed system is also solved under a drawn cap on the walk's
+levels, so the two listings come from different level cuts.  Last,
+``copies`` and ``verify`` are checked against ``solve`` on the untouched
+draws.
 """
 
 import contextlib
@@ -166,6 +170,44 @@ def scalings(draw, system):
     return j, u
 
 
+def left_multiply(system, ops):
+    # (A | b) becomes L (A | b), L the product of the elementary row
+    # operations in ops: swapping rows i and j, scaling row i by a unit u
+    # mod the exponent, or adding c times row j to row i.  det L is then a
+    # unit mod the exponent, so L (A | b) has the solutions of (A | b)
+    mods = system["moduli"]
+    rows = [list(row) for row in system["A"]]
+    rhs = [tuple(v) for v in system["b"]]
+    for op, i, j, c in ops:
+        if op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+            rhs[i], rhs[j] = rhs[j], rhs[i]
+        elif op == "scale":
+            rows[i] = [c * a for a in rows[i]]
+            rhs[i] = tuple(c * a % q for a, q in zip(rhs[i], mods))
+        else:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            rhs[i] = tuple((a + c * b) % q for a, b, q in zip(rhs[i], rhs[j], mods))
+    return {**system, "A": rows, "b": rhs}
+
+
+@st.composite
+def row_operations(draw, system):
+    # one to four elementary row operations on the k rows; a single row
+    # is only scaled
+    e = math.lcm(*system["moduli"])
+    k = len(system["A"])
+    units = [u for u in range(1, e) if math.gcd(u, e) == 1]
+    ops = []
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["swap", "scale", "add"] if k > 1 else ["scale"]))
+        i = draw(st.integers(0, k - 1))
+        j = draw(st.sampled_from([r for r in range(k) if r != i] or [i]))
+        c = draw(st.sampled_from(units) if op == "scale" else st.integers(-3, 3))
+        ops.append((op, i, j, c))
+    return ops
+
+
 @seed(12)
 @given(systems(), st.sampled_from(LEVEL_CAPS), st.randoms(use_true_random=False))
 @settings(max_examples=400, deadline=None)
@@ -236,3 +278,70 @@ def test_pipeline_follows_a_unit_scaling_of_a_column(system, cap, data):
     report = pipeline(system)
     assert report[-1] is not False
     assert pipeline(scale(system, j, u), cap) == report
+
+
+@seed(12)
+@given(systems(), st.sampled_from(LEVEL_CAPS), st.data())
+@settings(max_examples=400, deadline=None)
+def test_solve_follows_a_left_multiplication(system, cap, data):
+    ops = data.draw(row_operations(system))
+    assert solve(left_multiply(system, ops), cap) == solve(system)
+
+
+@seed(12)
+@given(systems(), st.sampled_from(LEVEL_CAPS), st.data())
+@settings(max_examples=400, deadline=None)
+def test_pipeline_follows_a_left_multiplication(system, cap, data):
+    # det L multiplies every window determinant by a unit, and the
+    # standard target (L A_W)^-1 L A is A_W^-1 A, so the route, every
+    # stage count and the verdict stay
+    ops = data.draw(row_operations(system))
+    report = pipeline(system)
+    assert report[-1] is not False
+    assert pipeline(left_multiply(system, ops), cap) == report
+
+
+@seed(12)
+@given(systems(), st.sampled_from(LEVEL_CAPS), st.data())
+@settings(max_examples=400, deadline=None)
+def test_remove_follows_a_left_multiplication(system, cap, data):
+    # the same solutions in the same sorted order: the same removal, the
+    # same certificate, or the same error
+    ops = data.draw(row_operations(system))
+    assert run("remove", left_multiply(system, ops), cap) == run("remove", system)
+
+
+@st.composite
+def standard_systems(draw):
+    # a systems() draw made homogeneous with an identity left block, so
+    # that with m >= k + 2 and unit windows copies takes the direct route
+    system = draw(systems())
+    k = len(system["A"])
+    zero = (0,) * len(system["moduli"])
+    return {
+        **system,
+        "A": [
+            [int(i == j) for j in range(k)] + row[k:]
+            for i, row in enumerate(system["A"])
+        ],
+        "b": [zero] * k,
+    }
+
+
+@seed(12)
+@given(st.one_of(systems(), standard_systems()))
+@settings(max_examples=400, deadline=None)
+def test_copy_commands_agree_with_solve(system):
+    # every class of a host has |G|^k copies, one class per solution, and
+    # the class facts hold, whichever route builds the host; solve lists
+    # the solutions without going through a host
+    code, out = run("copies", system)
+    if code or "count" not in out:
+        return
+    # a count past 2^53 is written as a decimal string
+    order = math.prod(system["moduli"])
+    assert int(out["count"]) == len(solve(system)) * order ** (out["arity"] - 1)
+    code, report = run("verify", system)
+    assert code == 0
+    assert report["route"] == out["route"]
+    assert report["verdict"] == "PASS", report

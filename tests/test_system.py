@@ -31,10 +31,9 @@ from linremoval import (
 )
 from linremoval import system as system_module
 from linremoval.jsonio import decode_system, load_file
-from linremoval.pipeline import _identity_form
+from linremoval.pipeline import _identity_form, _identity_prefix
 from linremoval.system import (
     _homogenize,
-    _identity_prefix,
     _thin_witness,
     _unit_pivots,
     _verify_extension,

@@ -61,6 +61,7 @@ from .pipeline import (
 from .removal import greedy_removal, min_removal_exact
 from .system import (
     DEFAULT_BUDGET,
+    _require_coprime,
     count_solutions,
     enumerate_solutions,
     remove_elements,
@@ -256,19 +257,9 @@ def cmd_copies(args, budget) -> dict:
             )
         payload["count"] = encode_int(classes.copy_count)
         return payload
-    m = host.positions
     copies = enumerate_copies(host, budget)
     payload["count"] = len(copies)
-    # the indented layout dumps dict rows; the compact one takes the rows'
-    # text from encode_copies, with the same bytes
-    payload["copies"] = (
-        [
-            {"assignment": s[:m], "labels": s[m:]}
-            for s in encode_rows(copies, host.group)
-        ]
-        if args.human
-        else encode_copies(copies, m)
-    )
+    payload["copies"] = encode_copies(copies, host.positions)
     return payload
 
 
@@ -333,10 +324,7 @@ def _parse_protect(raw, variables) -> frozenset[int]:
 def cmd_remove(args, budget) -> dict:
     system = decode_system(load_file(args.input))
     protected = _parse_protect(args.protect, system.variables)
-    if not system.coprime:
-        raise PreconditionError(
-            "determinantal divisor shares a factor with the group order"
-        )
+    _require_coprime(system)
     solver = greedy_removal if args.greedy else min_removal_exact
     sol = solver(system, protected, budget)
     post = count_solutions(remove_elements(system, sol.removed), budget)

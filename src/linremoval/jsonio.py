@@ -125,8 +125,8 @@ def encode_rows(rows, group: AbelianGroup):
 
 
 class JSONText(str):
-    """Text that is already compact JSON: where it is a value of a compact
-    report, ``dump`` writes it as it is."""
+    """Text that is already compact JSON: ``dump`` writes it as it is in a
+    compact report and indents the value it spells in a ``human`` one."""
 
 
 class _ElementText(dict):
@@ -140,10 +140,10 @@ class _ElementText(dict):
 
 
 def encode_copies(copies, m: int) -> JSONText:
-    """The copy rows of a compact report, each copy c as the object
-    {"assignment": c[:m], "labels": c[m:]}, with the bytes ``dump`` would
-    write for those rows: each distinct element is encoded once, and one
-    format with 2m slots per copy writes every row."""
+    """The copy rows of a report in either layout, each copy c as the
+    object {"assignment": c[:m], "labels": c[m:]}, as the compact text that
+    ``dump`` writes as it is or reads back to indent: each distinct element
+    is encoded once, and one format with 2m slots per copy writes every row."""
     slots = ",".join(["%s"] * m)
     row = '{"assignment":[%s],"labels":[%s]}' % (slots, slots)
     texts = map(_ElementText().__getitem__, chain.from_iterable(copies))
@@ -251,14 +251,20 @@ def load_file(path: str):
 
 def dump(report: dict, human: bool = False) -> str:
     """A report as JSON text, keys sorted, compact or with ``human``
-    indented.  A ``JSONText`` value of a compact report is written as it
-    is: the bytes of dumping the value that the text spells."""
+    indented.  A ``JSONText`` value is the value its text spells: the
+    compact layout writes the text as it is, which is the bytes of dumping
+    that value, and the indented one dumps the value, read back once."""
     # a report is a fresh tree of dicts, lists and tuples; its element
     # tuples are shared between rows but never form a cycle, so the
     # per-container cycle check is skipped: same bytes
     layout = {"indent": 2} if human else {"separators": (",", ":")}
     layout.update(sort_keys=True, check_circular=False)
     try:
+        if human:
+            report = {
+                k: json.loads(v) if type(v) is JSONText else v
+                for k, v in report.items()
+            }
         if human or JSONText not in map(type, report.values()):
             return json.dumps(report, **layout) + "\n"
         items = [

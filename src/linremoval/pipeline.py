@@ -49,6 +49,7 @@ from .system import (
     ThinWitness,
     _check_budget,
     _homogenize,
+    _require_coprime,
     _thin_witness,
     _verify_extension,
     _walk,
@@ -531,10 +532,7 @@ def full_extension(
     construction checks that the target is circular, and the composed
     extension is verified exhaustively (``verification``).
     """
-    if not system.coprime:
-        raise PreconditionError(
-            "determinantal divisor shares a factor with the group order"
-        )
+    _require_coprime(system)
     n = system.group.order
     source_sols = _walk(system, budget, count=False)
     stages = [_stage("input", system, len(source_sols))]

@@ -20,7 +20,8 @@ the one check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
+from operator import or_
 
 from .abelian import Element
 from .errors import BudgetExceededError, InfeasibleRemovalError, PreconditionError
@@ -81,6 +82,25 @@ def _instance(system: RestrictedSystem, protected, budget: int):
         index = dict(zip(values, range(start, len(atoms_sorted))))
         indexed.append(map(index.__getitem__, columns[j]))
     return atoms_sorted, list(zip(*indexed))
+
+
+def _tables(own, atoms: int) -> tuple[list[int], list[int]]:
+    """The exact solver's bit tables, bit s for solution s.  hits[i]: the
+    solutions atom i kills; stranded[i]: those whose every atom comes
+    before atom i.  The bits of hits are set in one bytearray, ``width``
+    bytes per atom, and each mask is read off its row once: ORing in one
+    bit at a time would copy the growing int each time.  A solution's
+    last atom is its atom on the last free coordinate, whose atoms come
+    last, from ``start`` on, so stranded[i] is the union of hits[start:i]."""
+    width = (len(own) >> 3) + 1
+    rows = bytearray(atoms * width)
+    for s, ids in enumerate(own):
+        byte, bit = s >> 3, 1 << (s & 7)
+        for i in ids:
+            rows[i * width + byte] |= bit
+    hits = [int.from_bytes(rows[o : o + width], "little") for o in range(0, len(rows), width)]
+    start = min((ids[-1] for ids in own), default=0)
+    return hits, [0] * (start + 1) + list(accumulate(hits[start:], or_))
 
 
 def _disjoint_bound(hits, own, uncovered: int, cap: int) -> int:
@@ -166,17 +186,7 @@ def min_removal_exact(
     walk and, separately, the cover-search nodes of the whole solve.
     """
     atoms_sorted, own = _instance(system, protected, budget)
-    # bit s stands for solution s.  hits[i]: the solutions atom i kills;
-    # stranded[i]: those whose every atom comes before atom i
-    hits = [0] * len(atoms_sorted)
-    for s, ids in enumerate(own):
-        for i in ids:
-            hits[i] |= 1 << s
-    stranded = [0] * (len(hits) + 1)
-    for s, ids in enumerate(own):
-        stranded[ids[-1] + 1] |= 1 << s
-    for i in range(1, len(stranded)):
-        stranded[i] |= stranded[i - 1]
+    hits, stranded = _tables(own, len(atoms_sorted))
     masks = (hits, own, stranded)
     everything = (1 << len(own)) - 1
 

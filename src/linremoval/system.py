@@ -215,6 +215,15 @@ def _check_budget(candidates: int, budget: int, what: str = "candidates") -> Non
         raise BudgetExceededError(f"{count} {what} exceed the budget of {budget}")
 
 
+def _require_coprime(system: RestrictedSystem) -> None:
+    """The paper's hypothesis, checked where a command needs it:
+    PreconditionError when d_k shares a factor with the group order."""
+    if not system.coprime:
+        raise PreconditionError(
+            "determinantal divisor shares a factor with the group order"
+        )
+
+
 def _walk(system: RestrictedSystem, budget: int, count: bool):
     """The set-up and budget pre-check the listing and the count share,
     then their pivot walk."""

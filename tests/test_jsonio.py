@@ -284,6 +284,26 @@ def test_copy_text_past_53_bits_matches_dumped_rows():
     assert encode_copies([], m) == "[]"
 
 
+@pytest.mark.parametrize("moduli", [(3, 5), (3, BIG + 5)])
+def test_human_dump_of_copy_text_indents_the_rows(moduli):
+    # the indented layout writes the rows the copy text spells with the
+    # bytes of dumping the dict rows themselves; past 2^53 a residue is a
+    # decimal string in both
+    group = AbelianGroup(moduli)
+    m = 2
+    els = [(0, 0), (1, 4), (2, moduli[1] - 1), (1, 3)]
+    copies = sorted(
+        tuple(els[(i * t + i + 1) % 4] for t in range(2 * m)) for i in range(4)
+    )
+    rows = [
+        {"assignment": c[:m], "labels": c[m:]} for c in encode_rows(copies, group)
+    ]
+    report = {"count": len(copies), "copies": encode_copies(copies, m), "positions": m}
+    human = dump(report, human=True)
+    assert human == dump({**report, "copies": rows}, human=True)
+    assert (f'"{BIG + 4}"' in human) == (moduli[1] > BIG)
+
+
 def test_dump_places_json_text_among_sorted_keys():
     # a JSONText value goes out as it is among the sorted keys of a compact
     # report; any other report dumps as json writes it

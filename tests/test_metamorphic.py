@@ -11,11 +11,14 @@ through ``cli.main`` in process.  The transforms are a permutation of the
 coordinates, a translation, the scaling of one column by a unit, and the
 left multiplication of (A | b) by a matrix invertible mod the exponent,
 which must also keep the whole ``remove`` report; the first two can move
-the walk's pivot choice and its order of free coordinates.  The
+the walk's pivot choice and its order of free coordinates.  The other
+three must keep ``remove``'s minimum and its certificate, and greedy
+``remove`` must kill every solution with no fewer elements.  The
 transformed system is also solved under a drawn cap on the walk's
-levels, so the two listings come from different level cuts.  Last,
-``copies`` and ``verify`` are checked against ``solve`` on the untouched
-draws.
+levels, so the two listings come from different level cuts.  The
+``pipeline`` properties also draw standard and wide systems, so that
+many of their inputs reach a circular target.  Last, ``copies`` and
+``verify`` are checked against ``solve`` on the untouched draws.
 """
 
 import contextlib
@@ -43,6 +46,18 @@ def elements(moduli):
     return out
 
 
+def equations(draw, group, k, m):
+    # k rows of m small coefficients, and k right-hand sides from the group
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    return rows, [draw(st.sampled_from(group)) for _ in range(k)]
+
+
 @st.composite
 def systems(draw):
     # sets are the whole group or a drawn subset, so pivots are solved for
@@ -52,14 +67,7 @@ def systems(draw):
     group = elements(moduli)
     m = draw(st.integers(1, 5))
     k = draw(st.integers(1, min(m, 3)))
-    rows = draw(
-        st.lists(
-            st.lists(st.integers(-4, 4), min_size=m, max_size=m),
-            min_size=k,
-            max_size=k,
-        )
-    )
-    rhs = [draw(st.sampled_from(group)) for _ in range(k)]
+    rows, rhs = equations(draw, group, k, m)
     sets = [
         group
         if draw(st.booleans())
@@ -71,9 +79,51 @@ def systems(draw):
     return {"moduli": list(moduli), "A": rows, "b": rhs, "X": sets}
 
 
-def run(command, system, cap=system_module.LEAF_BATCH):
+@st.composite
+def standard_systems(draw):
+    # a systems() draw made homogeneous with an identity left block, so
+    # that with m >= k + 2 and unit windows copies takes the direct route
+    system = draw(systems())
+    k = len(system["A"])
+    zero = (0,) * len(system["moduli"])
+    return {
+        **system,
+        "A": [
+            [int(i == j) for j in range(k)] + row[k:]
+            for i, row in enumerate(system["A"])
+        ],
+        "b": [zero] * k,
+    }
+
+
+@st.composite
+def wide_systems(draw):
+    # m >= k + 2 variables over a group small enough that every set can be
+    # large, each set the group less at most a third of it: the pipeline
+    # reaches a circular target on many of these, where systems() draws
+    # mostly end thin or fail its coprimality test
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(k + 2, 5))
+    moduli = draw(st.sampled_from([g for g in GROUPS if math.prod(g) ** m <= 20_000]))
+    group = elements(moduli)
+    rows, rhs = equations(draw, group, k, m)
+    sets = []
+    for _ in range(m):
+        gone = draw(st.sets(st.sampled_from(group), max_size=len(group) // 3))
+        sets.append([x for x in group if x not in gone])
+    return {"moduli": list(moduli), "A": rows, "b": rhs, "X": sets}
+
+
+# inputs for the route-level properties: about a third of the draws
+# standard circular homogeneous and a third wide, so more of them end
+# circular
+circular_leaning = st.one_of(systems(), standard_systems(), wide_systems())
+
+
+def run(command, system, cap=system_module.LEAF_BATCH, options=()):
     # the exit code and the report, or on failure the JSON error, of one
-    # command on the system, with the walk's levels capped at cap
+    # command with its options on the system, with the walk's levels
+    # capped at cap
     doc = {
         "group": {"moduli": system["moduli"]},
         "A": {"rows": len(system["A"]), "cols": len(system["X"]), "data": system["A"]},
@@ -87,7 +137,7 @@ def run(command, system, cap=system_module.LEAF_BATCH):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(system_module, "LEAF_BATCH", cap)
-                code = cli.main([command, str(path)])
+                code = cli.main([command, *options, str(path)])
     return code, json.loads(out.getvalue() or err.getvalue())
 
 
@@ -235,7 +285,7 @@ def test_solve_follows_a_translation(system, cap, data):
 
 
 @seed(12)
-@given(systems(), st.sampled_from(LEVEL_CAPS), st.randoms(use_true_random=False))
+@given(circular_leaning, st.sampled_from(LEVEL_CAPS), st.randoms(use_true_random=False))
 @settings(max_examples=400, deadline=None)
 def test_pipeline_follows_a_permutation_of_the_coordinates(system, cap, rng):
     m = len(system["X"])
@@ -246,7 +296,7 @@ def test_pipeline_follows_a_permutation_of_the_coordinates(system, cap, rng):
 
 
 @seed(12)
-@given(systems(), st.sampled_from(LEVEL_CAPS), st.data())
+@given(circular_leaning, st.sampled_from(LEVEL_CAPS), st.data())
 @settings(max_examples=400, deadline=None)
 def test_pipeline_follows_a_translation(system, cap, data):
     group = elements(system["moduli"])
@@ -269,7 +319,7 @@ def test_solve_follows_a_unit_scaling_of_a_column(system, cap, data):
 
 
 @seed(12)
-@given(systems(), st.sampled_from(LEVEL_CAPS), st.data())
+@given(circular_leaning, st.sampled_from(LEVEL_CAPS), st.data())
 @settings(max_examples=400, deadline=None)
 def test_pipeline_follows_a_unit_scaling_of_a_column(system, cap, data):
     # a unit column factor multiplies each window determinant holding the
@@ -289,7 +339,7 @@ def test_solve_follows_a_left_multiplication(system, cap, data):
 
 
 @seed(12)
-@given(systems(), st.sampled_from(LEVEL_CAPS), st.data())
+@given(circular_leaning, st.sampled_from(LEVEL_CAPS), st.data())
 @settings(max_examples=400, deadline=None)
 def test_pipeline_follows_a_left_multiplication(system, cap, data):
     # det L multiplies every window determinant by a unit, and the
@@ -311,21 +361,31 @@ def test_remove_follows_a_left_multiplication(system, cap, data):
     assert run("remove", left_multiply(system, ops), cap) == run("remove", system)
 
 
-@st.composite
-def standard_systems(draw):
-    # a systems() draw made homogeneous with an identity left block, so
-    # that with m >= k + 2 and unit windows copies takes the direct route
-    system = draw(systems())
-    k = len(system["A"])
-    zero = (0,) * len(system["moduli"])
-    return {
-        **system,
-        "A": [
-            [int(i == j) for j in range(k)] + row[k:]
-            for i, row in enumerate(system["A"])
-        ],
-        "b": [zero] * k,
-    }
+@seed(12)
+@given(systems(), st.sampled_from(LEVEL_CAPS), st.data())
+@settings(max_examples=400, deadline=None)
+def test_remove_size_follows_each_transform(system, cap, data):
+    # a permutation, a translation or a unit scaling maps the solutions
+    # and each coordinate's values one to one, so the removal instance is
+    # the same up to relabelling its atoms: the minimum and its proof stay,
+    # while the witness and the packing bound may follow the new order.
+    # Greedy kills every solution and never beats the minimum
+    code, exact = run("remove", system)
+    if code:
+        return
+    kept = exact["total_size"], exact["certificate"]["optimal"]
+    m = len(system["X"])
+    perm = data.draw(st.permutations(range(m)))
+    t = [data.draw(st.sampled_from(elements(system["moduli"]))) for _ in range(m)]
+    j, u = data.draw(scalings(system))
+    for image in (permute(system, perm), translate(system, t), scale(system, j, u)):
+        code, out = run("remove", image, cap)
+        assert code == 0, out
+        assert (out["total_size"], out["certificate"]["optimal"]) == kept
+    code, greedy = run("remove", system, cap, ["--greedy"])
+    assert code == 0, greedy
+    assert greedy["post_count"] == 0
+    assert greedy["total_size"] >= exact["total_size"]
 
 
 @seed(12)

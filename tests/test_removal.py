@@ -21,6 +21,7 @@ from linremoval import (
     min_removal_exact,
     remove_elements,
 )
+from linremoval.removal import _instance, _tables
 
 
 def z(n):
@@ -317,6 +318,19 @@ def test_greedy_matches_the_recounting_greedy(moduli, data):
 # ------------------------------------------------------- randomized oracle
 
 
+def incremental_tables(own, atoms):
+    # reference: the exact solver's bit tables ORed in one bit at a time
+    hits = [0] * atoms
+    stranded = [0] * (atoms + 1)
+    for s, ids in enumerate(own):
+        for i in ids:
+            hits[i] |= 1 << s
+        stranded[ids[-1] + 1] |= 1 << s
+    for i in range(1, atoms + 1):
+        stranded[i] |= stranded[i - 1]
+    return hits, stranded
+
+
 @given(st.integers(2, 7), st.data())
 @settings(max_examples=40, deadline=None)
 def test_exact_matches_oracle_random(n, data):
@@ -333,6 +347,9 @@ def test_exact_matches_oracle_random(n, data):
     )
     protected = tuple(data.draw(st.sets(st.integers(0, m - 1), max_size=m // 2)))
     sys_ = RestrictedSystem(g, IntMatrix([row]), rhs, sets)
+    # the bit tables, on every draw, equal the ones built bit by bit
+    atoms_sorted, own = _instance(sys_, protected, 10**6)
+    assert _tables(own, len(atoms_sorted)) == incremental_tables(own, len(atoms_sorted))
     sols = enumerate_solutions(sys_)
     atoms = {(i, x[i]) for x in sols for i in range(m) if i not in protected}
     if len(sols) > 12 or len(atoms) > 12:

@@ -49,6 +49,7 @@ from .system import (
     ThinWitness,
     _check_budget,
     _homogenize,
+    _projection,
     _require_coprime,
     _thin_witness,
     _verify_extension,
@@ -171,6 +172,7 @@ def _standard_kernel(reduced: IntMatrix, n: int) -> IntMatrix:
     """
     k, m = reduced.rows, reduced.cols
     a = reduced.data
+    columns = list(zip(*a))
     data = [[0] * m for _ in range(m)]
     for j in range(m):
         window = [(j - k + t) % m for t in range(k)]
@@ -183,12 +185,13 @@ def _standard_kernel(reduced: IntMatrix, n: int) -> IntMatrix:
             [a[i][j] for i in core_rows],
             n,
         )
+        # the back-substitution for every row at once, a core column at a time
+        back = columns[j]
         for c, v in zip(core_cols, core):
             data[c][j] = v
+            back = [x - v * y for x, y in zip(back, columns[c])]
         for s in ident:
-            row = a[s]
-            back = sum(row[c] * v for c, v in zip(core_cols, core))
-            data[s][j] = (row[j] - back) % n
+            data[s][j] = back[s] % n
         data[j][j] = n - 1
     return IntMatrix(data)
 
@@ -472,6 +475,72 @@ def _standard_extension(
     )
 
 
+def _is_translation(ext: Extension) -> bool:
+    """Whether ext translates its source by a solution t, read off its
+    value maps: the target keeps the matrix and has a zero right-hand
+    side, the value map at j is y -> y + t_j on Y_j, onto X_j with
+    |Y_j| = |X_j|, and A t = b.  Then A y = 0 exactly when A (y + t) = b,
+    so the value maps biject the solutions."""
+    src, tgt = ext.source, ext.target
+    group, m = src.group, src.variables
+    if (tgt.group, tgt.matrix) != (group, src.matrix) or not tgt.is_homogeneous():
+        return False
+    if ext.coord_map != {j: j for j in range(m)}:
+        return False
+    shift = []
+    for j, (xs, ys) in enumerate(zip(src.restrictions, tgt.restrictions)):
+        vmap = ext.value_maps.get(j, {})
+        if not ys or len(xs) != len(ys):
+            return False
+        if vmap.keys() != set(ys) or set(vmap.values()) != set(xs):
+            return False
+        # per cyclic factor, every value is its key plus t_j's residue
+        t = []
+        for keys, values, q in zip(zip(*vmap), zip(*vmap.values()), group.moduli):
+            d = (values[0] - keys[0]) % q
+            if [(a + d) % q for a in keys] != list(values):
+                return False
+            t.append(d)
+        shift.append(tuple(t))
+    rows = zip(src.matrix.data, src.rhs)
+    return all(group.combine(row, shift) == b for row, b in rows)
+
+
+def _is_row_reduction(ext: Extension) -> bool:
+    """Whether ext's target is its homogeneous source with the columns in
+    the order coord_map gives, times a matrix invertible mod n = |G| on
+    the left: with A_P the permuted source matrix, L its leading k x k
+    block and T the target matrix, gcd(det L, n) = 1 and L T = A_P mod n,
+    the target's sets are the source's in that order, its right-hand side
+    is zero and the value maps are the identity.  n kills G, so A_P y = 0
+    exactly when T y = 0, and the identity maps biject the solutions."""
+    src, tgt = ext.source, ext.target
+    k, m, n = src.equations, src.variables, src.group.order
+    order = [ext.coord_map.get(t) for t in range(m)]
+    if sorted(ext.coord_map.values()) != list(range(m)) or None in order:
+        return False
+    if tgt.group != src.group or (tgt.equations, tgt.variables) != (k, m):
+        return False
+    if not (src.is_homogeneous() and tgt.is_homogeneous()):
+        return False
+    sets = tuple(src.restrictions[c] for c in order)
+    if tgt.restrictions != sets:
+        return False
+    if any(ext.value_maps.get(t) != dict(zip(xs, xs)) for t, xs in enumerate(sets)):
+        return False
+    permuted = [[row[c] for c in order] for row in src.matrix.data]
+    # _det_rows consumes the copies it is given
+    if math.gcd(_det_rows([row[:k] for row in permuted]), n) != 1:
+        return False
+    # a column of T has k entries, so zip reads only row i of L
+    columns = list(zip(*tgt.matrix.data))
+    return all(
+        sum(a * b for a, b in zip(row, col)) % n == want % n
+        for row in permuted
+        for col, want in zip(columns, row)
+    )
+
+
 @dataclass
 class PipelineResult:
     """Outcome of the full reduction.
@@ -481,9 +550,11 @@ class PipelineResult:
     the removal module handles these directly).  A circular outcome's chain
     is [translate, standard] when the input has a circular column order and
     [translate, identity form, circular] otherwise; the last target is the
-    one ``circular`` holds.  verification is the exhaustive check of the
-    composed extension, run once inside full_extension on the solution
-    lists it already holds; None unless the outcome is "circular".
+    one ``circular`` holds.  verification is the check of the composed
+    extension run once inside full_extension: its structure checks, and the
+    bijection proven from the two links' linear data on the standard route,
+    or else by projecting the final target's listing onto the input's; None
+    unless the outcome is "circular".
     """
 
     outcome: str
@@ -507,6 +578,24 @@ def _stage(name: str, system: RestrictedSystem, solutions: int, **extra) -> dict
     }
 
 
+def _check_reduction(
+    composed: Extension, proven: bool, source_sols: list, budget: int
+) -> tuple[int, ExtensionReport]:
+    """The final target's solution count and the composed extension's
+    verification.  A ``proven`` chain bijects the solutions by its
+    construction, so the count is the input's and nothing is listed;
+    otherwise the final target is listed within the budget and projected
+    onto the input's solutions, so a problem names the first
+    counterexample."""
+    if proven:
+        count = len(source_sols)
+        return count, _verify_extension(composed, lambda: (count, count, None))
+    target_sols = _walk(composed.target, budget, count=False)
+    return len(target_sols), _verify_extension(
+        composed, lambda: _projection(composed, source_sols, target_sols)
+    )
+
+
 def full_extension(
     system: RestrictedSystem, budget: int = DEFAULT_BUDGET
 ) -> PipelineResult:
@@ -519,18 +608,20 @@ def full_extension(
     or when the search uses up the budget, the identity form is padded by
     circularize into the paper's general target.
 
-    Only the input and the final target are listed, once each, in the
-    walk's own order: no report shows either listing, so neither is
-    sorted.  The input's solutions serve its stage count, the thinness
-    test, the translation witness (their least), the translate stage when
-    the input is already homogeneous, and the source side of the
-    verification; the final target's serve its stage count and the target
-    side.  The translate and identity-form stages are counted by
-    ``count_solutions``, which lists nothing, and all stage counts must
-    agree.
-    The final system is built into a CircularSystem, whose kernel
-    construction checks that the target is circular, and the composed
-    extension is verified exhaustively (``verification``).
+    The input is listed once, in the walk's own order, unsorted.  Its
+    solutions serve its stage count, the thinness test and the translation
+    witness (their least).  The translate link is proven from its value
+    maps (_is_translation), so its count is the input's.  On the standard
+    route the standard link is proven from its linear data too
+    (_is_row_reduction), so the final count is the input's as well and no
+    other system is listed.  The padded route, or a chain whose proof
+    fails, lists the final target within the budget and projects it onto
+    the input's solutions, so a failure names its first counterexample; a
+    translate target whose proof fails is counted by ``count_solutions``,
+    as the identity form always is, and all stage counts must agree.  The
+    final system is built into a CircularSystem, whose kernel construction
+    checks that the target is circular, and ``verification`` also holds
+    the structure checks of the composed extension.
     """
     _require_coprime(system)
     n = system.group.order
@@ -542,11 +633,10 @@ def full_extension(
         return PipelineResult("thin", stages, witness, [], None, None)
 
     translated = _homogenize(system, source_sols)
-    # a homogeneous input is its own translate target (identity extension)
-    if translated.target is system:
-        translated_count = len(source_sols)
-    else:
-        translated_count = count_solutions(translated.target, budget)
+    shifted = _is_translation(translated)
+    translated_count = (
+        len(source_sols) if shifted else count_solutions(translated.target, budget)
+    )
     stages.append(_stage("translate", translated.target, translated_count))
 
     if system.variables - system.equations <= 1:
@@ -558,6 +648,7 @@ def full_extension(
     if order is not None:
         last = _standard_extension(translated.target, order, n)
         chain = [translated, last]
+        proven = shifted and _is_row_reduction(last)
         name, extra = "standard", {"column_order": order}
     else:
         # the m - k whole-group columns the identity form and the padded
@@ -577,17 +668,17 @@ def full_extension(
         )
         last = circularize(step.target, n)
         chain = [translated, step, last]
+        proven = False
         name, extra = "circular", {}
-    target_sols = _walk(last.target, budget, count=False)
-    stages.append(_stage(name, last.target, len(target_sols), modulus=n, **extra))
+
+    composed = functools.reduce(compose_extensions, chain)
+    target_count, verification = _check_reduction(composed, proven, source_sols, budget)
+    stages.append(_stage(name, last.target, target_count, modulus=n, **extra))
 
     counts = {st["solutions"] for st in stages}
     if len(counts) != 1:
         raise InvariantError(f"stage solution counts diverged: {counts}")
-
-    composed = functools.reduce(compose_extensions, chain)
     circular = CircularSystem(last.target.matrix, n)
-    verification = _verify_extension(composed, lambda: (source_sols, target_sols))
     return PipelineResult(
         "circular", stages, None, chain, composed, circular, verification
     )

@@ -4,9 +4,11 @@ between them.
 A system is A x = b with each coordinate x_i confined to a finite restriction
 set X_i.  An extension wraps a second system whose solutions biject with the
 original's through per-coordinate value maps; the pipeline composes several
-of these, so composition and exhaustive verification live here too.  The
-thinness test and the translation take the solution list the pipeline has
-already listed, so neither lists a system again.
+of these, so composition and the extension check live here too: its
+structure checks, and the exhaustive projection that ``verify_extension``
+runs and the pipeline falls back on where no certificate proves the
+bijection.  The thinness test and the translation take the solution list
+the pipeline has already listed, so neither lists a system again.
 """
 
 from __future__ import annotations
@@ -430,33 +432,32 @@ class ExtensionReport:
 def verify_extension(
     ext: Extension, budget: int = DEFAULT_BUDGET
 ) -> ExtensionReport:
-    """Check the extension conditions exhaustively.
+    """Check the extension conditions exhaustively: the oracle for the
+    check ``full_extension`` runs, which on the standard route proves the
+    bijection from the links' linear data instead of listing the target.
 
     Dimensions must grow while preserving the column surplus, unmapped target
     coordinates must range over the whole group, the structural maps must be
     well formed, and projecting the target solutions must hit the source
     solutions bijectively.  Any violation lands in ``problems`` with a
-    counterexample where one exists.  Both sides are listed as the pipeline
-    lists them, unsorted (see ``_verify_extension``).
+    counterexample where one exists.  Both sides are listed unsorted (see
+    ``_projection``).
     """
     return _verify_extension(
         ext,
-        lambda: (
+        lambda: _projection(
+            ext,
             _walk(ext.source, budget, count=False),
             _walk(ext.target, budget, count=False),
         ),
     )
 
 
-def _verify_extension(ext: Extension, solutions) -> ExtensionReport:
-    """verify_extension, with ``solutions()`` giving the source and target
-    solution lists in any order; it is called only once the structure is
-    well formed, so a malformed extension is never enumerated.
-
-    The target listing is projected one column per source slot, and the
-    image set is compared with the source set; only a projection that is
-    not a bijection sorts the target listing, so its problem names the
-    first counterexample in lexicographic order."""
+def _verify_extension(ext: Extension, bijection) -> ExtensionReport:
+    """verify_extension, with the bijection settled by ``bijection()``: the
+    source and target solution counts and a problem, None when the
+    solutions biject.  ``bijection`` is called only once the structure is
+    well formed, so a malformed extension is never enumerated."""
     problems: list[str] = []
     src, tgt = ext.source, ext.target
 
@@ -503,21 +504,10 @@ def _verify_extension(ext: Extension, solutions) -> ExtensionReport:
     bijection_ok = False
     source_count = target_count = -1
     if structure_ok:
-        ssols, tsols = solutions()
-        source_count, target_count = len(ssols), len(tsols)
-        # the structure checks make coord_map a bijection onto the source
-        # coordinates, so each source slot has one target column and value
-        # map, and a projection needs no coverage check; only the mapped
-        # target columns are read
-        slots = [
-            map(ext.value_maps[j].__getitem__, map(itemgetter(j), tsols))
-            for _, j in sorted((s, j) for j, s in ext.coord_map.items())
-        ]
-        images = list(zip(*slots))
-        sset, image_set = set(ssols), set(images)
-        bijection_ok = image_set == sset and len(image_set) == len(images)
+        source_count, target_count, problem = bijection()
+        bijection_ok = problem is None
         if not bijection_ok:
-            problems.append(_bijection_problem(sorted(zip(tsols, images)), sset))
+            problems.append(problem)
 
     return ExtensionReport(
         ok=dimension_ok and full_group_ok and structure_ok and bijection_ok,
@@ -529,6 +519,31 @@ def _verify_extension(ext: Extension, solutions) -> ExtensionReport:
         target_count=target_count,
         problems=problems,
     )
+
+
+def _projection(ext: Extension, ssols, tsols) -> tuple[int, int, str | None]:
+    """The exhaustive bijection check of a well-formed extension on source
+    and target solution lists in any order: the two counts, and the
+    problem, None when the projection is a bijection.
+
+    The target listing is projected one column per source slot, and the
+    image set is compared with the source set; only a projection that is
+    not a bijection sorts the target listing, so its problem names the
+    first counterexample in lexicographic order."""
+    # the structure checks make coord_map a bijection onto the source
+    # coordinates, so each source slot has one target column and value
+    # map, and a projection needs no coverage check; only the mapped
+    # target columns are read
+    slots = [
+        map(ext.value_maps[j].__getitem__, map(itemgetter(j), tsols))
+        for _, j in sorted((s, j) for j, s in ext.coord_map.items())
+    ]
+    images = list(zip(*slots))
+    sset, image_set = set(ssols), set(images)
+    problem = None
+    if image_set != sset or len(image_set) != len(images):
+        problem = _bijection_problem(sorted(zip(tsols, images)), sset)
+    return len(ssols), len(tsols), problem
 
 
 def _bijection_problem(pairs, sset) -> str:

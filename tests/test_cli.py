@@ -275,33 +275,30 @@ def shape(sys_, budget=None):
 @pytest.mark.parametrize(
     "name, stages",
     [
-        # (listed, counted); homogeneous: the input's solutions are the
-        # translate stage's too
-        ("sys_z5_restricted.json", ([(1, 3, True), (1, 3, True)], [])),
-        (
-            "sys_z3z5_restricted.json",
-            ([(1, 3, False), (1, 3, True)], [(1, 3, True)]),
-        ),
-        ("sys_z11_2x4.json", ([(2, 4, False), (2, 4, True)], [(2, 4, True)])),
-        # no circular column order: identity form, then the padded target
-        (
-            "sys_z6_full.json",
-            ([(2, 5, False), (93, 96, True)], [(2, 5, True), (5, 8, True)]),
-        ),
+        # (listed, counted): on the standard route both links are proven
+        # from their construction, so only the input is listed
+        ("sys_z5_restricted.json", ([(1, 3, True)], [])),
+        ("sys_z3z5_restricted.json", ([(1, 3, False)], [])),
+        ("sys_z11_2x4.json", ([(2, 4, False)], [])),
+        # no circular column order: identity form, then the padded target,
+        # which is listed for the exhaustive check
+        ("sys_z6_full.json", ([(2, 5, False), (93, 96, True)], [(5, 8, True)])),
     ],
 )
 def test_pipeline_enumerates_each_system_once(count_calls, name, stages):
-    # only the input and the final target are listed, once each: the
-    # thinness test, the translation and the verification reuse those
-    # lists; the translate and identity-form stages are counted, not listed.
-    # The pipeline lists by the walk itself, unsorted, and every listing or
-    # count goes through it, so its calls without count are the listings
+    # the input is listed once: the thinness test and the translation
+    # reuse its list, and the translate link is proven from its value
+    # maps, so its stage is not counted.  Only the padded route lists its
+    # target and counts its identity form.  Every listing or count goes
+    # through the walk, so its calls without count are the listings and
+    # those with count are count_solutions'
     walks = count_calls(system, "_walk", lambda s, b, count: (*shape(s), count))
     counted = count_calls(system, "count_solutions", shape)
     out = main_json(["pipeline", fixture(name)])
     assert out["verification"]["ok"]
     enumerated = [walk[:3] for walk in walks if not walk[3]]
     assert (enumerated, counted) == stages
+    assert len(walks) == len(enumerated) + len(counted)
 
 
 @pytest.mark.parametrize(
@@ -1058,14 +1055,13 @@ def test_forged_copy_classes_exit_with_the_invariant_code(monkeypatch):
 def test_failed_reduction_check_exits_with_the_invariant_code(monkeypatch):
     # copies and verify host the reduction's target only once its
     # extension check passed; pipeline reports the failed check and exits 0
-    check = pipeline._verify_extension
+    check = pipeline._check_reduction
 
-    def forged(ext, solutions):
-        return dataclasses.replace(
-            check(ext, solutions), ok=False, problems=["forged", "twice"]
-        )
+    def forged(*args):
+        count, report = check(*args)
+        return count, dataclasses.replace(report, ok=False, problems=["forged", "twice"])
 
-    monkeypatch.setattr(pipeline, "_verify_extension", forged)
+    monkeypatch.setattr(pipeline, "_check_reduction", forged)
     path = fixture("sys_z11_2x4.json")
     failed = invariant_error("reduction check fails: forged; twice")
     assert main_result(["copies", path]) == failed

@@ -8,11 +8,12 @@ same outcome, the same solution count at every stage and the same verdict
 of its extension check (or the same error).  The transforms act on
 the system's JSON form here, outside ``src/``, and every command runs
 through ``cli.main`` in process.  The transforms are a permutation of the
-coordinates, a translation, the scaling of one column by a unit, and the
-left multiplication of (A | b) by a matrix invertible mod the exponent,
-which must also keep the whole ``remove`` report; the first two can move
-the walk's pivot choice and its order of free coordinates.  The other
-three must keep ``remove``'s minimum and its certificate, and greedy
+coordinates, a translation, the scaling of one column by a unit, a group
+automorphism (a unit in each cyclic factor) applied to b and every set,
+and the left multiplication of (A | b) by a matrix invertible mod the
+exponent, which must also keep the whole ``remove`` report; the first two
+can move the walk's pivot choice and its order of free coordinates.  The
+first three must keep ``remove``'s minimum and its certificate, and greedy
 ``remove`` must kill every solution with no fewer elements.  The
 transformed system is also solved under a drawn cap on the walk's
 levels, so the two listings come from different level cuts.  The
@@ -220,6 +221,31 @@ def scalings(draw, system):
     return j, u
 
 
+def automorphism(moduli, units):
+    # x -> (u_f x_f) on the group, u_f a unit mod the order of factor f
+    return lambda x: tuple(u * a % q for u, a, q in zip(units, x, moduli))
+
+
+def apply_automorphism(system, units):
+    # b and every set are mapped by the automorphism, which commutes with
+    # the integer matrix, so the solutions map by it too
+    image = automorphism(system["moduli"], units)
+    return {
+        **system,
+        "b": [image(v) for v in system["b"]],
+        "X": [sorted(map(image, xs)) for xs in system["X"]],
+    }
+
+
+@st.composite
+def automorphisms(draw, system):
+    # a unit mod each cyclic factor's order
+    return [
+        draw(st.sampled_from([u for u in range(1, q) if math.gcd(u, q) == 1]))
+        for q in system["moduli"]
+    ]
+
+
 def left_multiply(system, ops):
     # (A | b) becomes L (A | b), L the product of the elementary row
     # operations in ops: swapping rows i and j, scaling row i by a unit u
@@ -328,6 +354,31 @@ def test_pipeline_follows_a_unit_scaling_of_a_column(system, cap, data):
     report = pipeline(system)
     assert report[-1] is not False
     assert pipeline(scale(system, j, u), cap) == report
+
+
+@seed(12)
+@given(systems(), st.sampled_from(LEVEL_CAPS), st.data())
+@settings(max_examples=400, deadline=None)
+def test_solve_follows_a_group_automorphism(system, cap, data):
+    units = data.draw(automorphisms(system))
+    image = automorphism(system["moduli"], units)
+    rows = solve(system)
+    assert solve(apply_automorphism(system, units), cap) == sorted(
+        tuple(map(image, x)) for x in rows
+    )
+
+
+@seed(12)
+@given(circular_leaning, st.sampled_from(LEVEL_CAPS), st.data())
+@settings(max_examples=400, deadline=None)
+def test_pipeline_follows_a_group_automorphism(system, cap, data):
+    # the matrix is unchanged, so is the route; the automorphism maps the
+    # solutions of every stage one to one, so every count and the verdict
+    # stay
+    units = data.draw(automorphisms(system))
+    report = pipeline(system)
+    assert report[-1] is not False
+    assert pipeline(apply_automorphism(system, units), cap) == report
 
 
 @seed(12)

@@ -1,5 +1,7 @@
 """Reduction pipeline: circular checks, standard forms, kernels, extensions."""
 
+import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -16,6 +18,7 @@ from linremoval import (
     IntMatrix,
     InvariantError,
     PreconditionError,
+    Extension,
     RestrictedSystem,
     ThinWitness,
     build_kernel_matrix,
@@ -31,12 +34,16 @@ from linremoval import (
 from linremoval import pipeline
 from linremoval.intmat import det
 from linremoval.pipeline import (
+    _check_reduction,
     _circular_order,
     _identity_form,
+    _is_row_reduction,
+    _is_translation,
     _solve_window_mod,
+    _standard_extension,
     _standard_form,
 )
-from linremoval.system import _homogenize
+from linremoval.system import _homogenize, compose_extensions, identity_extension
 from test_intmat import adjugate
 from test_metamorphic import systems
 
@@ -846,6 +853,12 @@ def test_full_extension_budget():
         full_extension(sys_, budget=10)
 
 
+def from_doc(doc):
+    # a metamorphic draw as a RestrictedSystem
+    group = AbelianGroup(doc["moduli"])
+    return RestrictedSystem(group, IntMatrix(doc["A"]), doc["b"], doc["X"])
+
+
 @st.composite
 def maybe_padded(draw):
     # a system of the metamorphic draws; with a zero column, no column
@@ -854,8 +867,7 @@ def maybe_padded(draw):
     if draw(st.booleans()):
         j = draw(st.integers(0, len(doc["X"]) - 1))
         doc["A"] = [row[:j] + [0] + row[j + 1 :] for row in doc["A"]]
-    group = AbelianGroup(doc["moduli"])
-    return RestrictedSystem(group, IntMatrix(doc["A"]), doc["b"], doc["X"])
+    return from_doc(doc)
 
 
 @seed(12)
@@ -877,3 +889,179 @@ def test_built_systems_equal_their_checked_twins(sys_, data):
         built.append(remove_elements(t, removed))
     for t in built:
         assert t == RestrictedSystem(t.group, t.matrix, t.rhs, t.restrictions)
+
+
+# ------------------------------------------------------------ certificates
+
+
+@seed(12)
+@given(systems())
+@settings(max_examples=400, deadline=None)
+def test_standard_route_certificate_agrees_with_the_exhaustive_check(doc):
+    # on the standard route both links are proven from their construction
+    # and nothing but the input is listed; the exhaustive oracle, which
+    # lists both sides, must give the same report (34 of the 400 seeded
+    # draws take that route)
+    try:
+        res = full_extension(from_doc(doc))
+    except (PreconditionError, BudgetExceededError):
+        return
+    if res.outcome != "circular" or res.stages[-1]["stage"] != "standard":
+        return
+    translated, standard = res.chain
+    assert _is_translation(translated) and _is_row_reduction(standard)
+    assert verify_extension(res.composed) == res.verification
+
+
+def two_by_four():
+    # 2 x + y + 3 z + w = 1, x + 4 y + z + 2 w = 3 over Z7, each set the
+    # group less two elements: 12 solutions, column order 0, 2, 1, 3, and a
+    # left block that is not the identity
+    g = z(7)
+    sets = tuple(
+        tuple((v,) for v in range(7) if v not in (d, d + 1)) for d in (0, 2, 4, 5)
+    )
+    a = IntMatrix([[2, 1, 3, 1], [1, 4, 1, 2]])
+    return RestrictedSystem(g, a, ((1,), (3,)), sets)
+
+
+def checked(chain, sols):
+    # the check full_extension runs on a chain whose proof failed: the
+    # final target listed and projected onto the input's solutions
+    composed = functools.reduce(compose_extensions, chain)
+    _, report = _check_reduction(composed, False, sols, 10**6)
+    assert report == verify_extension(composed)
+    return report
+
+
+def shifted_by(system, t):
+    # a translate extension by any t: Y_j = X_j - t_j, value maps y -> y + t_j
+    g = system.group
+    neg = [g.scale(-1, v) for v in t]
+    sets, value_maps = [], {}
+    for j, (xs, v) in enumerate(zip(system.restrictions, neg)):
+        value_maps[j] = {g.combine((1, 1), (x, v)): x for x in xs}
+        sets.append(tuple(sorted(value_maps[j])))
+    zero = tuple(g.zero for _ in system.rhs)
+    target = RestrictedSystem(g, system.matrix, zero, tuple(sets))
+    return Extension(system, target, {j: j for j in range(len(t))}, value_maps)
+
+
+def with_target(ext, matrix=None, sets=None, **fields):
+    # ext with its target's matrix or sets, or its own fields, replaced
+    tgt = ext.target
+    target = RestrictedSystem(
+        tgt.group, matrix or tgt.matrix, tgt.rhs, sets or tgt.restrictions
+    )
+    return dataclasses.replace(ext, target=target, **fields)
+
+
+def test_certificate_proves_the_real_chain():
+    sys_ = two_by_four()
+    sols = enumerate_solutions(sys_)
+    res = full_extension(sys_)
+    translated, standard = res.chain
+    assert standard.coord_map == {0: 0, 1: 2, 2: 1, 3: 3}
+    assert _is_translation(translated) and _is_row_reduction(standard)
+    count, report = _check_reduction(res.composed, True, sols, 10**6)
+    assert (count, report) == (12, res.verification)
+    assert report == checked(res.chain, sols)
+    assert report.ok
+
+
+def test_certificate_refuses_a_shift_that_is_no_solution():
+    sys_ = two_by_four()
+    sols = enumerate_solutions(sys_)
+    t = (sys_.group.combine((1, 1), (sols[0][0], (1,))), *sols[0][1:])
+    assert sys_.group.combine(sys_.matrix.data[0], t) != sys_.rhs[0]
+    forged = shifted_by(sys_, t)
+    assert not _is_translation(forged)
+    order = [0, 2, 1, 3]
+    report = checked([forged, _standard_extension(forged.target, order, 7)], sols)
+    assert not report.ok and report.structure_ok
+    assert "non-solution" in report.problems[-1]
+
+
+def test_certificate_refuses_a_value_map_that_is_no_shift():
+    sys_ = two_by_four()
+    sols = enumerate_solutions(sys_)
+    translated, standard = full_extension(sys_).chain
+    # swap the images of two values of coordinate 0, one of them taken by
+    # a solution; neither is the map's first key, so the shift read off
+    # that key is still a solution
+    vmap = dict(translated.value_maps[0])
+    keys = list(vmap)[1:]
+    taken = {y[0] for y in enumerate_solutions(translated.target)}
+    y1 = next(y for y in keys if y in taken)
+    y2 = next(y for y in keys if y != y1)
+    vmap[y1], vmap[y2] = vmap[y2], vmap[y1]
+    value_maps = {**translated.value_maps, 0: vmap}
+    forged = dataclasses.replace(translated, value_maps=value_maps)
+    assert not _is_translation(forged)
+    report = checked([forged, standard], sols)
+    assert not report.ok and report.structure_ok
+    assert "non-solution" in report.problems[-1]
+
+
+def test_certificate_refuses_a_shift_off_the_target_set():
+    sys_ = two_by_four()
+    sols = enumerate_solutions(sys_)
+    translated = full_extension(sys_).chain[0]
+    # Y_0 moves by one while its value map, a true shift, stays
+    g = sys_.group
+    sets = list(translated.target.restrictions)
+    sets[0] = tuple(sorted(g.combine((1, 1), (y, (1,))) for y in sets[0]))
+    forged = with_target(translated, sets=tuple(sets))
+    assert not _is_translation(forged)
+    # no standard link composes with a map that misses its set
+    report = checked([forged], sols)
+    assert not report.ok and not report.structure_ok
+
+
+def test_certificate_refuses_a_left_block_that_is_no_unit():
+    # 3 (x + y + z) = 0 over Z9 onto x + y + z = 0: L T = A with L = 3,
+    # which is not a unit mod 9, and the target has a third of the
+    # solutions.  No coprime source has such a block, so this one is not
+    # coprime
+    g = z(9)
+    source = RestrictedSystem(g, IntMatrix([[3, 3, 3]]), ((0,),), full_sets(g, 3))
+    forged = with_target(identity_extension(source), matrix=IntMatrix([[1, 1, 1]]))
+    assert not _is_row_reduction(forged)
+    report = checked([identity_extension(source), forged], enumerate_solutions(source))
+    assert (report.source_count, report.target_count) == (243, 81)
+    assert not report.ok and "no preimage" in report.problems[-1]
+
+
+def test_certificate_refuses_a_target_matrix_off_its_row_reduction():
+    sys_ = two_by_four()
+    sols = enumerate_solutions(sys_)
+    translated, standard = full_extension(sys_).chain
+    rows = [list(row) for row in standard.target.matrix.data]
+    rows[0][3] = (rows[0][3] + 1) % 7
+    forged = with_target(standard, matrix=IntMatrix(rows))
+    assert not _is_row_reduction(forged)
+    report = checked([translated, forged], sols)
+    assert not report.ok and report.structure_ok
+
+
+def test_certificate_refuses_target_sets_that_are_not_the_permuted_source_sets():
+    sys_ = two_by_four()
+    sols = enumerate_solutions(sys_)
+    translated, standard = full_extension(sys_).chain
+    # target columns 1 and 2 trade sets; the value maps stay
+    sets = list(standard.target.restrictions)
+    sets[1], sets[2] = sets[2], sets[1]
+    forged = with_target(standard, sets=tuple(sets))
+    assert not _is_row_reduction(forged)
+    report = checked([translated, forged], sols)
+    assert not report.ok and not report.structure_ok
+    # a set that loses a value some solution takes, its identity map with it
+    sets = list(standard.target.restrictions)
+    lost = enumerate_solutions(standard.target)[0][1]
+    sets[1] = tuple(y for y in sets[1] if y != lost)
+    value_maps = {**standard.value_maps, 1: dict(zip(sets[1], sets[1]))}
+    forged = with_target(standard, sets=tuple(sets), value_maps=value_maps)
+    assert not _is_row_reduction(forged)
+    report = checked([translated, forged], sols)
+    assert not report.ok and report.structure_ok
+    assert "no preimage" in report.problems[-1]

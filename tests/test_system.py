@@ -34,6 +34,7 @@ from linremoval.jsonio import decode_system, load_file
 from linremoval.pipeline import _identity_form, _identity_prefix
 from linremoval.system import (
     _homogenize,
+    _projection,
     _thin_witness,
     _unit_pivots,
     _verify_extension,
@@ -970,8 +971,10 @@ def shuffled_reports(ext, draws=20):
         src_order, tgt_order = src[:], tgt[:]
         rng.shuffle(src_order)
         rng.shuffle(tgt_order)
-        shuffles.append(_verify_extension(ext, lambda: (src_order, tgt_order)))
-    return _verify_extension(ext, lambda: (src, tgt)), shuffles
+        shuffles.append(
+            _verify_extension(ext, lambda: _projection(ext, src_order, tgt_order))
+        )
+    return _verify_extension(ext, lambda: _projection(ext, src, tgt)), shuffles
 
 
 def test_verify_extension_names_the_same_counterexample_on_shuffled_listings():

@@ -6,9 +6,11 @@ hitting set over the solution list, with atoms (coordinate, value).
 Protected coordinates contribute no atoms.  The exact solver and its
 greedy companion both work on the system as given, and on one form of
 the instance (``_instance``), each solution's atoms: greedy keeps a live
-count per atom from it, and the exact solver builds its bitmask tables
-for the search.  The `remove` command calls them on the input
-system.  Pulling a removal back from a pipeline target
+count per atom from it, and the exact solver builds one bitmask per atom,
+the solutions it kills.  The exact solver first brackets the minimum at
+the root: deleting every value of the first free coordinate is a
+removal, and when a lower bound reaches its size no search runs.  The
+`remove` command calls both solvers on the input system.  Pulling a removal back from a pipeline target
 (``system.pull_back_removal``) is sound but can cost more than the source
 minimum, so it stays a library demonstration of the transfer argument,
 not a solving route.  Neither solver re-enumerates the system after its
@@ -20,8 +22,7 @@ the one check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import or_
+from itertools import repeat
 
 from .abelian import Element
 from .errors import BudgetExceededError, InfeasibleRemovalError, PreconditionError
@@ -84,23 +85,18 @@ def _instance(system: RestrictedSystem, protected, budget: int):
     return atoms_sorted, list(zip(*indexed))
 
 
-def _tables(own, atoms: int) -> tuple[list[int], list[int]]:
-    """The exact solver's bit tables, bit s for solution s.  hits[i]: the
-    solutions atom i kills; stranded[i]: those whose every atom comes
-    before atom i.  The bits of hits are set in one bytearray, ``width``
+def _tables(own, atoms: int) -> list[int]:
+    """The exact solver's bit table, bit s for solution s: hits[i], the
+    solutions atom i kills.  The bits are set in one bytearray, ``width``
     bytes per atom, and each mask is read off its row once: ORing in one
-    bit at a time would copy the growing int each time.  A solution's
-    last atom is its atom on the last free coordinate, whose atoms come
-    last, from ``start`` on, so stranded[i] is the union of hits[start:i]."""
+    bit at a time would copy the growing int each time."""
     width = (len(own) >> 3) + 1
     rows = bytearray(atoms * width)
     for s, ids in enumerate(own):
         byte, bit = s >> 3, 1 << (s & 7)
         for i in ids:
             rows[i * width + byte] |= bit
-    hits = [int.from_bytes(rows[o : o + width], "little") for o in range(0, len(rows), width)]
-    start = min((ids[-1] for ids in own), default=0)
-    return hits, [0] * (start + 1) + list(accumulate(hits[start:], or_))
+    return [int.from_bytes(rows[o : o + width], "little") for o in range(0, len(rows), width)]
 
 
 def _disjoint_bound(hits, own, uncovered: int, cap: int) -> int:
@@ -127,31 +123,24 @@ class _Nodes:
         self.used = 0
 
 
-def _cover_exists(
-    masks, uncovered: int, lo: int, room: int, failed, nodes: _Nodes
-) -> bool:
+def _cover_exists(hits, own, uncovered: int, lo: int, room: int, nodes: _Nodes) -> bool:
     """Whether at most ``room`` atoms of index ``lo`` or more cover the
     solutions in ``uncovered``.
 
     Depth-first on an explicit stack, branching on the atoms of the first
-    uncovered solution, lowest first; cut by stranded solutions, the
-    packing bound and sets already searched with as much room.  A search
-    that fails records its states in ``failed`` for later calls to skip.
-    Every state that passes those memo cuts is a node: it takes one
-    packing bound and one memo entry, and it raises BudgetExceededError
-    once the solve's nodes pass the budget, so the memo stays within the
-    budget too.
+    uncovered solution, lowest first; cut by room, by the packing bound
+    and by sets this call has already searched with as much room.  Every
+    state that passes the memo is a node: it takes one packing bound and
+    one memo entry, and it raises BudgetExceededError once the solve's
+    nodes pass the budget.  Nothing is kept from one call to the next.
     """
-    hits, own, stranded = masks
     seen: dict[int, int] = {}
     stack = [(uncovered, room)]
     while stack:
         u, r = stack.pop()
         if not u:
             return True
-        if r == 0 or u & stranded[lo]:
-            continue
-        if seen.get(u, -1) >= r or failed.get((u, lo), -1) >= r:
+        if r == 0 or seen.get(u, -1) >= r:
             continue
         nodes.used += 1
         if nodes.used > nodes.budget:
@@ -166,8 +155,6 @@ def _cover_exists(
         for i in reversed(own[pivot]):
             if i >= lo:
                 stack.append((u & ~hits[i], r - 1))
-    for u, r in seen.items():
-        failed[(u, lo)] = max(failed.get((u, lo), -1), r)
     return False
 
 
@@ -178,23 +165,32 @@ def min_removal_exact(
 ) -> RemovalSolution:
     """Provably minimum removal, by search over the solution list.
 
-    The size is the first one, counting up from the disjoint-packing
-    bound, at which a cover exists.  The witness reported is the
-    lexicographically first atom set of that size: atom by atom, the
-    least one that still leaves a cover of the size among the later
-    atoms.  So reruns are reproducible.  The budget bounds the solution
-    walk and, separately, the cover-search nodes of the whole solve.
+    The witness reported is the lexicographically first minimum atom
+    set, so reruns are reproducible.  The root brackets the minimum: the
+    t atoms of the first free coordinate, atoms 0 to t-1, form a removal,
+    and the disjoint-packing bound and the degree bound, S solutions over
+    the largest atom degree rounded up, are lower bounds.  When either
+    reaches t, those atoms are the answer, as the least index list of
+    its size.  Otherwise the size is the first one, counting up from the
+    packing bound, at which a cover exists, and the witness is built atom
+    by atom, the least one that still leaves a cover of the size among
+    the later atoms.  The budget bounds the solution walk and,
+    separately, the cover-search nodes of the whole solve.  lower_bound
+    is the packing bound in either case.
     """
     atoms_sorted, own = _instance(system, protected, budget)
-    hits, stranded = _tables(own, len(atoms_sorted))
-    masks = (hits, own, stranded)
+    hits = _tables(own, len(atoms_sorted))
     everything = (1 << len(own)) - 1
-
     root_bound = _disjoint_bound(hits, own, everything, len(own))
-    failed: dict[tuple[int, int], int] = {}
+    t = 1 + max((ids[0] for ids in own), default=-1)
+    degree_bound = -(-len(own) // max(map(int.bit_count, hits), default=1))
+    if max(root_bound, degree_bound) >= t:
+        removed = _pack(atoms_sorted[:t], system.variables)
+        return RemovalSolution(removed, t, True, root_bound)
+
     nodes = _Nodes(budget)
     best = root_bound
-    while not _cover_exists(masks, everything, 0, best, failed, nodes):
+    while not _cover_exists(hits, own, everything, 0, best, nodes):
         best += 1
 
     witness: list[int] = []
@@ -204,7 +200,7 @@ def min_removal_exact(
         atom = next(
             i for i in range(start, len(hits))
             if uncovered & hits[i]
-            and _cover_exists(masks, uncovered & ~hits[i], i + 1, room, failed, nodes)
+            and _cover_exists(hits, own, uncovered & ~hits[i], i + 1, room, nodes)
         )
         witness.append(atom)
         uncovered &= ~hits[atom]

@@ -4,6 +4,7 @@ import ast
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -668,6 +669,28 @@ def test_remove_deep_search_in_process(tmp_path):
     assert out["total_size"] == 2
     assert out["certificate"]["optimal"] is True
     assert out["removed"] == [[], [[0], [1]], []]
+
+
+def test_remove_cap_set_answers_at_the_root(tmp_path):
+    # x1 + x2 + x3 = 0 over Z3^7 with every set {0,1}^7: a cap set, whose
+    # 128 solutions are the trivial ones and share no atom, so the packing
+    # bound meets the 128 atoms of x1 and no cover search runs
+    cube = [list(v) for v in itertools.product((0, 1), repeat=7)]
+    path = tmp_path / "cap7.json"
+    path.write_text(
+        json.dumps(
+            {
+                "group": {"moduli": [3] * 7},
+                "A": {"rows": 1, "cols": 3, "data": [[1, 1, 1]]},
+                "b": [[0] * 7],
+                "X": [cube] * 3,
+            }
+        )
+    )
+    out = run_json("remove", str(path))
+    assert (out["total_size"], out["post_count"]) == (128, 0)
+    assert out["certificate"] == {"optimal": True, "lower_bound": 128}
+    assert out["removed"] == [cube, [], []]
 
 
 # a child reads its own peak RSS after cli.main; started from a small

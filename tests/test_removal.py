@@ -21,6 +21,7 @@ from linremoval import (
     min_removal_exact,
     remove_elements,
 )
+from linremoval import removal
 from linremoval.removal import _instance, _tables
 
 
@@ -176,15 +177,31 @@ def test_exact_budget():
         min_removal_exact(sys_, budget=10)
 
 
-def test_exact_witness_search_tries_the_lowest_atom_first():
-    # x1 + x2 - 2 x3 = 0 over Z41 with full sets: the root bound is the
-    # minimum, and the witness search, which tries each solution's lowest
-    # atom first, takes 861 nodes in all; highest first it took 58,464
+def test_exact_root_bracket_answers_without_a_search(count_calls):
+    # x1 + x2 - 2 x3 = 0 over Z41 with full sets: 1,681 solutions, each
+    # atom kills 41, so the degree bound 41 meets the 41 atoms of x1 and
+    # no cover search runs; the witness is those atoms, the least list
+    searches = count_calls(removal, "_cover_exists", lambda *args: None)
     g = z(41)
     sys_ = RestrictedSystem(g, IntMatrix([[1, 1, -2]]), ((0,),), full_sets(g, 3))
     res = min_removal_exact(sys_, budget=5_000)
     assert (res.total_size, res.optimal, res.lower_bound) == (41, True, 41)
     assert res.removed == (g.elements(), (), ())
+    assert searches == []
+
+
+def test_exact_witness_search_tries_the_lowest_atom_first():
+    # x1 + x2 - 2 x3 = 0 over Z41, each set a seeded sample of 20 values:
+    # the packing bound 17 and the degree bound stay below the 20 atoms of
+    # x1, so the search runs; trying each solution's lowest atom first, it
+    # takes 1,047 nodes in all, and highest first it took 4,301
+    rng = random.Random(2)
+    g = z(41)
+    sets = tuple(tuple((v,) for v in sorted(rng.sample(range(41), 20))) for _ in range(3))
+    sys_ = RestrictedSystem(g, IntMatrix([[1, 1, -2]]), ((0,),), sets)
+    res = min_removal_exact(sys_, budget=2_000)
+    assert (res.total_size, res.optimal, res.lower_bound) == (20, True, 17)
+    assert res.removed == (sets[0], (), ())
 
 
 def z61_sample_system():
@@ -319,53 +336,71 @@ def test_greedy_matches_the_recounting_greedy(moduli, data):
 
 
 def incremental_tables(own, atoms):
-    # reference: the exact solver's bit tables ORed in one bit at a time
+    # reference: the exact solver's bit table ORed in one bit at a time
     hits = [0] * atoms
-    stranded = [0] * (atoms + 1)
     for s, ids in enumerate(own):
         for i in ids:
             hits[i] |= 1 << s
-        stranded[ids[-1] + 1] |= 1 << s
-    for i in range(1, atoms + 1):
-        stranded[i] |= stranded[i - 1]
-    return hits, stranded
+    return hits
 
 
-@given(st.integers(2, 7), st.data())
-@settings(max_examples=40, deadline=None)
-def test_exact_matches_oracle_random(n, data):
-    g = z(n)
-    m = data.draw(st.integers(1, 4))
-    row = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
-    rhs = ((data.draw(st.integers(0, n - 1)),),)
-    sets = tuple(
-        tuple(
-            (v,)
-            for v in data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+def test_exact_matches_oracle_random(count_calls):
+    searches = count_calls(removal, "_cover_exists", lambda *args: None)
+    searched = set()
+
+    @seed(36)
+    @given(st.integers(2, 7), st.data())
+    @settings(max_examples=40, deadline=None)
+    def check(n, data):
+        g = z(n)
+        m = data.draw(st.integers(1, 4))
+        row = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+        rhs = ((data.draw(st.integers(0, n - 1)),),)
+        sets = tuple(
+            tuple(
+                (v,)
+                for v in data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+            )
+            for _ in range(m)
         )
-        for _ in range(m)
-    )
-    protected = tuple(data.draw(st.sets(st.integers(0, m - 1), max_size=m // 2)))
-    sys_ = RestrictedSystem(g, IntMatrix([row]), rhs, sets)
-    # the bit tables, on every draw, equal the ones built bit by bit
-    atoms_sorted, own = _instance(sys_, protected, 10**6)
-    assert _tables(own, len(atoms_sorted)) == incremental_tables(own, len(atoms_sorted))
-    sols = enumerate_solutions(sys_)
-    atoms = {(i, x[i]) for x in sols for i in range(m) if i not in protected}
-    if len(sols) > 12 or len(atoms) > 12:
-        return
-    res = min_removal_exact(sys_, protected=protected)
-    assert res.optimal
-    assert res.total_size == brute_min_size(sys_, protected)
-    assert removal_kills(sys_, res.removed)
-    greedy = greedy_removal(sys_, protected=protected)
-    assert greedy.total_size >= res.total_size
-    # the solvers do not re-check their removals; callers rely on these
-    assert removal_kills(sys_, greedy.removed)
-    # the witness is the lexicographically first minimum atom set, and
-    # lower_bound is the packing bound the search counted up from
-    expected = [[] for _ in range(m)]
-    for i, v in brute_first_cover(sys_, protected):
-        expected[i].append(v)
-    assert res.removed == tuple(tuple(vs) for vs in expected)
-    assert res.lower_bound == packing_bound(sys_, protected)
+        protected = tuple(data.draw(st.sets(st.integers(0, m - 1), max_size=m // 2)))
+        sys_ = RestrictedSystem(g, IntMatrix([row]), rhs, sets)
+        # the bit table, on every draw, equals the one built bit by bit
+        atoms_sorted, own = _instance(sys_, protected, 10**6)
+        assert _tables(own, len(atoms_sorted)) == incremental_tables(own, len(atoms_sorted))
+        sols = enumerate_solutions(sys_)
+        atoms = {(i, x[i]) for x in sols for i in range(m) if i not in protected}
+        if len(sols) > 12 or len(atoms) > 12:
+            return
+        calls = len(searches)
+        res = min_removal_exact(sys_, protected=protected)
+        searched.add(len(searches) > calls)
+        assert res.optimal
+        assert res.total_size == brute_min_size(sys_, protected)
+        assert removal_kills(sys_, res.removed)
+        greedy = greedy_removal(sys_, protected=protected)
+        assert greedy.total_size >= res.total_size
+        # the solvers do not re-check their removals; callers rely on these
+        assert removal_kills(sys_, greedy.removed)
+        # the witness, from the root bracket or from the search, is the
+        # lexicographically first minimum atom set, and lower_bound is the
+        # packing bound
+        expected = [[] for _ in range(m)]
+        for i, v in brute_first_cover(sys_, protected):
+            expected[i].append(v)
+        assert res.removed == tuple(tuple(vs) for vs in expected)
+        assert res.lower_bound == packing_bound(sys_, protected)
+        # the search agrees with the bracket too: a cover of the minimum's
+        # size exists, and none smaller
+        hits, nodes = _tables(own, len(atoms_sorted)), removal._Nodes(10**6)
+        everything = (1 << len(own)) - 1
+
+        def cover(room):
+            return removal._cover_exists(hits, own, everything, 0, room, nodes)
+
+        assert cover(res.total_size)
+        assert res.total_size == 0 or not cover(res.total_size - 1)
+
+    check()
+    # the root bracket answers some draws with no search, the search the rest
+    assert searched == {False, True}
